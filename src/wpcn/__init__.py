@@ -9,7 +9,7 @@ Library layout:
 * ``sim``       -- Monte-Carlo estimates and frame-level ledger traces
 * ``cli``       -- the ``wpcn`` command-line front end
 """
-from .channel import FadingModel, GainSampleBatch, sample
+from .channel import GainSampleBatch, sample
 from .numerics import ConvergenceError, Interval, OPEN_END, ToleranceSpec
 from .optimize import SolveConfig, SolveResult, ThroughputCurve, sweep
 from .schemes import (
@@ -26,7 +26,6 @@ from .sim import FrameRecord, FrameTrace, TraceSummary, mc_throughput, run_polic
 
 __all__ = [
     "ConvergenceError",
-    "FadingModel",
     "FrameRecord",
     "FrameTrace",
     "GainSampleBatch",

@@ -28,27 +28,6 @@ _SM64_INCREMENT = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 
-FADING_KINDS = ("unit-mean-exponential",)
-
-
-@dataclass(frozen=True)
-class FadingModel:
-    """Fading family marker plus the (dimensionless) average power gain.
-
-    Only the unit-mean exponential (Rayleigh power) model is implemented;
-    the ``kind`` field is the extension point for other families. The
-    average gain is carried separately from the normalized density.
-    """
-
-    kind: str = "unit-mean-exponential"
-    mean_gain_gbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in FADING_KINDS:
-            raise ValueError(f"unsupported fading kind {self.kind!r}")
-        if not self.mean_gain_gbar > 0.0:
-            raise ValueError("mean_gain_gbar must be positive")
-
 
 @dataclass(frozen=True)
 class GainSampleBatch:

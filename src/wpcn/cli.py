@@ -122,22 +122,23 @@ def _params(args) -> SystemParams:
     return SystemParams(p_d=args.p_d, gbar=args.gbar, sigma2=args.sigma2)
 
 
+# scheme tag -> (policy class, the threshold flags it takes, in argument order)
+_POLICIES = {
+    "htt": (HTTPolicy, ()),
+    "ip": (IPPolicy, ("g_u",)),
+    "pi": (PIPolicy, ("g_l",)),
+    "pip": (PIPPolicy, ("g_l", "g_u")),
+}
+
+
 def _policy(args):
-    scheme, g_l, g_u = args.scheme, args.g_l, args.g_u
-    need = {"htt": (False, False), "ip": (False, True),
-            "pi": (True, False), "pip": (True, True)}[scheme]
-    given = (g_l is not None, g_u is not None)
-    if given != need:
-        wants = " and ".join(n for n, w in zip(("--g-l", "--g-u"), need) if w) or "no thresholds"
-        raise _UsageError(f"scheme {scheme} takes {wants}")
+    cls, names = _POLICIES[args.scheme]
+    given = tuple(n for n in ("g_l", "g_u") if getattr(args, n) is not None)
+    if given != names:
+        wants = " and ".join("--" + n.replace("_", "-") for n in names) or "no thresholds"
+        raise _UsageError(f"scheme {args.scheme} takes {wants}")
     try:
-        if scheme == "htt":
-            return HTTPolicy()
-        if scheme == "ip":
-            return IPPolicy(g_u=g_u)
-        if scheme == "pi":
-            return PIPolicy(g_l=g_l)
-        return PIPPolicy(g_l=g_l, g_u=g_u)
+        return cls(*(getattr(args, n) for n in names))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 

@@ -4,16 +4,21 @@ Four transmit strategies for a single-antenna wireless-powered link:
 
 * HTT   -- every frame is split: a fraction tau harvests downlink power,
            the rest transmits uplink data with the energy just harvested.
-* IP    -- whole frames: transmit when the normalized gain is below g_u,
-           harvest above (information interval left of the power interval).
-* PI    -- transmit above g_l, harvest below.
+* IP    -- whole frames: transmit on the band [0, g_u), harvest above
+           (information interval left of the power interval).
+* PI    -- transmit on the band [g_l, inf), harvest below.
 * PIP   -- transmit on the middle band [g_l, g_u), harvest on both tails.
 
-For the threshold schemes the uplink power is the constant that balances
-expected harvested and expected consumed energy; the ergodic throughput then
-has a closed form in the exponential integral. Every closed form is checked
-against ``quad_throughput_oracle`` (direct quadrature of the rate integral),
-which is the ground truth throughout the test suite.
+The three threshold schemes are one rule: transmit while the normalized gain
+lies in a band [lo, hi) (each policy's ``band``), harvest outside it. Their
+uplink power is the constant that balances expected harvested and expected
+consumed energy (``band_ul_power``); the ergodic throughput then has a closed
+form in the exponential integral (``band_throughput``). The ``ip_*``
+functions call these two with g_l = 0, the ``pi_*`` functions with
+g_u = inf, and the ``pip_*`` functions pass both thresholds through. Every
+closed form is checked against ``quad_throughput_oracle`` (direct
+quadrature of the rate integral), which is the ground truth throughout the
+test suite.
 
 All throughputs are in bits per unit frame (equal to bits/s/Hz here since
 frame length and bandwidth are fixed at one).
@@ -53,8 +58,6 @@ class SystemParams:
     p_d: float
     gbar: float = 1.0
     sigma2: float = 1.0
-    frame_T: float = 1.0
-    bandwidth: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.p_d > 0.0:
@@ -63,8 +66,6 @@ class SystemParams:
             raise ValueError("gbar must be positive")
         if not self.sigma2 > 0.0:
             raise ValueError("sigma2 must be positive")
-        if self.frame_T != 1.0 or self.bandwidth != 1.0:
-            raise ValueError("the model is normalized to unit frame length and bandwidth")
 
     @property
     def dl_snr(self) -> float:
@@ -133,6 +134,11 @@ class IPPolicy:
         if not self.g_u > 0.0:
             raise ValueError("IP policy requires g_u > 0")
 
+    @property
+    def band(self) -> tuple[float, float]:
+        """Transmit band [lo, hi) of the normalized gain."""
+        return (0.0, self.g_u)
+
 
 @dataclass(frozen=True)
 class PIPolicy:
@@ -141,6 +147,11 @@ class PIPolicy:
     def __post_init__(self) -> None:
         if self.g_l < 0.0 or math.isnan(self.g_l):
             raise ValueError("PI policy requires g_l >= 0")
+
+    @property
+    def band(self) -> tuple[float, float]:
+        """Transmit band [lo, hi) of the normalized gain."""
+        return (self.g_l, OPEN_END)
 
 
 @dataclass(frozen=True)
@@ -154,26 +165,23 @@ class PIPPolicy:
         if not self.g_u > self.g_l:
             raise ValueError("PIP policy requires g_l < g_u")
 
+    @property
+    def band(self) -> tuple[float, float]:
+        """Transmit band [lo, hi) of the normalized gain."""
+        return (self.g_l, self.g_u)
+
 
 Policy = Union[HTTPolicy, IPPolicy, PIPolicy, PIPPolicy]
 
 
 def policy_partition(policy: Policy) -> Partition:
     """Information/power gain sets induced by a threshold policy."""
-    if isinstance(policy, IPPolicy):
-        return Partition(
-            wit=(Interval(0.0, policy.g_u),), wpt=(Interval(policy.g_u, OPEN_END),)
-        )
-    if isinstance(policy, PIPolicy):
-        wpt = () if policy.g_l == 0.0 else (Interval(0.0, policy.g_l),)
-        return Partition(wit=(Interval(policy.g_l, OPEN_END),), wpt=wpt)
-    if isinstance(policy, PIPPolicy):
-        lower = () if policy.g_l == 0.0 else (Interval(0.0, policy.g_l),)
-        return Partition(
-            wit=(Interval(policy.g_l, policy.g_u),),
-            wpt=lower + (Interval(policy.g_u, OPEN_END),),
-        )
-    raise ValueError(f"no gain partition for policy {policy!r}")
+    if isinstance(policy, HTTPolicy):
+        raise ValueError(f"no gain partition for policy {policy!r}")
+    lo, hi = policy.band
+    below = () if lo == 0.0 else (Interval(0.0, lo),)
+    above = () if math.isinf(hi) else (Interval(hi, OPEN_END),)
+    return Partition(wit=(Interval(lo, hi),), wpt=below + above)
 
 
 @dataclass(frozen=True)
@@ -304,37 +312,51 @@ def balance_ul_power(partition: Partition, params: SystemParams) -> float:
     return params.p_d * params.gbar * harvested / prob_wit
 
 
+def _zero_at_open_end(term, open_end):
+    """``term`` with the entries where g_u is infinite set to 0.
+
+    A term for the gains above the band is inf * 0 = NaN there, while the
+    true value is 0: no gain lies above an open band.
+    """
+    return np.where(open_end, 0.0, term) if open_end.any() else term
+
+
+def band_ul_power(g_l, g_u, params: SystemParams):
+    """Uplink power transmitting on [g_l, g_u) and harvesting outside it.
+
+    p_d gbar ((g_u+1) e^{g_l-g_u} + e^{g_l} - g_l - 1) / (1 - e^{g_l-g_u}),
+    the energy balance of ``balance_ul_power`` in closed form; g_u may be inf.
+    """
+    gl = np.asarray(g_l, dtype=float)
+    gu = np.asarray(g_u, dtype=float)
+    if not np.all(gl >= 0.0):
+        raise ValueError("band_ul_power requires g_l >= 0")
+    if not np.all(gu > gl):
+        raise ValueError("band_ul_power requires g_l < g_u (zero transmit probability otherwise)")
+    # Two terms, not one fraction: at g_l = 0 the sum rounds exactly like the
+    # IP form and at g_u = inf exactly like the PI form, which keeps the
+    # solvers' outputs bit for bit.
+    scale = params.p_d * params.gbar
+    denom = -np.expm1(gl - gu)
+    with np.errstate(invalid="ignore"):
+        above = scale * (gu + 1.0) * np.exp(gl - gu) / denom
+    out = _zero_at_open_end(above, np.isinf(gu)) + scale * (np.expm1(gl) - gl) / denom
+    return float(out) if out.ndim == 0 else out
+
+
 def ip_ul_power(g_u, params: SystemParams):
     """p_d gbar (g_u + 1) e^{-g_u} / (1 - e^{-g_u})."""
-    arr = np.asarray(g_u, dtype=float)
-    if np.any(arr <= 0.0) or np.isnan(arr).any():
-        raise ValueError("ip_ul_power requires g_u > 0")
-    out = params.p_d * params.gbar * (arr + 1.0) * np.exp(-arr) / (-np.expm1(-arr))
-    return float(out) if arr.ndim == 0 else out
+    return band_ul_power(0.0, g_u, params)
 
 
 def pi_ul_power(g_l, params: SystemParams):
     """p_d gbar (e^{g_l} - g_l - 1)."""
-    arr = np.asarray(g_l, dtype=float)
-    if np.any(arr < 0.0) or np.isnan(arr).any():
-        raise ValueError("pi_ul_power requires g_l >= 0")
-    out = params.p_d * params.gbar * (np.expm1(arr) - arr)
-    return float(out) if arr.ndim == 0 else out
+    return band_ul_power(g_l, OPEN_END, params)
 
 
 def pip_ul_power(g_l, g_u, params: SystemParams):
     """p_d gbar (1 - (g_l+1) e^{-g_l} + (g_u+1) e^{-g_u}) / (e^{-g_l} - e^{-g_u})."""
-    gl = np.asarray(g_l, dtype=float)
-    gu = np.asarray(g_u, dtype=float)
-    if np.any(gl < 0.0) or np.isnan(gl).any() or np.isnan(gu).any():
-        raise ValueError("pip_ul_power requires g_l >= 0")
-    if np.any(gu <= gl):
-        raise ValueError("pip_ul_power requires g_l < g_u (zero transmit probability otherwise)")
-    numer = 1.0 - (gl + 1.0) * np.exp(-gl) + (gu + 1.0) * np.exp(-gu)
-    denom = -np.exp(-gl) * np.expm1(-(gu - gl))
-    out = params.p_d * params.gbar * numer / denom
-    scalar = gl.ndim == 0 and gu.ndim == 0
-    return float(out) if scalar else out
+    return band_ul_power(g_l, g_u, params)
 
 
 # ---------------------------------------------------------------------------
@@ -354,51 +376,48 @@ def _rate_mass(gammabar, bound):
     )
 
 
-def _phat_throughput(gammabar, lo, hi):
-    """Closed-form integral of log2(1 + gammabar g) e^{-g} over [lo, hi)."""
-    gb = np.asarray(gammabar, dtype=float)
+def band_throughput(g_l, g_u, params: SystemParams):
+    """Ergodic bits/frame transmitting on [g_l, g_u) at ``band_ul_power``.
+
+    The integral of log2(1 + gammabar g) e^{-g} over the band, in closed
+    form; g_u may be inf. Zero at a zero uplink power by continuity.
+    """
+    gl = np.asarray(g_l, dtype=float)
+    gu = np.asarray(g_u, dtype=float)
+    gb = band_ul_power(gl, gu, params) * params.gbar / params.sigma2
     if not np.all(np.isfinite(gb)):
         raise ValueError("uplink SNR overflowed; thresholds leave no usable transmit set")
     # Below ~1e-280 the throughput is zero to hundreds of digits and
     # 1/gammabar would lose the scaled-E1 argument to overflow.
     zero = gb <= 1e-280
     safe = np.where(zero, 1.0, gb)
-    hi_mass = 0.0 if np.ndim(hi) == 0 and np.isinf(hi) else _rate_mass(safe, hi)
-    val = (_rate_mass(safe, lo) - hi_mass) / LN2
-    return np.where(zero, 0.0, val)
+    open_end = np.isinf(gu)
+    if open_end.all():
+        hi_mass = 0.0
+    else:
+        with np.errstate(invalid="ignore"):
+            hi_mass = _zero_at_open_end(_rate_mass(safe, gu), open_end)
+    out = np.where(zero, 0.0, (_rate_mass(safe, gl) - hi_mass) / LN2)
+    return float(out) if out.ndim == 0 else out
 
 
 def ip_throughput(g_u, params: SystemParams):
     """Ergodic bits/frame when transmitting below g_u and harvesting above."""
-    gu = np.asarray(g_u, dtype=float)
-    gb = ip_ul_power(gu, params) * params.gbar / params.sigma2
-    out = _phat_throughput(gb, 0.0, gu)
-    return float(out) if gu.ndim == 0 else out
+    return band_throughput(0.0, g_u, params)
 
 
 def pi_throughput(g_l, params: SystemParams):
-    """Ergodic bits/frame when harvesting below g_l and transmitting above.
-
-    Zero at g_l = 0 (nothing harvested, zero uplink SNR) by continuity.
-    """
-    gl = np.asarray(g_l, dtype=float)
-    gb = pi_ul_power(gl, params) * params.gbar / params.sigma2
-    out = _phat_throughput(gb, gl, np.inf)
-    return float(out) if gl.ndim == 0 else out
+    """Ergodic bits/frame when harvesting below g_l and transmitting above."""
+    return band_throughput(g_l, OPEN_END, params)
 
 
 def pip_throughput(g_l, g_u, params: SystemParams):
     """Ergodic bits/frame transmitting on the middle band [g_l, g_u).
 
-    Reduces exactly to the two-interval forms: g_l = 0 recovers the IP
-    scheme and g_u -> inf recovers the PI scheme.
+    Reduces exactly to the two-interval forms: g_l = 0 is the IP scheme and
+    g_u = inf is the PI scheme.
     """
-    gl = np.asarray(g_l, dtype=float)
-    gu = np.asarray(g_u, dtype=float)
-    gb = pip_ul_power(gl, gu, params) * params.gbar / params.sigma2
-    out = _phat_throughput(gb, gl, gu)
-    scalar = gl.ndim == 0 and gu.ndim == 0
-    return float(out) if scalar else out
+    return band_throughput(g_l, g_u, params)
 
 
 def quad_throughput_oracle(partition: Partition, ul_power: float,
@@ -423,21 +442,12 @@ def evaluate_policy(policy: Policy, params: SystemParams) -> SchemeEvaluation:
     """Closed-form evaluation of any policy (quadrature averaging for HTT)."""
     if isinstance(policy, HTTPolicy):
         return htt_ergodic_throughput(params)
-    if isinstance(policy, IPPolicy):
-        pu = ip_ul_power(policy.g_u, params)
-        tp = ip_throughput(policy.g_u, params)
-    elif isinstance(policy, PIPolicy):
-        pu = pi_ul_power(policy.g_l, params)
-        tp = pi_throughput(policy.g_l, params)
-    elif isinstance(policy, PIPPolicy):
-        pu = pip_ul_power(policy.g_l, policy.g_u, params)
-        tp = pip_throughput(policy.g_l, policy.g_u, params)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    lo, hi = policy.band
+    pu = band_ul_power(lo, hi, params)
     return SchemeEvaluation(
-        throughput_bits=float(tp),
-        ul_power=float(pu),
-        expected_ul_snr_gammabar=float(pu) * params.gbar / params.sigma2,
+        throughput_bits=band_throughput(lo, hi, params),
+        ul_power=pu,
+        expected_ul_snr_gammabar=pu * params.gbar / params.sigma2,
     )
 
 

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, schemes
-from .schemes import (
-    HTTPolicy,
-    IPPolicy,
-    PIPolicy,
-    PIPPolicy,
-    Policy,
-    SystemParams,
-)
+from .schemes import HTTPolicy, Policy, SystemParams
 
 MODE_WIT = "WIT"
 MODE_WPT = "WPT"
@@ -109,13 +102,8 @@ class ConvergenceReport:
 
 def _wit_mask(policy: Policy, g: np.ndarray) -> np.ndarray:
     # Half-open decision intervals: ties at a threshold go to the upper side.
-    if isinstance(policy, IPPolicy):
-        return g < policy.g_u
-    if isinstance(policy, PIPolicy):
-        return g >= policy.g_l
-    if isinstance(policy, PIPPolicy):
-        return (g >= policy.g_l) & (g < policy.g_u)
-    raise ValueError(f"policy {policy!r} has no transmit threshold")
+    lo, hi = policy.band
+    return (g >= lo) & (g < hi)
 
 
 def _htt_tau(policy: HTTPolicy, g: np.ndarray, params: SystemParams) -> np.ndarray:

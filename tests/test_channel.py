@@ -120,14 +120,3 @@ class TestSampler:
         assert np.all(g >= 0.0)
         assert np.all(np.isfinite(g))
 
-
-class TestFadingModel:
-    def test_defaults(self):
-        m = channel.FadingModel()
-        assert m.kind == "unit-mean-exponential"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            channel.FadingModel(kind="nakagami")
-        with pytest.raises(ValueError):
-            channel.FadingModel(mean_gain_gbar=0.0)

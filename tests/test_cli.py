@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +117,16 @@ class TestSweep:
                                  "--output", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_match_the_reference_curve(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--start", "8", "--stop", "24", "--step", "16")
+        assert code == 0, err
+        reference = (Path(__file__).resolve().parents[1] / "bench" / "reference"
+                     / "sweep.csv").read_text().splitlines()
+        header, rows = reference[0], reference[1:]
+        wanted = [r for r in rows if r.split(",")[0] in ("8", "24")]
+        assert len(wanted) == 8
+        assert out.splitlines() == [header] + wanted
 
     def test_json_mirrors_csv_fields(self, capsys, tmp_path):
         out_path = tmp_path / "curve.json"

@@ -37,8 +37,6 @@ class TestSystemParams:
         for bad in (dict(p_d=0.0), dict(p_d=1.0, gbar=-1.0), dict(p_d=1.0, sigma2=0.0)):
             with pytest.raises(ValueError):
                 SystemParams(**bad)
-        with pytest.raises(ValueError):
-            SystemParams(p_d=1.0, frame_T=2.0)
 
     def test_snr_shorthand(self):
         p = SystemParams.from_snr_db(20.0, gbar=2.0, sigma2=0.5)
@@ -214,8 +212,9 @@ class TestUlPowers:
         assert schemes.pip_ul_power(0.0, 1.3, P10) == schemes.ip_ul_power(1.3, P10)
 
     def test_pip_reduces_to_pi(self):
-        got = schemes.pip_ul_power(0.7, 40.0, P10)
-        assert got == pytest.approx(schemes.pi_ul_power(0.7, P10), rel=1e-12)
+        want = schemes.pi_ul_power(0.7, P10)
+        assert schemes.pip_ul_power(0.7, 40.0, P10) == pytest.approx(want, rel=1e-12)
+        assert schemes.pip_ul_power(0.7, math.inf, P10) == want
 
     @pytest.mark.parametrize("gl,gu", [(0.2, 1.0), (1.0, 3.0), (0.05, 9.0)])
     def test_pip_matches_balance(self, gl, gu):
@@ -289,13 +288,13 @@ class TestThroughputs:
 class TestReductionIdentities:
     @pytest.mark.parametrize("g_u", [0.3, 1.0, 2.7, 8.0])
     def test_pip_to_ip(self, g_u):
-        assert abs(schemes.pip_throughput(0.0, g_u, P10)
-                   - schemes.ip_throughput(g_u, P10)) <= 1e-12
+        assert schemes.pip_throughput(0.0, g_u, P10) == schemes.ip_throughput(g_u, P10)
 
     @pytest.mark.parametrize("g_l", [0.2, 1.0, 3.5])
     def test_pip_to_pi(self, g_l):
-        assert abs(schemes.pip_throughput(g_l, 40.0, P10)
-                   - schemes.pi_throughput(g_l, P10)) <= 1e-6
+        want = schemes.pi_throughput(g_l, P10)
+        assert abs(schemes.pip_throughput(g_l, 40.0, P10) - want) <= 1e-6
+        assert schemes.pip_throughput(g_l, math.inf, P10) == want
 
 
 class TestInvariants:
@@ -378,10 +377,15 @@ class TestPolicies:
             PIPolicy(-1.0)
         with pytest.raises(ValueError):
             PIPPolicy(2.0, 1.0)
+        with pytest.raises(ValueError):
+            schemes.policy_partition(HTTPolicy())
 
     def test_partitions_cover(self):
-        for policy in (IPPolicy(1.0), PIPolicy(0.0), PIPolicy(2.0), PIPPolicy(0.5, 3.0)):
+        for policy, band in ((IPPolicy(1.0), (0.0, 1.0)), (PIPolicy(0.0), (0.0, OPEN_END)),
+                             (PIPolicy(2.0), (2.0, OPEN_END)), (PIPPolicy(0.5, 3.0), (0.5, 3.0))):
+            assert policy.band == band
             part = schemes.policy_partition(policy)
+            assert part.wit == (Interval(*band),)
             total = part.wit_prob() + sum(
                 channel.interval_prob(iv.lo, iv.hi) for iv in part.wpt
             )
