@@ -5,6 +5,12 @@ are built from (the exponential integral E1 and the principal Lambert-W
 branch), an adaptive quadrature wrapper used as the ground-truth oracle for
 every closed form, and 1-D / 2-D maximizers for the threshold searches.
 
+E1 and W0 come from ``scipy.special`` (``exp1`` and ``lambertw``). Two
+pieces stay local: the asymptotic tail of the scaled form e^x E1(x) above
+x = 600, where e^x overflows, and its float path, a power series and a
+continued fraction whose exact rounding the threshold solvers depend on.
+W0 is clamped to -1 at the branch point, where ``lambertw`` returns NaN.
+
 The special functions accept floats or numpy arrays and preserve shape.
 Everything is pure; there is no shared state.
 """
@@ -17,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import exp1, lambertw
 
 EULER_GAMMA = 0.5772156649015328606065121
 #: Marker for an open upper integration bound, e.g. ``integrate(f, a, OPEN_END)``.
@@ -92,6 +99,14 @@ def _scalar_or_array(out: np.ndarray, scalar: bool):
 # Exponential integral E1
 # ---------------------------------------------------------------------------
 
+# Above this argument the array path of exp_scaled_e1 switches from
+# e^x * exp1(x) (e^x overflows past ~709) to the asymptotic series
+# (1/x) sum_{k<12} (-1)^k k!/x^k, whose truncation error 12!/x^12 is below
+# 1e-25 relative there.
+_E1_TAIL_FROM = 600.0
+_E1_TAIL_TERMS = 12
+
+
 def _e1_series_scalar(x: float) -> float:
     # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!),  for x <= 1
     total = 0.0
@@ -104,15 +119,6 @@ def _e1_series_scalar(x: float) -> float:
             break
         k += 1
     return -EULER_GAMMA - math.log(x) + total
-
-
-def _e1_series(x: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(x)
-    term = x.copy()
-    for k in range(1, 41):
-        total += term / k
-        term *= -x / (k + 1)
-    return -EULER_GAMMA - np.log(x) + total
 
 
 def _e1_cf_scaled_scalar(x: float, tol: float = 5e-16, max_iter: int = 500) -> float:
@@ -140,49 +146,25 @@ def _e1_cf_scaled_scalar(x: float, tol: float = 5e-16, max_iter: int = 500) -> f
     raise ConvergenceError(f"E1 continued fraction did not converge at x={x!r}")
 
 
-def _e1_cf_scaled(x: np.ndarray, tol: float = 5e-16, max_iter: int = 500) -> np.ndarray:
-    b = x + 1.0
-    c = np.full_like(x, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    for i in range(1, max_iter + 1):
-        a = -float(i * i)
-        b = b + 2.0
-        d = a * d + b
-        d[d == 0.0] = _TINY
-        c = b + a / c
-        c[c == 0.0] = _TINY
-        d = 1.0 / d
-        delta = c * d
-        h = np.where(active, h * delta, h)
-        active &= np.abs(delta - 1.0) >= tol
-        if not active.any():
-            return h
-    raise ConvergenceError("E1 continued fraction did not converge")
+def _e1_tail_scaled(x: np.ndarray) -> np.ndarray:
+    # Horner form of (1/x) sum_{k<_E1_TAIL_TERMS} (-1)^k k!/x^k
+    inv = 1.0 / x
+    total = np.ones_like(x)
+    for k in range(_E1_TAIL_TERMS - 1, 0, -1):
+        total = 1.0 - k * inv * total
+    return total * inv
 
 
 def exp_integral_e1(x):
     """Exponential integral E1(x) = integral_x^inf e^{-t}/t dt, for x > 0.
 
-    Power series below 1, continued fraction above; relative error is a few
-    ulps (well inside 1e-12) across the supported domain.
+    Evaluated by ``scipy.special.exp1``, to a few ulps; it underflows to 0
+    beyond x ~ 740 (use ``exp_scaled_e1`` there).
     """
     arr, scalar = _as_array(x, "x")
     if np.any(arr <= 0.0):
         raise ValueError("exp_integral_e1 requires x > 0")
-    if scalar:
-        xv = float(arr)
-        if xv <= 1.0:
-            return _e1_series_scalar(xv)
-        return math.exp(-xv) * _e1_cf_scaled_scalar(xv)
-    out = np.empty_like(arr)
-    lo = arr <= 1.0
-    if lo.any():
-        out[lo] = _e1_series(arr[lo])
-    if (~lo).any():
-        out[~lo] = np.exp(-arr[~lo]) * _e1_cf_scaled(arr[~lo])
-    return out
+    return _scalar_or_array(exp1(arr), scalar)
 
 
 def exp_scaled_e1(x):
@@ -190,21 +172,29 @@ def exp_scaled_e1(x):
 
     The throughput closed forms need products e^{y} E1(x) with y up to 1/SNR;
     evaluating the scaled form avoids overflow of the bare exponential.
+    Arrays use e^x * ``scipy.special.exp1(x)`` up to x = 600 and the 12-term
+    asymptotic series (1/x) sum_k (-1)^k k!/x^k above it (truncation error
+    below 1e-25 relative). A float uses a power series up to 1 and a
+    continued fraction above.
     """
     arr, scalar = _as_array(x, "x")
     if np.any(arr <= 0.0):
         raise ValueError("exp_scaled_e1 requires x > 0")
     if scalar:
+        # The IP and PI solvers bisect on the sign of a 1e-7 finite difference
+        # of their throughput, which reaches this path one float at a time.
+        # An ulp-level change here moves their printed thresholds in the 8th
+        # digit (exp1 in its place changes six cells of the 0-30 dB sweep
+        # CSV), so the scalar path keeps its own series and continued fraction.
         xv = float(arr)
         if xv <= 1.0:
             return math.exp(xv) * _e1_series_scalar(xv)
         return _e1_cf_scaled_scalar(xv)
-    out = np.empty_like(arr)
-    lo = arr <= 1.0
-    if lo.any():
-        out[lo] = np.exp(arr[lo]) * _e1_series(arr[lo])
-    if (~lo).any():
-        out[~lo] = _e1_cf_scaled(arr[~lo])
+    head = np.minimum(arr, _E1_TAIL_FROM)
+    out = np.exp(head) * exp1(head)
+    tail = arr > _E1_TAIL_FROM
+    if tail.any():
+        out[tail] = _e1_tail_scaled(arr[tail])
     return out
 
 
@@ -230,66 +220,18 @@ def e1_asymptotic(x):
 _NEG_INV_E = -math.exp(-1.0)
 
 
-def _w0_initial(x: np.ndarray) -> np.ndarray:
-    w = np.empty_like(x)
-    near = x < -0.25
-    if near.any():
-        # branch-point series in p = sqrt(2(e x + 1))
-        p = np.sqrt(np.clip(2.0 * (math.e * x[near] + 1.0), 0.0, None))
-        w[near] = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
-    mid = (~near) & (x < 1.0)
-    w[mid] = x[mid]
-    low = (x >= 1.0) & (x < 3.0)
-    w[low] = 0.5671 + 0.2415 * (x[low] - 1.0)
-    high = x >= 3.0
-    if high.any():
-        l1 = np.log(x[high])
-        w[high] = l1 - np.log(l1)
-    return w
-
-
-def _w0_halley_scalar(x: float, w: float) -> float:
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1) if wp1 != 0.0 else 0.0
-        if denom == 0.0 or not math.isfinite(denom):
-            break
-        step = f / denom
-        w -= step
-        if abs(step) <= 1e-16 * (abs(w) + 1.0):
-            break
-    return max(w, -1.0)
-
-
 def lambert_w0(x):
     """Principal branch of the Lambert W function: w with w e^w = x, w >= -1.
 
-    Defined for x >= -1/e. Initial guess per regime (branch-point series,
-    identity, log asymptote) followed by Halley iterations; the residual
-    |w e^w - x| lands within a few ulps of x.
+    Defined for x >= -1/e (inputs up to 1e-15 below it are accepted);
+    evaluated by ``scipy.special.lambertw(x).real``. The float -exp(-1.0)
+    lies 1.2e-17 below the true -1/e and ``lambertw`` returns NaN there, so
+    every input at or below it returns exactly -1.
     """
     arr, scalar = _as_array(x, "x")
     if np.any(arr < _NEG_INV_E - 1e-15):
         raise ValueError(f"lambert_w0 requires x >= -1/e ~ {_NEG_INV_E:.17g}")
-    arr = np.maximum(arr, _NEG_INV_E)
-    if scalar:
-        xv = float(arr)
-        w0 = float(_w0_initial(np.asarray([xv]))[0])
-        return _w0_halley_scalar(xv, w0)
-    w = _w0_initial(arr)
-    for _ in range(100):
-        ew = np.exp(w)
-        f = w * ew - arr
-        wp1 = w + 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        step = np.where(np.isfinite(step), step, 0.0)
-        w = w - step
-        if np.all(np.abs(step) <= 1e-16 * (np.abs(w) + 1.0)):
-            break
-    return np.maximum(w, -1.0)
+    return _scalar_or_array(np.where(arr <= _NEG_INV_E, -1.0, lambertw(arr).real), scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,15 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_rows_match_the_reference_curve(self, capsys):
-        code, out, err = run_cli(capsys, "sweep", "--start", "8", "--stop", "24", "--step", "16")
+        # at 0 dB the PIP grid's E1 arguments reach ~2e3, past the switch to
+        # the asymptotic tail of exp_scaled_e1
+        code, out, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "24", "--step", "8")
         assert code == 0, err
         reference = (Path(__file__).resolve().parents[1] / "bench" / "reference"
                      / "sweep.csv").read_text().splitlines()
         header, rows = reference[0], reference[1:]
-        wanted = [r for r in rows if r.split(",")[0] in ("8", "24")]
-        assert len(wanted) == 8
+        wanted = [r for r in rows if r.split(",")[0] in ("0", "8", "16", "24")]
+        assert len(wanted) == 16
         assert out.splitlines() == [header] + wanted
 
     def test_json_mirrors_csv_fields(self, capsys, tmp_path):

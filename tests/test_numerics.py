@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,13 @@ from wpcn.numerics import (
     maximize_scalar,
 )
 
-# Frozen oracle values, computed up front by adaptive quadrature of the
-# defining integral and by Newton iteration on w e^w = x respectively.
-E1_AT_1 = 0.21938393439552029
-E1_HALF_MINUS_TWO = 0.5108730840680997  # integral of e^-t/t over [0.5, 2]
-W0_AT_1 = 0.5671432904097838
+# Oracle values computed by mpmath at 30 digits, independent of the code
+# under test: E1(1), mpmath's own quadrature of the defining integrand of E1
+# over [0.5, 2], and W0(1), the omega constant.
+with mpmath.workdps(30):
+    E1_AT_1 = float(mpmath.e1(1))
+    E1_HALF_MINUS_TWO = float(mpmath.quad(lambda t: mpmath.exp(-t) / t, [0.5, 2]))
+    W0_AT_1 = float(mpmath.lambertw(1).real)
 
 
 class TestExpIntegral:
@@ -48,6 +51,21 @@ class TestExpIntegral:
     def test_scaled_form_consistent(self):
         x = np.array([1e-3, 0.3, 1.0, 1.5, 8.0, 30.0])
         assert exp_scaled_e1(x) == pytest.approx(np.exp(x) * exp_integral_e1(x), rel=1e-12)
+
+    def test_scaled_form_matches_mpmath_across_the_tail_switch(self):
+        # the array path switches from e^x exp1(x) to an asymptotic series
+        # just above x = 600; the float path has its own series and fraction
+        x = np.concatenate([
+            np.logspace(-8, 4, 400), np.linspace(599.0, 601.0, 201),
+            [1.0, np.nextafter(600.0, math.inf), 1e6, 1e12],
+        ])
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.exp(mpmath.mpf(v)) * mpmath.e1(mpmath.mpf(v)))
+                            for v in x])
+        vec = exp_scaled_e1(x)
+        assert np.max(np.abs(vec / ref - 1.0)) <= 1e-13
+        one_by_one = np.array([exp_scaled_e1(float(v)) for v in x])
+        assert np.max(np.abs(one_by_one / vec - 1.0)) <= 1e-13
 
     def test_scaled_form_finite_for_huge_argument(self):
         big = exp_scaled_e1(1e12)
@@ -96,6 +114,20 @@ class TestLambertW:
 
     def test_branch_point(self):
         assert lambert_w0(-math.exp(-1.0)) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_at_and_just_above_the_rounded_branch_point(self):
+        # -exp(-1.0) rounds 1.2e-17 below the true -1/e, where the principal
+        # branch is still -1 to within the conditioning (~1e-8)
+        xs = [-math.exp(-1.0)]
+        for _ in range(6):
+            xs.append(np.nextafter(xs[-1], math.inf))
+        xs = np.array(xs)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.lambertw(mpmath.mpf(v)).real) for v in xs])
+        for w in (lambert_w0(xs), np.array([lambert_w0(float(v)) for v in xs])):
+            assert np.all(np.isfinite(w))
+            assert np.all(w >= -1.0)
+            assert np.max(np.abs(w - ref)) <= 1e-8
 
     def test_residual_on_log_grid(self):
         xs = np.concatenate([

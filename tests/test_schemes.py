@@ -133,6 +133,12 @@ class TestHttOptimalTau:
                 other = min(max(tau + nudge, 0.0), 1.0 - 1e-12)
                 assert best >= schemes.htt_instant_rate(1.0, other, p) - 1e-12
 
+    def test_finite_where_w0_meets_its_branch_point(self):
+        # (gamma - 1)/e rounds to the branch point -exp(-1.0) for tiny gamma
+        tau = schemes.htt_optimal_tau(np.logspace(-40, -10, 31))
+        assert np.all(np.isfinite(tau))
+        assert np.all((tau >= 0.0) & (tau < 1.0))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             schemes.htt_optimal_tau(0.0)
