@@ -35,7 +35,7 @@ def main() -> int:
         ) or "per-frame split"
         print(f"  {tag:>4}: {thr:<24} throughput {res.throughput_bits:.4f} bits/frame")
 
-    glyph = {"WIT": "T", "WPT": "h", "SPLIT": "s"}
+    glyph = {sim.MODE_WIT: "T", sim.MODE_WPT: "h", sim.MODE_SPLIT: "s"}
     traces = {
         tag: sim.run_policy_trace(res.policy, params, args.frames, args.seed)[0]
         for tag, res in results.items()
@@ -44,7 +44,7 @@ def main() -> int:
     print("\nframe timeline (T transmit, h harvest, s split), shared gains:")
     print("  gain>1: " + "".join("#" if g > 1.0 else "." for g in gains))
     for tag in ("ip", "pi", "pip", "htt"):
-        line = "".join(glyph[rec.mode] for rec in traces[tag])
+        line = "".join(glyph[sim.MODE_NAMES[code]] for code in traces[tag].mode.tolist())
         print(f"  {tag:>6}: {line}")
 
     print(f"\nledger statistics over {args.long_frames} frames:")

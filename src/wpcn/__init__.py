@@ -22,11 +22,10 @@ from .schemes import (
     SchemeEvaluation,
     SystemParams,
 )
-from .sim import FrameRecord, FrameTrace, TraceSummary, mc_throughput, run_policy_trace
+from .sim import FrameTrace, TraceSummary, mc_throughput, run_policy_trace
 
 __all__ = [
     "ConvergenceError",
-    "FrameRecord",
     "FrameTrace",
     "GainSampleBatch",
     "HTTPolicy",

@@ -145,8 +145,7 @@ def _policy(args):
 
 def _cfg(args) -> SolveConfig:
     try:
-        return SolveConfig(gain_cap=args.gain_cap, grid_step=args.grid_step,
-                           mc_samples=args.samples, mc_seed=args.seed)
+        return SolveConfig(gain_cap=args.gain_cap, grid_step=args.grid_step)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -254,6 +253,18 @@ def cmd_sweep(args) -> int:
     return 2 if failures else 0
 
 
+def _dump_frames(path: str, trace) -> None:
+    gain, harvested, consumed, stored, rate = (
+        map(_fmt, col.tolist())
+        for col in (trace.gain, trace.harvested, trace.consumed, trace.stored, trace.rate)
+    )
+    modes = (sim.MODE_NAMES[code] for code in trace.mode.tolist())
+    rows = zip(gain, modes, harvested, consumed, stored, rate)
+    with open(path, "w") as fh:
+        fh.write("index,gain,mode,harvested_j,consumed_j,stored_j,rate_bits\n")
+        fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(rows))
+
+
 def cmd_simulate(args) -> int:
     params = _params(args)
     if args.optimize_first:
@@ -280,12 +291,7 @@ def cmd_simulate(args) -> int:
         "skipped_wit_frames": summary.skipped_wit_frames,
     }
     if args.dump_frames:
-        with open(args.dump_frames, "w") as fh:
-            fh.write("index,gain,mode,harvested_j,consumed_j,stored_j,rate_bits\n")
-            for rec in trace:
-                fh.write(f"{rec.index},{_fmt(rec.gain)},{rec.mode},"
-                         f"{_fmt(rec.harvested_energy)},{_fmt(rec.consumed_energy)},"
-                         f"{_fmt(rec.stored_energy)},{_fmt(rec.rate_bits)}\n")
+        _dump_frames(args.dump_frames, trace)
     _emit(row)
     return 0
 

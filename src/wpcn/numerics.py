@@ -48,14 +48,11 @@ class ToleranceSpec:
     """Stopping rule for iterative maximizers."""
 
     abs_tol: float = 1e-9
-    rel_tol: float = 0.0
     max_iter: int = 200
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0.0:
             raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.rel_tol < 0.0:
-            raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

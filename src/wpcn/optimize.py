@@ -9,11 +9,11 @@ exhaustive 2-D grid search, vectorized over the whole grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import schemes, sim
+from . import schemes
 from .numerics import (
     ConvergenceError,
     Interval,
@@ -33,38 +33,32 @@ from .schemes import (
 )
 
 SCHEME_TAGS = ("htt", "ip", "pi", "pip")
-SOLVE_METHODS = ("closed-form", "quadrature", "monte-carlo")
 
 # Two-interval thresholds are searched down to this floor instead of 0: the
 # IP power expression is 0/0 at the origin and both objectives vanish there.
 _THRESHOLD_FLOOR = 1e-6
 _COARSE_POINTS = 201
+# Stopping rule of the derivative bisection that refines the IP/PI thresholds.
+_THRESHOLD_TOL = ToleranceSpec(abs_tol=1e-7)
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Search-space and evaluation settings shared by all solvers.
+    """Search-space settings shared by all solvers.
 
-    gain_cap bounds the threshold search (the searchable gain range);
-    grid_step is the exhaustive-search resolution for the PIP scheme.
+    gain_cap bounds the threshold search (the searchable gain range) and
+    must be finite; grid_step is the exhaustive-search resolution for the
+    PIP scheme. Every solver scores the closed forms of ``schemes``.
     """
 
     gain_cap: float = 10.0
     grid_step: float = 0.01
-    tol: ToleranceSpec = field(default_factory=lambda: ToleranceSpec(abs_tol=1e-7))
-    method: str = "closed-form"
-    mc_samples: int = 100_000
-    mc_seed: int = 12345
 
     def __post_init__(self) -> None:
-        if not self.gain_cap > 0.0:
-            raise ValueError("gain_cap must be positive")
+        if not 0.0 < self.gain_cap < math.inf:
+            raise ValueError("gain_cap must be positive and finite")
         if not 0.0 < self.grid_step < self.gain_cap:
             raise ValueError("grid_step must lie in (0, gain_cap)")
-        if self.method not in SOLVE_METHODS:
-            raise ValueError(f"method must be one of {SOLVE_METHODS}")
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -97,39 +91,18 @@ class ThroughputCurve:
         return [p for p in self.points if p.scheme == scheme]
 
 
-def _objective_1d(scheme: str, params: SystemParams, cfg: SolveConfig):
-    closed = {
-        "ip": lambda x: schemes.ip_throughput(x, params),
-        "pi": lambda x: schemes.pi_throughput(x, params),
-    }[scheme]
-    if cfg.method == "closed-form":
-        return closed
-    policy_of = {"ip": IPPolicy, "pi": PIPolicy}[scheme]
-    if cfg.method == "quadrature":
-        def via_quadrature(x: float) -> float:
-            policy = policy_of(x)
-            part = schemes.policy_partition(policy)
-            pu = schemes.balance_ul_power(part, params)
-            return schemes.quad_throughput_oracle(part, pu, params)
-        return via_quadrature
-
-    def via_monte_carlo(x: float) -> float:
-        # common random numbers keep the noisy objective coherent in x
-        return sim.mc_throughput(policy_of(x), params, cfg.mc_samples, cfg.mc_seed).mean
-    return via_monte_carlo
+def _objective_1d(scheme: str, params: SystemParams):
+    if scheme == "ip":
+        return lambda x: schemes.ip_throughput(x, params)
+    return lambda x: schemes.pi_throughput(x, params)
 
 
 def _solve_threshold(scheme: str, params: SystemParams, cfg: SolveConfig,
                      lo: float) -> tuple[float, float, bool]:
-    f = _objective_1d(scheme, params, cfg)
+    f = _objective_1d(scheme, params)
     cap = cfg.gain_cap
     xs = np.linspace(lo, cap, _COARSE_POINTS)
-    try:
-        coarse = np.asarray(f(xs), dtype=float)
-        if coarse.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        coarse = np.asarray([f(float(x)) for x in xs], dtype=float)
+    coarse = f(xs)
     i0 = int(np.argmax(coarse))
     step = xs[1] - xs[0]
 
@@ -141,7 +114,7 @@ def _solve_threshold(scheme: str, params: SystemParams, cfg: SolveConfig,
         (lo + 0.5 * (cap - lo), cap),
     ]
     for a, b in brackets:
-        x, v = maximize_scalar(f, Interval(float(a), float(b)), cfg.tol)
+        x, v = maximize_scalar(f, Interval(float(a), float(b)), _THRESHOLD_TOL)
         if v > best_v:
             best_x, best_v = float(x), float(v)
     at_boundary = bool(cap - best_x <= max(cfg.grid_step, float(step)))
@@ -197,14 +170,12 @@ def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
 
 
 def solve_htt(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
-    """Per-frame optimal split policy and its fading-averaged throughput."""
-    cfg = cfg or SolveConfig()
-    if cfg.method == "monte-carlo":
-        ev = schemes.htt_ergodic_throughput(
-            params, method="monte-carlo", n=cfg.mc_samples, seed=cfg.mc_seed
-        )
-    else:
-        ev = schemes.htt_ergodic_throughput(params, method="quadrature")
+    """Per-frame optimal split policy and its fading-averaged throughput.
+
+    HTT has no threshold to search; ``cfg`` is taken for the common solver
+    signature and not read.
+    """
+    ev = schemes.htt_ergodic_throughput(params)
     tau_mean = integrate(
         lambda g: _tau_of_gain(g, params) * math.exp(-g), 0.0, OPEN_END
     )
@@ -250,6 +221,8 @@ def sweep(start_db: float, stop_db: float, step_db: float,
     """
     if step_db <= 0.0:
         raise ValueError("step_db must be positive")
+    if not stop_db >= start_db:
+        raise ValueError("stop_db must be >= start_db")
     cfg = cfg or SolveConfig()
     tags = sorted(set(schemes_to_run))
     unknown = [t for t in tags if t not in SCHEME_TAGS]

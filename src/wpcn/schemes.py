@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -121,9 +121,10 @@ class Partition:
 
 @dataclass(frozen=True)
 class HTTPolicy:
-    """Per-frame split policy; ``tau_rule`` None means the per-frame optimum."""
+    """Per-frame split policy at the rate-maximizing split ``htt_optimal_tau``.
 
-    tau_rule: Callable[[float], float] | None = None
+    A marker with no fields: the split of each frame follows from its gain.
+    """
 
 
 @dataclass(frozen=True)
@@ -268,25 +269,15 @@ def _htt_frame_power(g, params: SystemParams):
     return p if np.ndim(g) else float(p[0])
 
 
-def htt_ergodic_throughput(params: SystemParams, method: str = "quadrature",
-                           n: int = 100_000, seed: int = 0) -> SchemeEvaluation:
-    """Fading-averaged rate of the per-frame-optimal split.
+def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:
+    """Fading-averaged rate of the per-frame-optimal split, by quadrature.
 
-    ``method`` selects the averaging: "quadrature" integrates against the
-    gain density, "monte-carlo" averages over ``n`` seeded draws. The
-    reported uplink power is the fading-averaged per-frame power.
+    Rate and uplink power are integrated against the gain density; the
+    reported uplink power is the fading-averaged per-frame power. The
+    Monte-Carlo counterpart is ``sim.mc_throughput(HTTPolicy(), ...)``.
     """
-    if method == "quadrature":
-        rate = integrate(lambda g: _htt_opt_rate(g, params) * math.exp(-g), 0.0, OPEN_END)
-        mean_pu = integrate(lambda g: _htt_frame_power(g, params) * math.exp(-g), 0.0, OPEN_END)
-    elif method == "monte-carlo":
-        if n < 1:
-            raise ValueError("monte-carlo requires n >= 1")
-        draws = channel.sample(n, seed).values
-        rate = float(np.mean(_htt_opt_rate(draws, params)))
-        mean_pu = float(np.mean(_htt_frame_power(draws, params)))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    rate = integrate(lambda g: _htt_opt_rate(g, params) * math.exp(-g), 0.0, OPEN_END)
+    mean_pu = integrate(lambda g: _htt_frame_power(g, params) * math.exp(-g), 0.0, OPEN_END)
     return SchemeEvaluation(
         throughput_bits=rate,
         ul_power=mean_pu,

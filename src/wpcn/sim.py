@@ -24,55 +24,24 @@ from .schemes import HTTPolicy, Policy, SystemParams
 MODE_WIT = "WIT"
 MODE_WPT = "WPT"
 MODE_SPLIT = "SPLIT"
-_MODE_NAMES = (MODE_WIT, MODE_WPT, MODE_SPLIT)
+MODE_NAMES = (MODE_WIT, MODE_WPT, MODE_SPLIT)
 _WIT, _WPT, _SPLIT = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    index: int
-    gain: float
-    mode: str
-    tau: float | None
-    harvested_energy: float
-    consumed_energy: float
-    stored_energy: float
-    rate_bits: float
 
 
 @dataclass
 class FrameTrace:
-    """Columnar per-frame ledger; indexable as a sequence of FrameRecord."""
+    """Columnar per-frame ledger: one array per quantity, one entry per frame.
+
+    ``mode`` holds int codes; ``MODE_NAMES[code]`` is the mode's name.
+    """
 
     gain: np.ndarray
-    mode: np.ndarray          # int codes, see _MODE_NAMES
+    mode: np.ndarray          # int codes, see MODE_NAMES
     tau: np.ndarray           # NaN outside SPLIT frames
     harvested: np.ndarray
     consumed: np.ndarray
     stored: np.ndarray        # post-frame ledger
     rate: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.gain)
-
-    def record(self, i: int) -> FrameRecord:
-        tau = float(self.tau[i])
-        return FrameRecord(
-            index=i,
-            gain=float(self.gain[i]),
-            mode=_MODE_NAMES[int(self.mode[i])],
-            tau=None if math.isnan(tau) else tau,
-            harvested_energy=float(self.harvested[i]),
-            consumed_energy=float(self.consumed[i]),
-            stored_energy=float(self.stored[i]),
-            rate_bits=float(self.rate[i]),
-        )
-
-    def __getitem__(self, i: int) -> FrameRecord:
-        return self.record(range(len(self))[i])
-
-    def __iter__(self):
-        return (self.record(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -106,9 +75,7 @@ def _wit_mask(policy: Policy, g: np.ndarray) -> np.ndarray:
     return (g >= lo) & (g < hi)
 
 
-def _htt_tau(policy: HTTPolicy, g: np.ndarray, params: SystemParams) -> np.ndarray:
-    if policy.tau_rule is not None:
-        return np.asarray([float(policy.tau_rule(float(x))) for x in g])
+def _htt_tau(g: np.ndarray, params: SystemParams) -> np.ndarray:
     gamma = schemes.htt_instant_snr(g, params)
     tau = np.ones_like(g)  # harvest-everything limit at zero SNR
     live = gamma > 0.0
@@ -123,7 +90,7 @@ def mc_throughput(policy: Policy, params: SystemParams, n: int, seed: int) -> Mc
         raise ValueError("mc_throughput needs n >= 2 for a standard error")
     g = channel.sample(n, seed).values
     if isinstance(policy, HTTPolicy):
-        tau = _htt_tau(policy, g, params)
+        tau = _htt_tau(g, params)
         rates = schemes.htt_instant_rate(g, tau, params)
     else:
         pu = schemes.evaluate_policy(policy, params).ul_power
@@ -145,17 +112,18 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
     Transmit frames consume the policy's uplink energy, harvest frames add
     p_d gbar g, and split (HTT) frames net to zero by construction. In
     causal mode a transmit frame with insufficient stored energy is demoted
-    to harvesting and counted in ``skipped_wit_frames``.
+    to harvesting and counted in ``skipped_wit_frames``. ``initial_energy``
+    is the ledger's starting charge and must be finite and >= 0.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if initial_energy < 0.0:
-        raise ValueError("initial_energy must be >= 0")
+    if not 0.0 <= initial_energy < math.inf:
+        raise ValueError("initial_energy must be finite and >= 0")
     g = channel.sample(n_frames, seed).values
     harvest_full = params.p_d * params.gbar * g  # full-frame harvest energy
 
     if isinstance(policy, HTTPolicy):
-        tau = _htt_tau(policy, g, params)
+        tau = _htt_tau(g, params)
         harvested = tau * harvest_full
         consumed = harvested.copy()  # per-frame balance, exact by construction
         rate = schemes.htt_instant_rate(g, tau, params)
@@ -214,7 +182,7 @@ def trace_throughput_convergence(policy: Policy, params: SystemParams,
     closed = schemes.evaluate_policy(policy, params).throughput_bits
     _, free = run_policy_trace(policy, params, n_frames, seed, causal=False)
     _, capped = run_policy_trace(policy, params, n_frames, seed, causal=True)
-    _, se = _trace_rate_se(policy, params, n_frames, seed)
+    se = mc_throughput(policy, params, n_frames, seed).std_error
     gap = (free.mean_rate_bits - closed) / closed if closed > 0.0 else 0.0
     return ConvergenceReport(
         closed_form_bits=closed,
@@ -223,8 +191,3 @@ def trace_throughput_convergence(policy: Policy, params: SystemParams,
         causal_mean=capped.mean_rate_bits,
         rel_gap=gap,
     )
-
-
-def _trace_rate_se(policy, params, n_frames, seed):
-    est = mc_throughput(policy, params, n_frames, seed)
-    return est.mean, est.std_error

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from wpcn import cli, optimize, schemes, sim
-from wpcn.schemes import PIPPolicy, SystemParams
+from wpcn.schemes import IPPolicy, PIPPolicy, SystemParams
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +165,19 @@ class TestSweep:
                                "--snr-db", "10")
         assert code == 1
 
+    def test_backwards_range_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "-4", "--step", "2")
+        assert code == 1
+        assert out == ""
+        assert "stop_db" in err
+
+    def test_infinite_gain_cap_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "0",
+                                 "--gain-cap", "inf")
+        assert code == 1
+        assert out == ""
+        assert "gain_cap" in err
+
 
 class TestSimulate:
     def test_htt_constant_storage(self, capsys, tmp_path):
@@ -206,6 +219,29 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--scheme", "ip", "--optimize-first",
                              "--g-u", "1.0", "--snr-db", "10")
         assert code == 1
+
+    def test_dump_frames_writes_the_trace_columns(self, capsys, tmp_path):
+        dump = tmp_path / "frames.csv"
+        run_json(capsys, "simulate", "--scheme", "ip", "--g-u", "1.0", "--snr-db", "10",
+                 "--samples", "500", "--seed", "2", "--dump-frames", str(dump))
+        trace, _ = sim.run_policy_trace(IPPolicy(1.0), SystemParams.from_snr_db(10.0), 500, 2)
+        rows = [line.split(",") for line in dump.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [str(i) for i in range(500)]
+        modes = [row[2] for row in rows]
+        assert modes == ["WIT" if g < 1.0 else "WPT" for g in trace.gain]
+        assert {"WIT", "WPT"} == set(modes)
+        columns = (trace.gain, trace.harvested, trace.consumed, trace.stored, trace.rate)
+        expect = [[cli._fmt(float(x)) for x in col] for col in columns]
+        assert [[row[k] for row in rows] for k in (1, 3, 4, 5, 6)] == expect
+
+    @pytest.mark.parametrize("energy", ["nan", "inf"])
+    def test_non_finite_initial_energy_is_a_usage_error(self, capsys, energy):
+        code, out, err = run_cli(capsys, "simulate", "--scheme", "ip", "--g-u", "1.0",
+                                 "--snr-db", "10", "--samples", "100", "--causal",
+                                 "--initial-energy", energy)
+        assert code == 1
+        assert out == ""
+        assert "initial_energy" in err
 
     def test_seed_determinism(self, capsys):
         a = run_json(capsys, "simulate", "--scheme", "pi", "--g-l", "0.8",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wpcn import channel, schemes
+from wpcn import channel, schemes, sim
 from wpcn.numerics import Interval, OPEN_END
 from wpcn.schemes import (
     HTTPolicy,
@@ -153,11 +153,9 @@ class TestHttErgodic:
 
     def test_quadrature_vs_monte_carlo(self):
         quad_ev = schemes.htt_ergodic_throughput(P10)
-        mc_ev = schemes.htt_ergodic_throughput(P10, method="monte-carlo", n=100_000, seed=11)
         # sigma of the per-frame rate is of order the mean here; 3 SE window
-        from wpcn import sim
         est = sim.mc_throughput(HTTPolicy(), P10, 100_000, 11)
-        assert abs(quad_ev.throughput_bits - mc_ev.throughput_bits) <= 3.0 * est.std_error
+        assert abs(quad_ev.throughput_bits - est.mean) <= 3.0 * est.std_error
 
     def test_monotone_in_downlink_power(self):
         values = [
@@ -165,10 +163,6 @@ class TestHttErgodic:
             for pd in (0.1, 1.0, 10.0, 100.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            schemes.htt_ergodic_throughput(P10, method="nope")
 
 
 class TestBalanceUlPower:

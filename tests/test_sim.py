@@ -65,13 +65,6 @@ class TestTraceLedger:
         assert np.all(trace.rate[~wit] == 0.0)
         assert np.all(trace.rate[wit] > 0.0)
 
-    def test_record_view(self):
-        trace, _ = sim.run_policy_trace(IPPolicy(1.0), P10, 50, seed=2)
-        rec = trace[0]
-        assert rec.index == 0
-        assert rec.mode in ("WIT", "WPT")
-        assert len(list(trace)) == 50
-
     def test_zero_drift_noncausal(self):
         trace, summary = sim.run_policy_trace(PIPPolicy(0.3, 2.0), P10, 1_000_000, seed=9)
         net = trace.harvested - trace.consumed
@@ -88,10 +81,6 @@ class TestHttTrace:
         assert summary.skipped_wit_frames == 0
         assert np.all(trace.mode == 2)
         assert np.all((trace.tau > 0.0) & (trace.tau <= 1.0))
-
-    def test_custom_tau_rule(self):
-        trace, _ = sim.run_policy_trace(HTTPolicy(tau_rule=lambda g: 0.5), P10, 100, seed=4)
-        assert np.all(trace.tau == 0.5)
 
 
 class TestCausalMode:
@@ -161,3 +150,10 @@ class TestValidation:
     def test_bad_initial_energy(self):
         with pytest.raises(ValueError):
             sim.run_policy_trace(PIPolicy(0.8), P10, 10, seed=1, initial_energy=-1.0)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf])
+    def test_non_finite_initial_energy(self, energy):
+        # a NaN charge would never demote a frame, voiding the causal ledger
+        with pytest.raises(ValueError, match="initial_energy"):
+            sim.run_policy_trace(IPPolicy(1.0), P10, 10, seed=1, causal=True,
+                                 initial_energy=energy)
