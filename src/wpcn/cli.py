@@ -33,16 +33,24 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--p-d", type=float, help="downlink transmit power (W)")
+def _add_common(p: _Parser, *, point: bool = True, sampling: bool = False,
+                search: bool = False) -> None:
+    """Add the flags a subcommand reads: always the link constants and --config;
+    with ``point`` --p-d/--snr-db, with ``sampling`` --seed/--samples and with
+    ``search`` --gain-cap/--grid-step."""
+    if point:
+        p.add_argument("--p-d", type=float, help="downlink transmit power (W)")
     p.add_argument("--gbar", type=float, default=1.0, help="average channel power gain")
     p.add_argument("--sigma2", type=float, default=1.0, help="noise variance (W)")
-    p.add_argument("--snr-db", type=float,
-                   help="shorthand: set p_d so that p_d*gbar^2/sigma2 equals this SNR")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--gain-cap", type=float, default=10.0)
-    p.add_argument("--grid-step", type=float, default=0.01)
+    if point:
+        p.add_argument("--snr-db", type=float,
+                       help="shorthand: set p_d so that p_d*gbar^2/sigma2 equals this SNR")
+    if sampling:
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=int, default=100_000)
+    if search:
+        p.add_argument("--gain-cap", type=float, default=10.0)
+        p.add_argument("--grid-step", type=float, default=0.01)
     p.add_argument("--config", help="JSON file whose keys mirror the flag names")
 
 
@@ -51,7 +59,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("evaluate", help="closed-form evaluation of one policy")
-    _add_common(p_eval)
+    _add_common(p_eval, sampling=True)
     p_eval.add_argument("--scheme", required=True, choices=SCHEME_TAGS)
     p_eval.add_argument("--g-l", type=float)
     p_eval.add_argument("--g-u", type=float)
@@ -59,11 +67,11 @@ def build_parser() -> _Parser:
                         help="also report the quadrature-oracle cross-check delta")
 
     p_opt = sub.add_parser("optimize", help="solve for the best thresholds")
-    _add_common(p_opt)
+    _add_common(p_opt, search=True)
     p_opt.add_argument("--scheme", default="all", choices=SCHEME_TAGS + ("all",))
 
     p_sweep = sub.add_parser("sweep", help="optimize all schemes across an SNR range")
-    _add_common(p_sweep)
+    _add_common(p_sweep, point=False, search=True)
     p_sweep.add_argument("--start", type=float, required=True, help="first SNR (dB)")
     p_sweep.add_argument("--stop", type=float, required=True, help="last SNR (dB)")
     p_sweep.add_argument("--step", type=float, default=2.0, help="SNR step (dB)")
@@ -73,7 +81,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--output", "-o", help="output path (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="frame-level energy-ledger simulation")
-    _add_common(p_sim)
+    _add_common(p_sim, sampling=True, search=True)
     p_sim.add_argument("--scheme", required=True, choices=SCHEME_TAGS)
     p_sim.add_argument("--g-l", type=float)
     p_sim.add_argument("--g-u", type=float)
@@ -179,9 +187,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _result_row(res, snr_db=None):
+def _result_row(res):
     policy = res.policy
-    row = {
+    return {
         "scheme": res.scheme,
         "g_l": getattr(policy, "g_l", None),
         "g_u": getattr(policy, "g_u", None),
@@ -190,9 +198,6 @@ def _result_row(res, snr_db=None):
         "throughput_bits": res.throughput_bits,
         "at_boundary": res.at_boundary,
     }
-    if snr_db is not None:
-        row = {"snr_db": snr_db, **row}
-    return row
 
 
 def cmd_optimize(args) -> int:
@@ -230,8 +235,6 @@ def render_curve_json(curve) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.snr_db is not None or args.p_d is not None:
-        raise _UsageError("sweep sets p_d per point; drop --snr-db/--p-d")
     cfg = _cfg(args)
     tags = SCHEME_TAGS if args.schemes == "all" else tuple(args.schemes.split(","))
     template = SystemParams(p_d=1.0, gbar=args.gbar, sigma2=args.sigma2)

@@ -345,47 +345,27 @@ def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.minimum(lo + step * np.arange(n), hi)
 
 
-def grid_argmax_2d(f, domain: tuple[Interval, Interval], step: float,
-                   constraint=None) -> tuple[tuple[float, float], float]:
-    """Exhaustive maximization of f(x, y) over a regular grid.
+def grid_argmax_2d(f, domain: Interval, step: float) -> tuple[tuple[float, float], float]:
+    """Exhaustive maximization of f(x, y) over the grid pairs x < y of one axis.
 
-    ``constraint(x, y)`` filters grid points (vectorized if possible). Ties
-    break toward the lexicographically smallest (x, y) so results are
-    reproducible. f is evaluated on numpy arrays when it supports them,
-    element by element otherwise.
+    The axis runs from ``domain.lo`` to ``domain.hi`` in steps of ``step``;
+    f is called once, on two arrays holding every pair, and must return an
+    array of their shape. Ties break toward the lexicographically smallest
+    (x, y) so results are reproducible.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    dx, dy = domain
-    if dx.unbounded or dy.unbounded:
-        raise ValueError("grid search requires bounded intervals")
-    xs = _grid_axis(dx.lo, dx.hi, step)
-    ys = _grid_axis(dy.lo, dy.hi, step)
-    # 'ij' + ravel gives lexicographic (x, y) order, so argmax ties resolve
-    # toward the smallest point automatically.
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    gx, gy = gx.ravel(), gy.ravel()
-    if constraint is not None:
-        try:
-            mask = np.asarray(constraint(gx, gy), dtype=bool)
-            if mask.shape != gx.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            mask = np.fromiter(
-                (bool(constraint(float(x), float(y))) for x, y in zip(gx, gy)),
-                dtype=bool, count=gx.size,
-            )
-        gx, gy = gx[mask], gy[mask]
-    if gx.size == 0:
-        raise ValueError("no feasible grid point under the given constraint")
-    try:
-        vals = np.asarray(f(gx, gy), dtype=float)
-        if vals.shape != gx.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.fromiter(
-            (float(f(float(x), float(y))) for x, y in zip(gx, gy)),
-            dtype=float, count=gx.size,
-        )
+    if domain.unbounded:
+        raise ValueError("grid search requires a bounded interval")
+    xs = _grid_axis(domain.lo, domain.hi, step)
+    if xs.size < 2:
+        raise ValueError("grid axis has fewer than 2 points; no pair x < y")
+    # The axis increases strictly, so the pairs x < y are the index pairs
+    # i < j, which triu_indices yields in lexicographic order: argmax then
+    # resolves ties toward the smallest point.
+    rows, cols = np.triu_indices(xs.size, k=1)
+    gx, gy = xs[rows], xs[cols]
+    del rows, cols  # free the int64 index arrays before f allocates its own
+    vals = f(gx, gy)
     i = int(np.argmax(vals))
     return (float(gx[i]), float(gy[i])), float(vals[i])

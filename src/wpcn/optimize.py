@@ -4,7 +4,7 @@ The two-interval objectives are only provably well behaved in the
 infinite-power limit, so the scalar solvers hedge: a coarse scan plus
 derivative-bisection refinement from several brackets, best candidate wins.
 The three-interval scheme has no usable structure at all and is solved by
-exhaustive 2-D grid search, vectorized over the whole grid.
+exhaustive search over the grid pairs g_l < g_u, vectorized over all of them.
 """
 from __future__ import annotations
 
@@ -91,15 +91,7 @@ class ThroughputCurve:
         return [p for p in self.points if p.scheme == scheme]
 
 
-def _objective_1d(scheme: str, params: SystemParams):
-    if scheme == "ip":
-        return lambda x: schemes.ip_throughput(x, params)
-    return lambda x: schemes.pi_throughput(x, params)
-
-
-def _solve_threshold(scheme: str, params: SystemParams, cfg: SolveConfig,
-                     lo: float) -> tuple[float, float, bool]:
-    f = _objective_1d(scheme, params)
+def _solve_threshold(f, cfg: SolveConfig, lo: float) -> tuple[float, float, bool]:
     cap = cfg.gain_cap
     xs = np.linspace(lo, cap, _COARSE_POINTS)
     coarse = f(xs)
@@ -124,7 +116,9 @@ def _solve_threshold(scheme: str, params: SystemParams, cfg: SolveConfig,
 def solve_ip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best transmit-below threshold g_u in (0, gain_cap]."""
     cfg = cfg or SolveConfig()
-    g_u, value, boundary = _solve_threshold("ip", params, cfg, _THRESHOLD_FLOOR)
+    g_u, value, boundary = _solve_threshold(
+        lambda x: schemes.ip_throughput(x, params), cfg, _THRESHOLD_FLOOR
+    )
     policy = IPPolicy(g_u=g_u)
     return SolveResult(
         scheme="ip", policy=policy, throughput_bits=value,
@@ -135,7 +129,9 @@ def solve_ip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResul
 def solve_pi(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best transmit-above threshold g_l in [0, gain_cap]."""
     cfg = cfg or SolveConfig()
-    g_l, value, boundary = _solve_threshold("pi", params, cfg, 0.0)
+    g_l, value, boundary = _solve_threshold(
+        lambda x: schemes.pi_throughput(x, params), cfg, 0.0
+    )
     policy = PIPolicy(g_l=g_l)
     return SolveResult(
         scheme="pi", policy=policy, throughput_bits=value,
@@ -154,12 +150,9 @@ def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
     if cfg.gain_cap < 2.0 * cfg.grid_step:
         raise ValueError("gain_cap below 2*grid_step leaves no feasible (g_l, g_u) pair")
 
-    def objective(gl, gu):
-        return schemes.pip_throughput(gl, gu, params)
-
-    box = Interval(0.0, cfg.gain_cap)
     (g_l, g_u), value = grid_argmax_2d(
-        objective, (box, box), cfg.grid_step, constraint=lambda a, b: a < b
+        lambda gl, gu: schemes.pip_throughput(gl, gu, params),
+        Interval(0.0, cfg.gain_cap), cfg.grid_step,
     )
     policy = PIPPolicy(g_l=g_l, g_u=g_u)
     return SolveResult(
@@ -177,17 +170,12 @@ def solve_htt(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
     """
     ev = schemes.htt_ergodic_throughput(params)
     tau_mean = integrate(
-        lambda g: _tau_of_gain(g, params) * math.exp(-g), 0.0, OPEN_END
+        lambda g: schemes.htt_tau(g, params) * math.exp(-g), 0.0, OPEN_END
     )
     return SolveResult(
         scheme="htt", policy=HTTPolicy(), throughput_bits=ev.throughput_bits,
         ul_power=ev.ul_power, tau_mean=tau_mean,
     )
-
-
-def _tau_of_gain(g: float, params: SystemParams) -> float:
-    gamma = schemes.htt_instant_snr(g, params)
-    return 1.0 if gamma <= 0.0 else float(schemes.htt_optimal_tau(gamma))
 
 
 _SOLVERS = {
@@ -219,8 +207,8 @@ def sweep(start_db: float, stop_db: float, step_db: float,
     taken from ``params_template``). A failing solve flags its point and the
     sweep continues; output is ordered by (snr_db, scheme).
     """
-    if step_db <= 0.0:
-        raise ValueError("step_db must be positive")
+    if not step_db > 0.0:
+        raise ValueError(f"step_db must be positive, got {step_db}")
     if not stop_db >= start_db:
         raise ValueError("stop_db must be >= start_db")
     cfg = cfg or SolveConfig()

@@ -60,12 +60,9 @@ class SystemParams:
     sigma2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.p_d > 0.0:
-            raise ValueError("p_d must be positive")
-        if not self.gbar > 0.0:
-            raise ValueError("gbar must be positive")
-        if not self.sigma2 > 0.0:
-            raise ValueError("sigma2 must be positive")
+        for name in ("p_d", "gbar", "sigma2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def dl_snr(self) -> float:
@@ -246,40 +243,41 @@ def htt_optimal_tau(gamma):
     return float(tau[0]) if scalar else tau
 
 
-def _htt_opt_rate(g, params: SystemParams):
-    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-    gamma = htt_instant_snr(g_arr, params)
-    live = gamma > 0.0
-    rate = np.zeros_like(g_arr)
-    if live.any():
-        tau = htt_optimal_tau(gamma[live])
-        rate[live] = htt_instant_rate(g_arr[live], tau, params)
-    return rate if np.ndim(g) else float(rate[0])
+def htt_tau(g, params: SystemParams):
+    """Per-frame optimal split at normalized gain g.
 
-
-def _htt_frame_power(g, params: SystemParams):
-    """Uplink power tau/(1-tau) p_d gbar g the optimal split spends at gain g."""
-    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-    gamma = htt_instant_snr(g_arr, params)
+    ``htt_optimal_tau`` of the frame SNR ``htt_instant_snr(g)``, and 1 (harvest
+    the whole frame) where that SNR is 0: at g = 0, or where g^2 underflows.
+    """
+    gamma = np.atleast_1d(htt_instant_snr(g, params))
+    tau = np.ones_like(gamma)
     live = gamma > 0.0
-    p = np.zeros_like(g_arr)
     if live.any():
-        tau = htt_optimal_tau(gamma[live])
-        p[live] = tau / (1.0 - tau) * params.p_d * params.gbar * g_arr[live]
-    return p if np.ndim(g) else float(p[0])
+        tau[live] = htt_optimal_tau(gamma[live])
+    return tau if np.ndim(g) else float(tau[0])
 
 
 def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:
     """Fading-averaged rate of the per-frame-optimal split, by quadrature.
 
     Rate and uplink power are integrated against the gain density; the
-    reported uplink power is the fading-averaged per-frame power. The
-    Monte-Carlo counterpart is ``sim.mc_throughput(HTTPolicy(), ...)``.
+    reported uplink power is the fading-averaged per-frame power
+    tau/(1-tau) p_d gbar g, which is 0 where the split harvests the whole
+    frame. The Monte-Carlo counterpart is ``sim.mc_throughput(HTTPolicy(), ...)``.
     """
-    rate = integrate(lambda g: _htt_opt_rate(g, params) * math.exp(-g), 0.0, OPEN_END)
-    mean_pu = integrate(lambda g: _htt_frame_power(g, params) * math.exp(-g), 0.0, OPEN_END)
+    def rate(g: float) -> float:
+        return htt_instant_rate(g, htt_tau(g, params), params) * math.exp(-g)
+
+    def power(g: float) -> float:
+        tau = htt_tau(g, params)
+        if tau == 1.0:
+            return 0.0
+        return tau / (1.0 - tau) * params.p_d * params.gbar * g * math.exp(-g)
+
+    rate_bits = integrate(rate, 0.0, OPEN_END)
+    mean_pu = integrate(power, 0.0, OPEN_END)
     return SchemeEvaluation(
-        throughput_bits=rate,
+        throughput_bits=rate_bits,
         ul_power=mean_pu,
         expected_ul_snr_gammabar=mean_pu * params.gbar / params.sigma2,
     )

@@ -69,35 +69,15 @@ class ConvergenceReport:
     rel_gap: float
 
 
-def _wit_mask(policy: Policy, g: np.ndarray) -> np.ndarray:
-    # Half-open decision intervals: ties at a threshold go to the upper side.
-    lo, hi = policy.band
-    return (g >= lo) & (g < hi)
-
-
-def _htt_tau(g: np.ndarray, params: SystemParams) -> np.ndarray:
-    gamma = schemes.htt_instant_snr(g, params)
-    tau = np.ones_like(g)  # harvest-everything limit at zero SNR
-    live = gamma > 0.0
-    if live.any():
-        tau[live] = schemes.htt_optimal_tau(gamma[live])
-    return tau
-
-
 def mc_throughput(policy: Policy, params: SystemParams, n: int, seed: int) -> McEstimate:
-    """Sample-mean throughput over n seeded gain draws, with standard error."""
+    """Sample-mean throughput over n seeded gain draws, with standard error.
+
+    The rates are those of the non-causal ``run_policy_trace`` on the same
+    draws, so its mean rate equals this estimate's mean exactly.
+    """
     if n < 2:
         raise ValueError("mc_throughput needs n >= 2 for a standard error")
-    g = channel.sample(n, seed).values
-    if isinstance(policy, HTTPolicy):
-        tau = _htt_tau(g, params)
-        rates = schemes.htt_instant_rate(g, tau, params)
-    else:
-        pu = schemes.evaluate_policy(policy, params).ul_power
-        gammabar = pu * params.gbar / params.sigma2
-        rates = np.where(
-            _wit_mask(policy, g), np.log1p(gammabar * g) / schemes.LN2, 0.0
-        )
+    rates = run_policy_trace(policy, params, n, seed)[0].rate
     return McEstimate(
         mean=float(np.mean(rates)),
         std_error=float(np.std(rates, ddof=1) / math.sqrt(n)),
@@ -123,7 +103,7 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
     harvest_full = params.p_d * params.gbar * g  # full-frame harvest energy
 
     if isinstance(policy, HTTPolicy):
-        tau = _htt_tau(g, params)
+        tau = schemes.htt_tau(g, params)
         harvested = tau * harvest_full
         consumed = harvested.copy()  # per-frame balance, exact by construction
         rate = schemes.htt_instant_rate(g, tau, params)
@@ -133,7 +113,8 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
     else:
         pu = schemes.evaluate_policy(policy, params).ul_power
         gammabar = pu * params.gbar / params.sigma2
-        wit = _wit_mask(policy, g)
+        lo, hi = policy.band
+        wit = (g >= lo) & (g < hi)  # half-open band: ties go to the upper side
         mode = np.where(wit, _WIT, _WPT).astype(np.int8)
         harvested = np.where(wit, 0.0, harvest_full)
         consumed = np.where(wit, pu, 0.0)
@@ -180,14 +161,13 @@ def trace_throughput_convergence(policy: Policy, params: SystemParams,
     if n_frames < 10_000:
         raise ValueError("convergence check needs n_frames >= 1e4")
     closed = schemes.evaluate_policy(policy, params).throughput_bits
-    _, free = run_policy_trace(policy, params, n_frames, seed, causal=False)
+    free = mc_throughput(policy, params, n_frames, seed)
     _, capped = run_policy_trace(policy, params, n_frames, seed, causal=True)
-    se = mc_throughput(policy, params, n_frames, seed).std_error
-    gap = (free.mean_rate_bits - closed) / closed if closed > 0.0 else 0.0
+    gap = (free.mean - closed) / closed if closed > 0.0 else 0.0
     return ConvergenceReport(
         closed_form_bits=closed,
-        noncausal_mean=free.mean_rate_bits,
-        noncausal_std_error=se,
+        noncausal_mean=free.mean,
+        noncausal_std_error=free.std_error,
         causal_mean=capped.mean_rate_bits,
         rel_gap=gap,
     )

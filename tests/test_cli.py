@@ -65,6 +65,15 @@ class TestEvaluate:
         assert code == 1
         assert err.strip()
 
+    def test_infinite_downlink_power_is_a_usage_error(self, capsys):
+        # RuntimeWarning is an error under pytest, so this also checks that
+        # no inf * 0 is computed on the way to the message
+        code, out, err = run_cli(capsys, "evaluate", "--scheme", "ip", "--g-u", "1",
+                                 "--p-d", "inf")
+        assert code == 1
+        assert out == ""
+        assert "p_d" in err
+
 
 class TestOptimize:
     def test_all_prints_four_ordered_rows(self, capsys):
@@ -171,6 +180,13 @@ class TestSweep:
         assert out == ""
         assert "stop_db" in err
 
+    def test_nan_step_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "0",
+                                 "--step", "nan")
+        assert code == 1
+        assert out == ""
+        assert "step_db" in err
+
     def test_infinite_gain_cap_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "0",
                                  "--gain-cap", "inf")
@@ -251,6 +267,24 @@ class TestSimulate:
         assert a == b
 
 
+# Each subcommand takes only the flags it reads; sweep sets p_d per point.
+@pytest.mark.parametrize("argv,flag", [
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10"), ("--gain-cap", "-3")),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10"), ("--grid-step", "0.1")),
+    (("optimize", "--scheme", "ip", "--snr-db", "10"), ("--seed", "x")),
+    (("optimize", "--scheme", "ip", "--snr-db", "10"), ("--samples", "10")),
+    (("sweep", "--start", "0", "--stop", "0", "--schemes", "ip"), ("--seed", "1")),
+    (("sweep", "--start", "0", "--stop", "0", "--schemes", "ip"), ("--samples", "10")),
+    (("sweep", "--start", "0", "--stop", "0", "--schemes", "ip"), ("--p-d", "2")),
+    (("sweep", "--start", "0", "--stop", "0", "--schemes", "ip"), ("--snr-db", "10")),
+])
+def test_unread_flag_is_a_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, *flag)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err and flag[0] in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -271,6 +305,14 @@ class TestConfigFile:
                                    "samples": 5000, "causal": True}))
         row = run_json(capsys, "simulate", "--config", str(cfg))
         assert row["causal"] is True
+
+    def test_key_naming_an_unread_flag_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr_db": 10, "scheme": "ip", "seed": 3}))
+        code, out, err = run_cli(capsys, "optimize", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--scheme", "pi", "--g-l", "1",

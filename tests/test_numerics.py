@@ -210,19 +210,26 @@ class TestMaximizeScalar:
 
 
 class TestGridArgmax2D:
-    def test_global_maximum_at_origin(self):
-        (x, y), v = grid_argmax_2d(
-            lambda x, y: -x**2 - y**2, (Interval(0.0, 10.0), Interval(0.0, 10.0)), 0.1
-        )
-        assert (x, y) == (0.0, 0.0)
-        assert v == 0.0
+    def test_never_exceeds_exhaustive_maximum(self):
+        # equals a brute-force loop over the ordered pairs i < j of the axis
+        # 0.5, 0.75, ..., 3.0, tie-break included; the objectives use only
+        # +, -, * and minimum, exact in scalar and array form, so the values
+        # must agree bit for bit
+        lo, step, n = 0.5, 0.25, 11
+        axis = [lo + step * k for k in range(n)]
+        for f in (lambda x, y: np.minimum(x + y, 3.0),  # ties wherever x + y >= 3
+                  lambda x, y: x * (3.0 - x) * (y - x) - 0.5 * y * y):
+            best = None
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = float(f(axis[i], axis[j]))
+                    if best is None or v > best[1]:  # first maximum in (i, j) order
+                        best = ((axis[i], axis[j]), v)
+            assert grid_argmax_2d(f, Interval(lo, 3.0), step) == best
 
-    def test_constraint_satisfied_by_unconstrained_optimum(self):
+    def test_interior_maximum(self):
         (x, y), _ = grid_argmax_2d(
-            lambda x, y: -(x - 1.0) ** 2 - (y - 2.0) ** 2,
-            (Interval(0.0, 5.0), Interval(0.0, 5.0)),
-            0.1,
-            constraint=lambda x, y: x <= y,
+            lambda x, y: -(x - 1.0) ** 2 - (y - 2.0) ** 2, Interval(0.0, 5.0), 0.1
         )
         assert x == pytest.approx(1.0, abs=1e-12)
         assert y == pytest.approx(2.0, abs=1e-12)
@@ -230,30 +237,28 @@ class TestGridArgmax2D:
     def test_finer_grid_agreement(self):
         def f(x, y):
             return -(x - 1.234) ** 2 - (y - 2.345) ** 2
-        box = (Interval(0.0, 5.0), Interval(0.0, 5.0))
-        _, coarse = grid_argmax_2d(f, box, 0.1)
-        _, fine = grid_argmax_2d(f, box, 0.01)
+        _, coarse = grid_argmax_2d(f, Interval(0.0, 5.0), 0.1)
+        _, fine = grid_argmax_2d(f, Interval(0.0, 5.0), 0.01)
         assert coarse >= fine - 0.1**2  # one-cell resolution bound for unit curvature
 
-    def test_never_exceeds_exhaustive_maximum(self):
-        def f(x, y):
-            return math.sin(3 * x) * math.cos(2 * y)  # scalar-only callable
-        box = (Interval(0.0, 2.0), Interval(0.0, 2.0))
-        (_, _), v = grid_argmax_2d(f, box, 0.25)
-        xs = np.arange(0.0, 2.0 + 1e-12, 0.25)
-        brute = max(f(x, y) for x in xs for y in xs)
-        assert v == brute
+    def test_constant_objective_picks_the_first_pair(self):
+        lo, step = 1.5, 0.125
+        point, v = grid_argmax_2d(lambda x, y: np.zeros_like(x), Interval(lo, 4.0), step)
+        assert point == (lo, lo + step)
+        assert v == 0.0
 
     def test_empty_feasible_grid(self):
-        with pytest.raises(ValueError):
-            grid_argmax_2d(
-                lambda x, y: x + y, (Interval(0.0, 1.0), Interval(0.0, 1.0)),
-                0.5, constraint=lambda x, y: x > 99.0,
-            )
+        # an axis of fewer than 2 points holds no pair x < y
+        for domain, step in ((Interval(0.0, 0.4), 0.5), (Interval(1.0, 1.0), 0.1)):
+            with pytest.raises(ValueError, match="fewer than 2"):
+                grid_argmax_2d(lambda x, y: x + y, domain, step)
+        with pytest.raises(ValueError, match="bounded"):
+            grid_argmax_2d(lambda x, y: x + y, Interval(0.0, OPEN_END), 0.1)
 
     def test_bad_step(self):
-        with pytest.raises(ValueError):
-            grid_argmax_2d(lambda x, y: x, (Interval(0.0, 1.0), Interval(0.0, 1.0)), 0.0)
+        for step in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="step"):
+                grid_argmax_2d(lambda x, y: x, Interval(0.0, 1.0), step)
 
 
 class TestConfigTypes:

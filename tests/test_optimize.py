@@ -190,8 +190,11 @@ class TestSweep:
             sweep(0.0, 2.0, 2.0, schemes_to_run=("ip", "wat"), cfg=FAST)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            sweep(0.0, 2.0, 0.0, cfg=FAST)
+        # NaN fails every comparison, so it must fail the sign check too
+        # rather than reach the int conversion of the point count
+        for step in (0.0, math.nan):
+            with pytest.raises(ValueError, match="step_db"):
+                sweep(0.0, 2.0, step, cfg=FAST)
 
     def test_rejects_backwards_range(self):
         with pytest.raises(ValueError, match="stop_db"):

@@ -34,9 +34,13 @@ def _params_with_gammabar(scheme, thresholds, gammabar):
 
 class TestSystemParams:
     def test_validation(self):
-        for bad in (dict(p_d=0.0), dict(p_d=1.0, gbar=-1.0), dict(p_d=1.0, sigma2=0.0)):
-            with pytest.raises(ValueError):
-                SystemParams(**bad)
+        # an infinite p_d would meet inf * 0 in band_ul_power
+        for name in ("p_d", "gbar", "sigma2"):
+            for bad in (0.0, -1.0, math.inf, math.nan):
+                fields = dict(p_d=1.0, gbar=1.0, sigma2=1.0)
+                fields[name] = bad
+                with pytest.raises(ValueError, match=name):
+                    SystemParams(**fields)
 
     def test_snr_shorthand(self):
         p = SystemParams.from_snr_db(20.0, gbar=2.0, sigma2=0.5)
@@ -144,6 +148,37 @@ class TestHttOptimalTau:
             schemes.htt_optimal_tau(0.0)
         with pytest.raises(ValueError):
             schemes.htt_optimal_tau(-2.0)
+
+
+class TestHttTau:
+    def test_whole_frame_harvest_where_the_snr_is_zero(self):
+        # g**2 underflows to 0 at 1e-200, so that frame has no SNR either
+        assert schemes.htt_instant_snr(1e-200, P10) == 0.0
+        for g in (0.0, 1e-200):
+            tau = schemes.htt_tau(g, P10)
+            assert type(tau) is float and tau == 1.0
+        assert schemes.htt_tau(np.array([0.0, 1e-200]), P10).tolist() == [1.0, 1.0]
+
+    def test_optimal_split_of_the_frame_snr_elsewhere(self):
+        g = np.array([1e-150, 1e-20, 1e-3, 0.3, 1.0 / math.sqrt(10.0), 1.0, 2.5, 7.0, 40.0])
+        expect = schemes.htt_optimal_tau(schemes.htt_instant_snr(g, P10))
+        assert np.array_equal(schemes.htt_tau(g, P10), expect)
+        for x, t in zip(g, expect):
+            assert schemes.htt_tau(float(x), P10) == t
+
+    def test_float_in_float_out_and_shape_kept(self):
+        assert type(schemes.htt_tau(1.0, P10)) is float
+        assert type(schemes.htt_tau(np.float64(1.0), P10)) is float
+        grid = np.array([[0.0, 0.5, 1.0], [2.0, 1e-200, 3.0]])
+        tau = schemes.htt_tau(grid, P10)
+        assert tau.shape == (2, 3)
+        assert tau[0, 0] == tau[1, 1] == 1.0
+        assert tau[1, 2] == schemes.htt_tau(3.0, P10)
+        assert schemes.htt_tau(np.array([0.7]), P10).shape == (1,)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            schemes.htt_tau(-0.1, P10)
 
 
 class TestHttErgodic:
