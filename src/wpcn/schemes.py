@@ -44,6 +44,11 @@ LN2 = math.log(2.0)
 _TAU_AT_UNIT_SNR = 1.0 - 1.0 / math.e  # limit of the optimal split at SNR 1
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical constants of the link.
@@ -61,8 +66,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("p_d", "gbar", "sigma2"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            _check_positive_finite(name, getattr(self, name))
 
     @property
     def dl_snr(self) -> float:
@@ -72,7 +76,11 @@ class SystemParams:
     @classmethod
     def from_snr_db(cls, snr_db: float, gbar: float = 1.0, sigma2: float = 1.0) -> "SystemParams":
         """Build params with p_d chosen so that dl_snr equals 10^(snr_db/10)."""
-        rho = 10.0 ** (snr_db / 10.0)
+        _check_positive_finite("gbar", gbar)
+        _check_positive_finite("sigma2", sigma2)
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+            rho = float(np.float64(10.0) ** (snr_db / 10.0))
+        _check_positive_finite(f"10^(snr_db/10) at snr_db={snr_db}", rho)
         return cls(p_d=rho * sigma2 / gbar**2, gbar=gbar, sigma2=sigma2)
 
 
@@ -184,11 +192,12 @@ def policy_partition(policy: Policy) -> Partition:
 
 @dataclass(frozen=True)
 class SchemeEvaluation:
-    """Throughput (bits/frame), uplink power (W), expected uplink SNR."""
+    """Throughput (bits/frame), uplink power (W), expected uplink SNR, HTT's mean split."""
 
     throughput_bits: float
     ul_power: float
     expected_ul_snr_gammabar: float
+    tau_mean: float | None = None  # a result of HTT; None for threshold policies
 
 
 # ---------------------------------------------------------------------------
@@ -258,28 +267,29 @@ def htt_tau(g, params: SystemParams):
 
 
 def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:
-    """Fading-averaged rate of the per-frame-optimal split, by quadrature.
+    """Fading-averaged rate, uplink power and mean split of HTT, in one pass.
 
-    Rate and uplink power are integrated against the gain density; the
-    reported uplink power is the fading-averaged per-frame power
-    tau/(1-tau) p_d gbar g, which is 0 where the split harvests the whole
-    frame. The Monte-Carlo counterpart is ``sim.mc_throughput(HTTPolicy(), ...)``.
+    One quadrature integrates [rate, power, tau] e^{-g}, calling ``htt_tau``
+    once per node. The frame power tau/(1-tau) p_d gbar g (0 where tau = 1)
+    is integrated in units of max(1, p_d gbar) W: quad_vec's rounding
+    estimate grows with the integral, and thousands of watts (above 38 dB)
+    would fail the absolute gate of ``integrate``. Monte-Carlo counterpart:
+    ``sim.mc_throughput(HTTPolicy(), ...)``.
     """
-    def rate(g: float) -> float:
-        return htt_instant_rate(g, htt_tau(g, params), params) * math.exp(-g)
+    unit = max(1.0, params.p_d * params.gbar)
 
-    def power(g: float) -> float:
+    def frame(g: float) -> np.ndarray:
         tau = htt_tau(g, params)
-        if tau == 1.0:
-            return 0.0
-        return tau / (1.0 - tau) * params.p_d * params.gbar * g * math.exp(-g)
+        power = 0.0 if tau == 1.0 else tau / (1.0 - tau) * params.p_d * params.gbar * g / unit
+        return np.array([htt_instant_rate(g, tau, params), power, tau]) * math.exp(-g)
 
-    rate_bits = integrate(rate, 0.0, OPEN_END)
-    mean_pu = integrate(power, 0.0, OPEN_END)
+    integral = integrate(frame, 0.0, OPEN_END) * [1.0, unit, 1.0]
+    rate_bits, mean_pu, tau_mean = integral.tolist()
     return SchemeEvaluation(
         throughput_bits=rate_bits,
         ul_power=mean_pu,
         expected_ul_snr_gammabar=mean_pu * params.gbar / params.sigma2,
+        tau_mean=tau_mean,
     )
 
 
@@ -417,14 +427,8 @@ def quad_throughput_oracle(partition: Partition, ul_power: float,
     if ul_power == 0.0:
         return 0.0
     gammabar = ul_power * params.gbar / params.sigma2
-    total = 0.0
-    for iv in partition.wit:
-        if iv.empty:
-            continue
-        total += integrate(
-            lambda g: np.log1p(gammabar * g) / LN2 * math.exp(-g), iv.lo, iv.hi
-        )
-    return total
+    return sum((integrate(lambda g: np.log1p(gammabar * g) / LN2 * math.exp(-g), iv.lo, iv.hi)
+                for iv in partition.wit), 0.0)
 
 
 def evaluate_policy(policy: Policy, params: SystemParams) -> SchemeEvaluation:

@@ -75,7 +75,33 @@ class TestEvaluate:
         assert "p_d" in err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10", "--gbar", "0"), "gbar"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10", "--gbar", "inf"), "gbar"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10", "--sigma2", "inf"),
+     "sigma2"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "nan"), "snr_db"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "inf"), "snr_db"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "-4000"), "snr_db"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "4000"), "snr_db"),
+    (("optimize", "--scheme", "ip", "--snr-db", "4000"), "snr_db"),
+    (("sweep", "--start", "3100", "--stop", "3100", "--schemes", "ip"), "snr_db"),
+    (("sweep", "--start", "0", "--stop", "inf", "--schemes", "ip"), "stop_db"),
+    (("sweep", "--start=-inf", "--stop", "0", "--schemes", "ip"), "start_db"),
+])
+def test_bad_snr_input_is_a_usage_error_naming_it(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert name in err
+
+
 class TestOptimize:
+    def test_pip_on_the_smallest_grid(self, capsys):
+        row = run_json(capsys, "optimize", "--scheme", "pip", "--snr-db", "5",
+                       "--gain-cap", "0.05", "--grid-step", "0.04")
+        assert (row["g_l"], row["g_u"], row["at_boundary"]) == (0.0, 0.04, True)
+
     def test_all_prints_four_ordered_rows(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--scheme", "all", "--snr-db", "10",
                                "--grid-step", "0.1")
@@ -127,17 +153,28 @@ class TestSweep:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_rows_match_the_reference_curve(self, capsys):
-        # at 0 dB the PIP grid's E1 arguments reach ~2e3, past the switch to
-        # the asymptotic tail of exp_scaled_e1
-        code, out, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "24", "--step", "8")
+    @staticmethod
+    def _assert_reference_rows(capsys, argv, keep):
+        """The sweep prints the header and the rows ``keep`` selects of the reference."""
+        code, out, err = run_cli(capsys, "sweep", *argv)
         assert code == 0, err
         reference = (Path(__file__).resolve().parents[1] / "bench" / "reference"
                      / "sweep.csv").read_text().splitlines()
         header, rows = reference[0], reference[1:]
-        wanted = [r for r in rows if r.split(",")[0] in ("0", "8", "16", "24")]
+        wanted = [r for r in rows if keep(r.split(","))]
         assert len(wanted) == 16
         assert out.splitlines() == [header] + wanted
+
+    def test_rows_match_the_reference_curve(self, capsys):
+        # at 0 dB the PIP grid's E1 arguments reach ~2e3, past the switch to
+        # the asymptotic tail of exp_scaled_e1
+        self._assert_reference_rows(capsys, ("--start", "0", "--stop", "24", "--step", "8"),
+                                    lambda cells: cells[0] in ("0", "8", "16", "24"))
+
+    def test_htt_rows_match_the_headline_curve(self, capsys):
+        self._assert_reference_rows(
+            capsys, ("--start", "0", "--stop", "30", "--step", "2", "--schemes", "htt"),
+            lambda cells: cells[1] == "htt")
 
     def test_json_mirrors_csv_fields(self, capsys, tmp_path):
         out_path = tmp_path / "curve.json"

@@ -171,8 +171,34 @@ class TestIntegrate:
             integrate(math.exp, 1.0, 0.0)
 
     def test_nonconvergence_reported(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="error estimate"):
             integrate(lambda t: 1.0 / t, 0.0, 1.0)
+
+    @pytest.mark.parametrize("a,b", [(0.0, OPEN_END), (0.5, 3.0)])
+    def test_vector_integrand_matches_its_components(self, a, b):
+        parts = (
+            lambda t: math.exp(-t),
+            lambda t: t * t * math.exp(-t),
+            lambda t: math.log1p(50.0 * t) * math.exp(-t),
+        )
+        got = integrate(lambda t: np.array([f(t) for f in parts]), a, b)
+        assert got.shape == (3,)
+        for value, f in zip(got, parts):
+            assert value == pytest.approx(integrate(f, a, b), rel=1e-12, abs=1e-12)
+
+    def test_float_integrand_returns_float(self):
+        # a numpy scalar integrand must not leak a numpy scalar into results
+        assert type(integrate(lambda t: np.exp(-t), 0.0, 1.0)) is float
+        assert type(integrate(math.exp, 2.0, 2.0)) is float
+
+    @pytest.mark.parametrize("singular", [0, 1])
+    def test_one_singular_component_fails_the_gate(self, singular):
+        def f(t):
+            out = [math.exp(-t), math.exp(-t)]
+            out[singular] = 1.0 / t
+            return np.array(out)
+        with pytest.raises(ConvergenceError, match="error estimate"):
+            integrate(f, 0.0, 1.0)
 
 
 class TestMaximizeScalar:

@@ -126,9 +126,14 @@ class TestPipSolver:
         params = SystemParams.from_snr_db(8.0)
         assert solve_pip(params, FAST) == solve_pip(params, FAST)
 
-    def test_empty_grid(self):
-        with pytest.raises(ValueError):
-            solve_pip(SystemParams.from_snr_db(5.0), SolveConfig(gain_cap=0.05, grid_step=0.04))
+    def test_smallest_grid(self):
+        # SolveConfig forces grid_step < gain_cap, so the axis {0, 0.04}
+        # still holds the one pair (0, 0.04)
+        params = SystemParams.from_snr_db(5.0)
+        res = solve_pip(params, SolveConfig(gain_cap=0.05, grid_step=0.04))
+        assert (res.policy.g_l, res.policy.g_u) == (0.0, 0.04)
+        assert res.throughput_bits == schemes.pip_throughput(0.0, 0.04, params)
+        assert res.at_boundary
 
 
 class TestHttSolver:
@@ -142,6 +147,11 @@ class TestHttSolver:
     def test_tiny_power(self):
         res = solve_htt(SystemParams(p_d=1e-30))
         assert res.throughput_bits < 1e-15
+
+    @pytest.mark.parametrize("snr_db", [-20.0, 10.0])
+    def test_reads_the_mean_split_of_the_evaluation(self, snr_db):
+        params = SystemParams.from_snr_db(snr_db)
+        assert solve_htt(params).tau_mean == schemes.htt_ergodic_throughput(params).tau_mean
 
 
 class TestSweep:
@@ -195,6 +205,19 @@ class TestSweep:
         for step in (0.0, math.nan):
             with pytest.raises(ValueError, match="step_db"):
                 sweep(0.0, 2.0, step, cfg=FAST)
+
+    @pytest.mark.parametrize("start,stop,name", [
+        (0.0, math.inf, "stop_db"), (-math.inf, 0.0, "start_db"),
+        (math.nan, 0.0, "start_db"), (0.0, math.nan, "stop_db"),
+    ])
+    def test_rejects_non_finite_bounds(self, start, stop, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sweep(start, stop, 2.0, schemes_to_run=("ip",), cfg=FAST)
+
+    def test_rejects_an_snr_beyond_float_range(self):
+        # 10^(3100/10) overflows a float
+        with pytest.raises(ValueError, match="snr_db"):
+            sweep(3100.0, 3100.0, 1.0, schemes_to_run=("ip",), cfg=FAST)
 
     def test_rejects_backwards_range(self):
         with pytest.raises(ValueError, match="stop_db"):
