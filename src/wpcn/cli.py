@@ -145,17 +145,11 @@ def _policy(args):
     if given != names:
         wants = " and ".join("--" + n.replace("_", "-") for n in names) or "no thresholds"
         raise _UsageError(f"scheme {args.scheme} takes {wants}")
-    try:
-        return cls(*(getattr(args, n) for n in names))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return cls(*(getattr(args, n) for n in names))
 
 
 def _cfg(args) -> SolveConfig:
-    try:
-        return SolveConfig(gain_cap=args.gain_cap, grid_step=args.grid_step)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return SolveConfig(gain_cap=args.gain_cap, grid_step=args.grid_step)
 
 
 def _emit(obj) -> None:
@@ -238,11 +232,8 @@ def cmd_sweep(args) -> int:
     cfg = _cfg(args)
     tags = SCHEME_TAGS if args.schemes == "all" else tuple(args.schemes.split(","))
     template = SystemParams(p_d=1.0, gbar=args.gbar, sigma2=args.sigma2)
-    try:
-        curve = optimize.sweep(args.start, args.stop, args.step,
-                               schemes_to_run=tags, params_template=template, cfg=cfg)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    curve = optimize.sweep(args.start, args.stop, args.step,
+                           schemes_to_run=tags, params_template=template, cfg=cfg)
     text = render_curve_csv(curve) if args.format == "csv" else render_curve_json(curve)
     if args.output:
         with open(args.output, "w") as fh:
@@ -314,10 +305,7 @@ def main(argv=None) -> int:
         argv = _apply_config(argv)
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, ArithmeticError) as exc:

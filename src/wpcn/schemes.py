@@ -78,10 +78,13 @@ class SystemParams:
         """Build params with p_d chosen so that dl_snr equals 10^(snr_db/10)."""
         _check_positive_finite("gbar", gbar)
         _check_positive_finite("sigma2", sigma2)
-        with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+        with np.errstate(all="ignore"):  # a non-finite or zero result is rejected below
             rho = float(np.float64(10.0) ** (snr_db / 10.0))
+            p_d = float(rho * sigma2 / np.float64(gbar) ** 2)
         _check_positive_finite(f"10^(snr_db/10) at snr_db={snr_db}", rho)
-        return cls(p_d=rho * sigma2 / gbar**2, gbar=gbar, sigma2=sigma2)
+        _check_positive_finite(
+            f"the downlink power at snr_db={snr_db}, gbar={gbar}, sigma2={sigma2}", p_d)
+        return cls(p_d=p_d, gbar=gbar, sigma2=sigma2)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Monte-Carlo throughput estimation and frame-level energy-ledger traces.
 
-The trace simulator replays a policy frame by frame over seeded gain draws
-and keeps the stored-energy ledger. Two modes:
+The trace simulator replays a policy over seeded gain draws and keeps the
+stored-energy ledger as one running sum of the frames' net energy. Two modes:
 
 * non-causal (default): matches the analysis, which balances energy only in
   expectation; the ledger may go negative and the analytical throughput is
@@ -9,7 +9,8 @@ and keeps the stored-energy ledger. Two modes:
 * causal: a frame scheduled for transmission is demoted to harvesting when
   the stored energy cannot cover the frame's consumption. This realizes the
   "may only harvest at start-up" behaviour; the exact demotion rule is this
-  package's choice, not part of the analytical model.
+  package's choice, not part of the analytical model. The running sum
+  restarts at each demoted frame from the exact level before it.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ MODE_WPT = "WPT"
 MODE_SPLIT = "SPLIT"
 MODE_NAMES = (MODE_WIT, MODE_WPT, MODE_SPLIT)
 _WIT, _WPT, _SPLIT = 0, 1, 2
+_LEDGER_BLOCK = 4096  # frames per ledger window: a demotion re-sums at most this many
 
 
 @dataclass
@@ -93,7 +95,9 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
     p_d gbar g, and split (HTT) frames net to zero by construction. In
     causal mode a transmit frame with insufficient stored energy is demoted
     to harvesting and counted in ``skipped_wit_frames``. ``initial_energy``
-    is the ledger's starting charge and must be finite and >= 0.
+    is the ledger's starting charge and must be finite and >= 0. The ledger
+    is one running sum, restarted at each demotion, so ``stored`` is bitwise
+    the recurrence ``stored[k] = stored[k-1] + (harvested[k] - consumed[k])``.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -108,8 +112,6 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         consumed = harvested.copy()  # per-frame balance, exact by construction
         rate = schemes.htt_instant_rate(g, tau, params)
         mode = np.full(n_frames, _SPLIT, dtype=np.int8)
-        stored = np.full(n_frames, float(initial_energy))
-        skipped = 0
     else:
         pu = schemes.evaluate_policy(policy, params).ul_power
         gammabar = pu * params.gbar / params.sigma2
@@ -120,25 +122,25 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         consumed = np.where(wit, pu, 0.0)
         rate = np.where(wit, np.log1p(gammabar * g) / schemes.LN2, 0.0)
         tau = np.full(n_frames, np.nan)
-        skipped = 0
-        if causal:
-            stored = np.empty(n_frames)
-            level = float(initial_energy)
-            for i in range(n_frames):
-                if mode[i] == _WIT and level < consumed[i]:
-                    # not enough charge: demote to a harvesting frame
-                    mode[i] = _WPT
-                    harvested[i] = harvest_full[i]
-                    consumed[i] = 0.0
-                    rate[i] = 0.0
-                    skipped += 1
-                level = level + harvested[i] - consumed[i]
-                stored[i] = level
-        else:
-            # seed the running sum with the initial charge so the ledger
-            # recurrence stored[k] = stored[k-1] + net[k] holds to the bit
-            net = np.concatenate(([initial_energy], harvested - consumed))
-            stored = np.cumsum(net)[1:]
+
+    # net is exact (one of harvested/consumed is 0, or the two are equal in
+    # HTT), and np.cumsum adds in sequence: each level is stored[k-1] + net[k]
+    net = harvested - consumed
+    stored = np.empty(n_frames)
+    level, skipped, i = float(initial_energy), 0, 0
+    while i < n_frames:
+        j = min(i + _LEDGER_BLOCK, n_frames)
+        run = np.cumsum(np.concatenate(([level], net[i:j])))  # run[k]: level before frame i+k
+        broke = np.flatnonzero((mode[i:j] == _WIT) & (run[:-1] < consumed[i:j])) if causal else []
+        if len(broke):
+            # not enough charge: demote the first such frame to harvesting and
+            # restart the sum there, from the exact level before it
+            j = i + int(broke[0])
+            mode[j], consumed[j], rate[j] = _WPT, 0.0, 0.0
+            harvested[j] = net[j] = harvest_full[j]
+            skipped += 1
+        stored[i:j] = run[1:j - i + 1]
+        level, i = run[j - i], j
 
     trace = FrameTrace(
         gain=g, mode=mode, tau=tau,

@@ -88,6 +88,11 @@ class TestEvaluate:
     (("sweep", "--start", "3100", "--stop", "3100", "--schemes", "ip"), "snr_db"),
     (("sweep", "--start", "0", "--stop", "inf", "--schemes", "ip"), "stop_db"),
     (("sweep", "--start=-inf", "--stop", "0", "--schemes", "ip"), "start_db"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10", "--gbar", "1e-200"), "gbar"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10", "--gbar", "1e200"), "gbar"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10", "--gbar", "1e-160"), "gbar"),
+    (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10", "--gbar", "1e150",
+      "--sigma2", "1e-300"), "gbar"),
 ])
 def test_bad_snr_input_is_a_usage_error_naming_it(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)

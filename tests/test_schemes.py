@@ -53,6 +53,11 @@ class TestSystemParams:
         (dict(snr_db=-math.inf), "snr_db"),
         (dict(snr_db=-4000.0), "snr_db"),  # 10^-400 underflows to 0
         (dict(snr_db=4000.0), "snr_db"),   # 10^400 overflows
+        # p_d = rho sigma2 / gbar^2 leaves (0, inf) for extreme but valid constants
+        (dict(snr_db=10.0, gbar=1e-200), "gbar"),   # gbar^2 underflows to 0
+        (dict(snr_db=10.0, gbar=1e200), "gbar"),    # gbar^2 overflows
+        (dict(snr_db=10.0, gbar=1e-160), "gbar"),   # p_d overflows
+        (dict(snr_db=10.0, gbar=1e150, sigma2=1e-300), "gbar"),  # p_d underflows to 0
     ])
     def test_snr_shorthand_names_the_bad_input(self, kwargs, name):
         with pytest.raises(ValueError, match=name):

@@ -5,10 +5,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcn import schemes, sim
+from wpcn import channel, schemes, sim
 from wpcn.schemes import HTTPolicy, IPPolicy, PIPolicy, PIPPolicy, SystemParams
 
 P10 = SystemParams.from_snr_db(10.0)
+
+
+def loop_ledger(policy, params, n, seed, causal, initial_energy):
+    """Frame-by-frame reference ledger: the loop the running sum replaced.
+
+    Returns the trace columns (mode, harvested, consumed, stored, rate) and
+    the number of demoted frames.
+    """
+    g = channel.sample(n, seed).values
+    harvest_full = params.p_d * params.gbar * g
+    pu = schemes.evaluate_policy(policy, params).ul_power
+    lo, hi = policy.band
+    wit = (g >= lo) & (g < hi)
+    mode = np.where(wit, 0, 1).astype(np.int8)
+    harvested = np.where(wit, 0.0, harvest_full)
+    consumed = np.where(wit, pu, 0.0)
+    rate = np.where(wit, np.log1p(pu * params.gbar / params.sigma2 * g) / schemes.LN2, 0.0)
+    stored = np.empty(n)
+    level, skipped = float(initial_energy), 0
+    for i in range(n):
+        if causal and mode[i] == 0 and level < consumed[i]:
+            mode[i], harvested[i], consumed[i], rate[i] = 1, harvest_full[i], 0.0, 0.0
+            skipped += 1
+        level = level + harvested[i] - consumed[i]
+        stored[i] = level
+    return (mode, harvested, consumed, stored, rate), skipped
 
 
 class TestMcThroughput:
@@ -36,15 +62,51 @@ class TestMcThroughput:
             sim.mc_throughput(PIPolicy(0.8), P10, 1, seed=3)
 
 
+# lengths on and across the edges of the ledger's summing windows
+WINDOW_LENGTHS = (1, sim._LEDGER_BLOCK - 1, sim._LEDGER_BLOCK, sim._LEDGER_BLOCK + 1, 10_000)
+
+
 class TestTraceLedger:
-    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=400))
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=2, max_value=400),
+           st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_conservation_bitwise(self, seed, n):
+    def test_conservation_bitwise(self, seed, n, causal):
         trace, _ = sim.run_policy_trace(PIPPolicy(0.3, 2.0), P10, n, seed,
-                                        initial_energy=1.5)
+                                        causal=causal, initial_energy=1.5)
         net = trace.harvested - trace.consumed
         assert trace.stored[0] == 1.5 + net[0]
         assert np.array_equal(trace.stored[1:], trace.stored[:-1] + net[1:])
+
+    @pytest.mark.parametrize("policy", [
+        IPPolicy(1.6), IPPolicy(0.05), PIPolicy(0.5), PIPPolicy(0.3, 2.0), PIPPolicy(2.0, 2.5),
+    ], ids=repr)
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("initial_energy", [0.0, 1.5, 50.0])
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=4, deadline=None)
+    def test_matches_the_frame_by_frame_loop(self, policy, causal, initial_energy, seed):
+        for n in WINDOW_LENGTHS:
+            trace, summary = sim.run_policy_trace(policy, P10, n, seed, causal=causal,
+                                                  initial_energy=initial_energy)
+            columns, skipped = loop_ledger(policy, P10, n, seed, causal, initial_energy)
+            got = (trace.mode, trace.harvested, trace.consumed, trace.stored, trace.rate)
+            for name, a, b in zip(("mode", "harvested", "consumed", "stored", "rate"),
+                                  got, columns):
+                assert a.tobytes() == b.tobytes(), (name, n)
+            assert summary.skipped_wit_frames == skipped
+            assert summary.min_stored == float(np.min(columns[3]))
+
+    def test_demotions_after_the_first_window(self):
+        # the comparison above restarts the sum past a window edge only if
+        # a demotion lands there: pin that these draws make some
+        trace, summary = sim.run_policy_trace(IPPolicy(0.05), P10, 10_000, seed=1,
+                                              causal=True)
+        columns, skipped = loop_ledger(IPPolicy(0.05), P10, 10_000, 1, True, 0.0)
+        wit = trace.gain < 0.05
+        late = np.flatnonzero(wit & (trace.mode == 1))
+        assert late[-1] >= sim._LEDGER_BLOCK
+        assert summary.skipped_wit_frames == skipped
+        assert trace.stored.tobytes() == columns[3].tobytes()
 
     def test_mode_threshold_consistency(self):
         g_l, g_u = 0.4, 1.9
@@ -81,6 +143,14 @@ class TestHttTrace:
         assert summary.skipped_wit_frames == 0
         assert np.all(trace.mode == 2)
         assert np.all((trace.tau > 0.0) & (trace.tau <= 1.0))
+
+    def test_negative_zero_charge_sums_to_positive_zero(self):
+        # the ledger adds each frame's net 0.0 to the charge, and
+        # -0.0 + 0.0 is +0.0: stored and min_stored print as 0, not -0
+        trace, summary = sim.run_policy_trace(HTTPolicy(), P10, 100, seed=4,
+                                              causal=True, initial_energy=-0.0)
+        assert np.all(trace.stored == 0.0) and not np.any(np.signbit(trace.stored))
+        assert math.copysign(1.0, summary.min_stored) == 1.0
 
 
 class TestCausalMode:
