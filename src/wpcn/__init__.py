@@ -17,7 +17,6 @@ from .schemes import (
     IPPolicy,
     PIPolicy,
     PIPPolicy,
-    Partition,
     Policy,
     SchemeEvaluation,
     SystemParams,
@@ -34,7 +33,6 @@ __all__ = [
     "OPEN_END",
     "PIPolicy",
     "PIPPolicy",
-    "Partition",
     "Policy",
     "SchemeEvaluation",
     "SolveConfig",

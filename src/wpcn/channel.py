@@ -63,10 +63,13 @@ def interval_prob(a: float, b: float) -> float:
 
 
 def interval_gain_mean(a: float, b: float) -> float:
-    """Truncated first moment: integral of g e^{-g} over [a, b)."""
+    """Truncated first moment: integral of g e^{-g} over [a, b); a and b may be infinite."""
     _check_bounds(a, b)
-    upper = 0.0 if math.isinf(b) else (b + 1.0) * math.exp(-b)
-    return (a + 1.0) * math.exp(-a) - upper
+
+    def tail(x: float) -> float:  # integral of g e^{-g} over [x, inf)
+        return 0.0 if math.isinf(x) else (x + 1.0) * math.exp(-x)
+
+    return tail(a) - tail(b)
 
 
 def _check_bounds(a: float, b: float) -> None:

@@ -95,13 +95,19 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file entries in as flags (explicit flags win)."""
-    if "--config" not in argv:
+    """Splice config-file entries in as flags (explicit flags win).
+
+    The path is the token after ``--config`` or follows ``--config=``.
+    """
+    i = next((k for k, tok in enumerate(argv) if tok.split("=", 1)[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise _UsageError("--config needs a path")
-    with open(argv[i + 1]) as fh:
+    _, inline, path = argv[i].partition("=")
+    if not inline:
+        if i + 1 >= len(argv):
+            raise _UsageError("--config needs a path")
+        path = argv[i + 1]
+    with open(path) as fh:
         entries = json.load(fh)
     if not isinstance(entries, dict):
         raise _UsageError("config file must hold a JSON object")
@@ -114,7 +120,7 @@ def _apply_config(argv: list[str]) -> list[str]:
         else:
             extra.extend([flag, str(value)])
     # command first, then config defaults, then the explicit flags
-    rest = argv[:i] + argv[i + 2:]
+    rest = argv[:i] + argv[i + (1 if inline else 2):]
     if not rest:
         raise _UsageError("missing command")
     return [rest[0]] + extra + rest[1:]
@@ -173,9 +179,7 @@ def cmd_evaluate(args) -> int:
             mc = sim.mc_throughput(policy, params, args.samples, args.seed)
             row["verify_delta_bits"] = ev.throughput_bits - mc.mean
         else:
-            oracle = schemes.quad_throughput_oracle(
-                schemes.policy_partition(policy), ev.ul_power, params
-            )
+            oracle = schemes.quad_throughput_oracle(*policy.band, ev.ul_power, params)
             row["verify_delta_bits"] = ev.throughput_bits - oracle
     _emit(row)
     return 0

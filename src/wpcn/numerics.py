@@ -79,10 +79,6 @@ class Interval:
     def unbounded(self) -> bool:
         return math.isinf(self.hi)
 
-    @property
-    def empty(self) -> bool:
-        return self.lo == self.hi
-
 
 def _as_array(x, name: str):
     arr = np.asarray(x, dtype=float)

@@ -121,7 +121,7 @@ def solve_ip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResul
     policy = IPPolicy(g_u=g_u)
     return SolveResult(
         scheme="ip", policy=policy, throughput_bits=value,
-        ul_power=schemes.ip_ul_power(g_u, params), at_boundary=boundary,
+        ul_power=schemes.band_ul_power(*policy.band, params), at_boundary=boundary,
     )
 
 
@@ -134,7 +134,7 @@ def solve_pi(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResul
     policy = PIPolicy(g_l=g_l)
     return SolveResult(
         scheme="pi", policy=policy, throughput_bits=value,
-        ul_power=schemes.pi_ul_power(g_l, params), at_boundary=boundary,
+        ul_power=schemes.band_ul_power(*policy.band, params), at_boundary=boundary,
     )
 
 
@@ -142,8 +142,8 @@ def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
     """Exhaustive grid search over 0 <= g_l < g_u <= gain_cap.
 
     The search always scores the closed form (the only affordable objective
-    on ~1e6 grid points); use ``quad_throughput_oracle`` to spot-check the
-    winner if needed.
+    on ~1e6 grid points); spot-check the winner with
+    ``schemes.quad_throughput_oracle(*result.policy.band, result.ul_power, params)``.
     """
     cfg = cfg or SolveConfig()
     (g_l, g_u), value = grid_argmax_2d(
@@ -153,7 +153,7 @@ def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
     policy = PIPPolicy(g_l=g_l, g_u=g_u)
     return SolveResult(
         scheme="pip", policy=policy, throughput_bits=value,
-        ul_power=schemes.pip_ul_power(g_l, g_u, params),
+        ul_power=schemes.band_ul_power(*policy.band, params),
         at_boundary=bool(cfg.gain_cap - g_u <= cfg.grid_step),
     )
 

@@ -13,12 +13,11 @@ The three threshold schemes are one rule: transmit while the normalized gain
 lies in a band [lo, hi) (each policy's ``band``), harvest outside it. Their
 uplink power is the constant that balances expected harvested and expected
 consumed energy (``band_ul_power``); the ergodic throughput then has a closed
-form in the exponential integral (``band_throughput``). The ``ip_*``
-functions call these two with g_l = 0, the ``pi_*`` functions with
-g_u = inf, and the ``pip_*`` functions pass both thresholds through. Every
-closed form is checked against ``quad_throughput_oracle`` (direct
-quadrature of the rate integral), which is the ground truth throughout the
-test suite.
+form in the exponential integral (``band_throughput``), with the high-power
+limit ``band_asymptotic_throughput``. ``ip_throughput`` passes g_l = 0,
+``pi_throughput`` g_u = inf. The test suite checks the closed forms against
+two references over the band: ``balance_ul_power`` (the channel's interval
+moments) and ``quad_throughput_oracle`` (quadrature of the rate integral).
 
 All throughputs are in bits per unit frame (equal to bits/s/Hz here since
 frame length and bandwidth are fixed at one).
@@ -33,7 +32,6 @@ import numpy as np
 
 from . import channel
 from .numerics import (
-    Interval,
     OPEN_END,
     exp_scaled_e1,
     integrate,
@@ -85,42 +83,6 @@ class SystemParams:
         _check_positive_finite(
             f"the downlink power at snr_db={snr_db}, gbar={gbar}, sigma2={sigma2}", p_d)
         return cls(p_d=p_d, gbar=gbar, sigma2=sigma2)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint information (wit) and power (wpt) gain sets covering [0, inf)."""
-
-    wit: tuple[Interval, ...]
-    wpt: tuple[Interval, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wit", tuple(self.wit))
-        object.__setattr__(self, "wpt", tuple(self.wpt))
-        for name, intervals in (("wit", self.wit), ("wpt", self.wpt)):
-            for prev, cur in zip(intervals, intervals[1:]):
-                if cur.lo < prev.hi:
-                    raise ValueError(f"{name} intervals must be sorted and disjoint")
-        pieces = sorted(
-            [iv for iv in self.wit + self.wpt if not iv.empty], key=lambda iv: iv.lo
-        )
-        if not pieces:
-            raise ValueError("partition covers nothing")
-        if pieces[0].lo != 0.0:
-            raise ValueError("partition must start at 0")
-        for prev, cur in zip(pieces, pieces[1:]):
-            if cur.lo < prev.hi:
-                raise ValueError("wit and wpt intervals overlap")
-            if cur.lo > prev.hi:
-                raise ValueError(f"partition leaves a gap at [{prev.hi}, {cur.lo})")
-        if not pieces[-1].unbounded:
-            raise ValueError("partition must extend to infinity")
-
-    def wit_prob(self) -> float:
-        return sum(channel.interval_prob(iv.lo, iv.hi) for iv in self.wit)
-
-    def wpt_gain_mean(self) -> float:
-        return sum(channel.interval_gain_mean(iv.lo, iv.hi) for iv in self.wpt)
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +145,6 @@ class PIPPolicy:
 Policy = Union[HTTPolicy, IPPolicy, PIPolicy, PIPPolicy]
 
 
-def policy_partition(policy: Policy) -> Partition:
-    """Information/power gain sets induced by a threshold policy."""
-    if isinstance(policy, HTTPolicy):
-        raise ValueError(f"no gain partition for policy {policy!r}")
-    lo, hi = policy.band
-    below = () if lo == 0.0 else (Interval(0.0, lo),)
-    above = () if math.isinf(hi) else (Interval(hi, OPEN_END),)
-    return Partition(wit=(Interval(lo, hi),), wpt=below + above)
-
-
 @dataclass(frozen=True)
 class SchemeEvaluation:
     """Throughput (bits/frame), uplink power (W), expected uplink SNR, HTT's mean split."""
@@ -212,7 +164,10 @@ def htt_instant_snr(g, params: SystemParams):
     arr = np.asarray(g, dtype=float)
     if np.any(arr < 0.0) or np.isnan(arr).any():
         raise ValueError("gain must be >= 0")
-    out = params.p_d * params.gbar**2 * np.square(arr) / params.sigma2
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        out = params.p_d * params.gbar**2 * np.square(arr) / params.sigma2
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"frame SNR p_d gbar^2 g^2 / sigma2 overflows at p_d={params.p_d}")
     return float(out) if arr.ndim == 0 else out
 
 
@@ -300,18 +255,19 @@ def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:
 # Threshold schemes: uplink power from the energy balance
 # ---------------------------------------------------------------------------
 
-def balance_ul_power(partition: Partition, params: SystemParams) -> float:
-    """Constant uplink power equating expected consumed and harvested energy.
+def balance_ul_power(g_l: float, g_u: float, params: SystemParams) -> float:
+    """Uplink power for the band [g_l, g_u), from the energy balance term by term.
 
-    p_u = p_d gbar * (integral of g e^{-g} over wpt) / (P(g in wit)).
+    p_u = p_d gbar * (integral of g e^{-g} over both tails) / P(g_l <= g < g_u),
+    with ``channel``'s interval moments: the reference for ``band_ul_power``.
     """
-    harvested = partition.wpt_gain_mean()
+    harvested = channel.interval_gain_mean(0.0, g_l) + channel.interval_gain_mean(g_u, OPEN_END)
     if harvested == 0.0:
         return 0.0
-    prob_wit = partition.wit_prob()
-    if prob_wit <= 0.0:
-        raise ValueError("information set has zero probability; uplink power is unbounded")
-    return params.p_d * params.gbar * harvested / prob_wit
+    prob = channel.interval_prob(g_l, g_u)
+    if prob <= 0.0:
+        raise ValueError("transmit band has zero probability; uplink power is unbounded")
+    return params.p_d * params.gbar * harvested / prob
 
 
 def _zero_at_open_end(term, open_end):
@@ -344,21 +300,6 @@ def band_ul_power(g_l, g_u, params: SystemParams):
         above = scale * (gu + 1.0) * np.exp(gl - gu) / denom
     out = _zero_at_open_end(above, np.isinf(gu)) + scale * (np.expm1(gl) - gl) / denom
     return float(out) if out.ndim == 0 else out
-
-
-def ip_ul_power(g_u, params: SystemParams):
-    """p_d gbar (g_u + 1) e^{-g_u} / (1 - e^{-g_u})."""
-    return band_ul_power(0.0, g_u, params)
-
-
-def pi_ul_power(g_l, params: SystemParams):
-    """p_d gbar (e^{g_l} - g_l - 1)."""
-    return band_ul_power(g_l, OPEN_END, params)
-
-
-def pip_ul_power(g_l, g_u, params: SystemParams):
-    """p_d gbar (1 - (g_l+1) e^{-g_l} + (g_u+1) e^{-g_u}) / (e^{-g_l} - e^{-g_u})."""
-    return band_ul_power(g_l, g_u, params)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +363,15 @@ def pip_throughput(g_l, g_u, params: SystemParams):
     return band_throughput(g_l, g_u, params)
 
 
-def quad_throughput_oracle(partition: Partition, ul_power: float,
+def quad_throughput_oracle(g_l: float, g_u: float, ul_power: float,
                            params: SystemParams) -> float:
-    """Ground truth: direct quadrature of the rate integral over the wit set."""
+    """Ground truth: direct quadrature of the rate integral over the band [g_l, g_u)."""
     if ul_power < 0.0:
         raise ValueError("ul_power must be >= 0")
     if ul_power == 0.0:
         return 0.0
     gammabar = ul_power * params.gbar / params.sigma2
-    return sum((integrate(lambda g: np.log1p(gammabar * g) / LN2 * math.exp(-g), iv.lo, iv.hi)
-                for iv in partition.wit), 0.0)
+    return integrate(lambda g: np.log1p(gammabar * g) / LN2 * math.exp(-g), g_l, g_u)
 
 
 def evaluate_policy(policy: Policy, params: SystemParams) -> SchemeEvaluation:
@@ -448,25 +388,19 @@ def evaluate_policy(policy: Policy, params: SystemParams) -> SchemeEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# High-SNR asymptotes (used for the convexity checks and solver sanity)
+# High-SNR asymptote (used for the convexity checks and solver sanity)
 # ---------------------------------------------------------------------------
 
-def ip_asymptotic_throughput(g_u, params: SystemParams):
-    """Infinite-downlink-power limit log2(dl_snr (g_u+1)e^{-g_u}/(1-e^{-g_u})) (1-e^{-g_u})."""
-    gu = np.asarray(g_u, dtype=float)
-    if np.any(gu <= 0.0) or np.isnan(gu).any():
-        raise ValueError("ip_asymptotic_throughput requires g_u > 0")
-    mass = -np.expm1(-gu)
-    ratio = (gu + 1.0) * np.exp(-gu) / mass
-    out = np.log2(params.dl_snr * ratio) * mass
-    return float(out) if gu.ndim == 0 else out
+def band_asymptotic_throughput(g_l, g_u, params: SystemParams):
+    """High-power limit log2(gammabar) P(g_l <= g < g_u) of ``band_throughput``.
 
-
-def pi_asymptotic_throughput(g_l, params: SystemParams):
-    """Infinite-downlink-power limit log2(p_d gbar/sigma2 (e^{g_l}-g_l-1)) e^{-g_l}."""
+    gammabar = ``band_ul_power`` gbar / sigma2. The gap to the exact
+    throughput tends to the integral of log2(g) e^{-g} over the band.
+    """
     gl = np.asarray(g_l, dtype=float)
-    if np.any(gl <= 0.0) or np.isnan(gl).any():
-        raise ValueError("pi_asymptotic_throughput requires g_l > 0")
-    scale = params.p_d * params.gbar / params.sigma2
-    out = np.log2(scale * (np.expm1(gl) - gl)) * np.exp(-gl)
-    return float(out) if gl.ndim == 0 else out
+    gu = np.asarray(g_u, dtype=float)
+    gb = band_ul_power(gl, gu, params) * params.gbar / params.sigma2
+    if not np.all((gb > 0.0) & np.isfinite(gb)):
+        raise ValueError("band_asymptotic_throughput requires a positive, finite uplink power")
+    out = np.log2(gb) * np.exp(-gl) * -np.expm1(gl - gu)
+    return float(out) if out.ndim == 0 else out

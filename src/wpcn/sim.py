@@ -104,7 +104,10 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
     if not 0.0 <= initial_energy < math.inf:
         raise ValueError("initial_energy must be finite and >= 0")
     g = channel.sample(n_frames, seed).values
-    harvest_full = params.p_d * params.gbar * g  # full-frame harvest energy
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        harvest_full = params.p_d * params.gbar * g  # full-frame harvest energy
+    if not np.all(np.isfinite(harvest_full)):
+        raise ValueError(f"full-frame harvest p_d gbar g overflows at p_d={params.p_d}")
 
     if isinstance(policy, HTTPolicy):
         tau = schemes.htt_tau(g, params)

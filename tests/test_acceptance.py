@@ -10,7 +10,6 @@ import numpy as np
 
 from wpcn import optimize, schemes, sim
 from wpcn.numerics import (
-    Interval,
     OPEN_END,
     e1_asymptotic,
     exp_integral_e1,
@@ -23,7 +22,6 @@ from wpcn.schemes import (
     IPPolicy,
     PIPolicy,
     PIPPolicy,
-    Partition,
     SystemParams,
 )
 
@@ -36,14 +34,8 @@ def _report(num: int, name: str, ok: bool, elapsed: float, detail: str = "") -> 
     print(f"[acceptance] criterion {num} ({name}): {status} ({elapsed:.1f}s){detail}")
 
 
-def _params_with_gammabar(scheme, thresholds, gammabar):
-    one = SystemParams(p_d=1.0)
-    ratio = {
-        "ip": lambda: schemes.ip_ul_power(*thresholds, one),
-        "pi": lambda: schemes.pi_ul_power(*thresholds, one),
-        "pip": lambda: schemes.pip_ul_power(*thresholds, one),
-    }[scheme]()
-    return SystemParams(p_d=gammabar / ratio)
+def _params_with_gammabar(band, gammabar):
+    return SystemParams(p_d=gammabar / schemes.band_ul_power(*band, SystemParams(p_d=1.0)))
 
 
 def test_criterion_1_oracle_equivalence():
@@ -63,11 +55,11 @@ def test_criterion_1_oracle_equivalence():
                 thresholds = (g_l, g_l + rng.uniform(0.1, 10.0 - g_l))
             else:
                 thresholds = (rng.uniform(0.05, 10.0),)
-            params = _params_with_gammabar(scheme, thresholds, gammabar)
+            band = policy_cls(*thresholds).band
+            params = _params_with_gammabar(band, gammabar)
             closed = throughput_fn(*thresholds, params)
-            part = schemes.policy_partition(policy_cls(*thresholds))
-            pu = schemes.balance_ul_power(part, params)
-            worst = max(worst, abs(closed - schemes.quad_throughput_oracle(part, pu, params)))
+            pu = schemes.balance_ul_power(*band, params)
+            worst = max(worst, abs(closed - schemes.quad_throughput_oracle(*band, pu, params)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 5.0
     _report(1, "closed forms vs quadrature", ok, elapsed, f" worst |delta|={worst:.2e}")
@@ -75,18 +67,11 @@ def test_criterion_1_oracle_equivalence():
     assert elapsed < 5.0
 
 
-def _random_partition(rng) -> Partition:
-    n_intervals = int(rng.integers(1, 4))
-    cuts = np.sort(rng.uniform(0.2, 5.0, size=n_intervals - 1))
-    edges = [0.0, *map(float, cuts), OPEN_END]
-    wit_first = bool(rng.integers(0, 2))
-    wit, wpt = [], []
-    for k in range(n_intervals):
-        iv = Interval(edges[k], edges[k + 1])
-        (wit if (k % 2 == 0) == wit_first else wpt).append(iv)
-    if not wit:  # keep the balance well defined
-        wit, wpt = wpt, wit
-    return Partition(wit=tuple(wit), wpt=tuple(wpt))
+def _random_band(rng) -> tuple[float, float]:
+    """A transmit band [g_l, g_u) with g_l = 0 or g_u = OPEN_END a third of the time each."""
+    g_l, g_u = map(float, np.sort(rng.uniform(0.2, 5.0, size=2)))
+    kind = int(rng.integers(0, 3))
+    return (0.0 if kind == 0 else g_l, OPEN_END if kind == 1 else g_u)
 
 
 def test_criterion_2_energy_balance():
@@ -95,13 +80,12 @@ def test_criterion_2_energy_balance():
     params = SystemParams(p_d=2.0, gbar=1.3)
     worst = 0.0
     for _ in range(50):
-        part = _random_partition(rng)
-        pu = schemes.balance_ul_power(part, params)
-        consumed = pu * sum(
-            integrate(lambda g: math.exp(-g), iv.lo, iv.hi) for iv in part.wit
-        )
+        g_l, g_u = _random_band(rng)
+        pu = schemes.band_ul_power(g_l, g_u, params)
+        consumed = pu * integrate(lambda g: math.exp(-g), g_l, g_u)
         harvested = params.p_d * params.gbar * sum(
-            integrate(lambda g: g * math.exp(-g), iv.lo, iv.hi) for iv in part.wpt
+            integrate(lambda g: g * math.exp(-g), lo, hi)
+            for lo, hi in ((0.0, g_l), (g_u, OPEN_END)) if lo < hi
         )
         worst = max(worst, abs(consumed - harvested))
     elapsed = time.perf_counter() - t0
@@ -229,9 +213,9 @@ def test_criterion_7_asymptotic_shape():
     t0 = time.perf_counter()
     params = SystemParams(p_d=1e6)  # deep in the high-power regime
     g = np.arange(0.05, 10.0 + 1e-12, 1e-3)
-    ip_vals = schemes.ip_asymptotic_throughput(g, params)
+    ip_vals = schemes.band_asymptotic_throughput(0.0, g, params)
     ip_second = ip_vals[2:] - 2.0 * ip_vals[1:-1] + ip_vals[:-2]
-    pi_first_factor = schemes.pi_asymptotic_throughput(g, params) * np.exp(g)
+    pi_first_factor = schemes.band_asymptotic_throughput(g, OPEN_END, params) * np.exp(g)
     log_pi = np.log(pi_first_factor)
     pi_second = log_pi[2:] - 2.0 * log_pi[1:-1] + log_pi[:-2]
     elapsed = time.perf_counter() - t0

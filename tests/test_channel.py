@@ -53,6 +53,11 @@ class TestIntervalGainMean:
         assert channel.interval_gain_mean(1.0, OPEN_END) == pytest.approx(ref, abs=1e-12)
         assert channel.interval_gain_mean(1.0, OPEN_END) == pytest.approx(2.0 / math.e, rel=1e-14)
 
+    def test_empty_tail_at_infinity(self):
+        # the gains above an open band: an empty tail, not inf * 0
+        assert channel.interval_gain_mean(OPEN_END, OPEN_END) == 0.0
+        assert channel.interval_prob(OPEN_END, OPEN_END) == 0.0
+
     @given(bounds)
     def test_additivity(self, g):
         total = channel.interval_gain_mean(0.0, g) + channel.interval_gain_mean(g, OPEN_END)

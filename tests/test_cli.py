@@ -33,9 +33,12 @@ class TestEvaluate:
         assert a["ul_power_w"] == b["ul_power_w"]
 
     def test_verify_delta_small(self, capsys):
-        row = run_json(capsys, "evaluate", "--scheme", "ip", "--g-u", "1.7",
-                       "--snr-db", "10", "--verify")
-        assert abs(row["verify_delta_bits"]) <= 1e-8
+        # the quadrature oracle over each threshold scheme's band
+        for thresholds in (("ip", "--g-u", "1.7"), ("pi", "--g-l", "0.6"),
+                           ("pip", "--g-l", "0.3", "--g-u", "2")):
+            row = run_json(capsys, "evaluate", "--scheme", *thresholds,
+                           "--snr-db", "10", "--verify")
+            assert abs(row["verify_delta_bits"]) <= 1e-8
 
     def test_htt_evaluate(self, capsys):
         row = run_json(capsys, "evaluate", "--scheme", "htt", "--snr-db", "10")
@@ -64,6 +67,18 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.strip()
+
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--scheme", "htt", "--p-d", "1e308"),
+        ("simulate", "--scheme", "htt", "--p-d", "1e308", "--samples", "1000", "--seed", "1"),
+        ("simulate", "--scheme", "ip", "--g-u", "1", "--p-d", "1e308", "--samples", "1000"),
+    ])
+    def test_overflowing_downlink_power_is_a_usage_error(self, capsys, argv):
+        # the frame SNR or harvest overflows: named, with no RuntimeWarning
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "p_d" in err and "tau" not in err
 
     def test_infinite_downlink_power_is_a_usage_error(self, capsys):
         # RuntimeWarning is an error under pytest, so this also checks that
@@ -355,6 +370,20 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert "--seed" in err
+
+    def test_inline_path(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr_db": 10, "scheme": "ip", "g_u": 1.5}))
+        spaced = run_json(capsys, "evaluate", "--config", str(cfg), "--g-u", "2.5")
+        inline = run_json(capsys, "evaluate", f"--config={cfg}", "--g-u", "2.5")
+        assert inline == spaced
+
+    def test_missing_inline_config_file(self, capsys):
+        code, out, err = run_cli(capsys, "evaluate", "--scheme", "ip", "--g-u", "1.6",
+                                 "--snr-db", "10", "--config=/nonexistent.json")
+        assert code == 1
+        assert out == ""
+        assert "nonexistent" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--scheme", "pi", "--g-l", "1",

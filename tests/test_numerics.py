@@ -300,4 +300,3 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             Interval(math.inf, math.inf)
         assert Interval(0.0, OPEN_END).unbounded
-        assert Interval(1.0, 1.0).empty

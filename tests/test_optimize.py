@@ -5,7 +5,7 @@ import pytest
 
 from wpcn import optimize, schemes
 from wpcn.optimize import SolveConfig, solve_htt, solve_ip, solve_pi, solve_pip, sweep
-from wpcn.schemes import IPPolicy, SystemParams
+from wpcn.schemes import SystemParams
 
 FAST = SolveConfig(grid_step=0.1)
 
@@ -77,7 +77,7 @@ class TestTwoIntervalSolvers:
         for rho_db in (20.0, 60.0, 100.0):
             params = SystemParams.from_snr_db(rho_db)
             exact = solve_ip(params, FAST).policy.g_u
-            asym_best = grid[np.argmax(schemes.ip_asymptotic_throughput(grid, params))]
+            asym_best = grid[np.argmax(schemes.band_asymptotic_throughput(0.0, grid, params))]
             gaps.append(abs(exact - asym_best))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 0.1
@@ -89,9 +89,8 @@ class TestTwoIntervalSolvers:
         res = solve_ip(params, FAST)
 
         def oracle(g_u):
-            part = schemes.policy_partition(IPPolicy(g_u))
-            pu = schemes.balance_ul_power(part, params)
-            return schemes.quad_throughput_oracle(part, pu, params)
+            pu = schemes.balance_ul_power(0.0, g_u, params)
+            return schemes.quad_throughput_oracle(0.0, g_u, pu, params)
 
         best = oracle(res.policy.g_u)
         assert res.throughput_bits == pytest.approx(best, abs=1e-7)

@@ -5,32 +5,21 @@ import numpy as np
 import pytest
 
 from wpcn import channel, schemes, sim
-from wpcn.numerics import Interval, OPEN_END
+from wpcn.numerics import OPEN_END, integrate
 from wpcn.schemes import (
     HTTPolicy,
     IPPolicy,
     PIPolicy,
     PIPPolicy,
-    Partition,
     SystemParams,
 )
 
 P10 = SystemParams.from_snr_db(10.0)
 
 
-def _unit_ratio(scheme, *thresholds):
-    """Uplink power at p_d = gbar = 1 (the pure threshold-dependent factor)."""
-    one = SystemParams(p_d=1.0)
-    if scheme == "ip":
-        return schemes.ip_ul_power(*thresholds, one)
-    if scheme == "pi":
-        return schemes.pi_ul_power(*thresholds, one)
-    return schemes.pip_ul_power(*thresholds, one)
-
-
-def _params_with_gammabar(scheme, thresholds, gammabar):
-    """Choose p_d (gbar = sigma2 = 1) so the scheme's expected SNR is gammabar."""
-    return SystemParams(p_d=gammabar / _unit_ratio(scheme, *thresholds))
+def _params_with_gammabar(band, gammabar):
+    """Choose p_d (gbar = sigma2 = 1) so the band's expected SNR is gammabar."""
+    return SystemParams(p_d=gammabar / schemes.band_ul_power(*band, SystemParams(p_d=1.0)))
 
 
 class TestSystemParams:
@@ -68,36 +57,6 @@ class TestSystemParams:
         assert p.dl_snr == pytest.approx(100.0, rel=1e-12)
 
 
-class TestPartition:
-    def test_two_interval(self):
-        part = Partition(wit=(Interval(0.0, 1.5),), wpt=(Interval(1.5, OPEN_END),))
-        assert part.wit_prob() == pytest.approx(-math.expm1(-1.5), rel=1e-14)
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            Partition(wit=(Interval(0.0, 2.0),), wpt=(Interval(1.0, OPEN_END),))
-
-    def test_rejects_gap(self):
-        with pytest.raises(ValueError):
-            Partition(wit=(Interval(0.0, 1.0),), wpt=(Interval(2.0, OPEN_END),))
-
-    def test_rejects_bounded_union(self):
-        with pytest.raises(ValueError):
-            Partition(wit=(Interval(0.0, 1.0),), wpt=(Interval(1.0, 2.0),))
-
-    def test_rejects_nonzero_start(self):
-        with pytest.raises(ValueError):
-            Partition(wit=(Interval(0.5, OPEN_END),), wpt=())
-
-    def test_three_interval(self):
-        part = Partition(
-            wit=(Interval(0.5, 2.0),),
-            wpt=(Interval(0.0, 0.5), Interval(2.0, OPEN_END)),
-        )
-        wpt_prob = sum(channel.interval_prob(iv.lo, iv.hi) for iv in part.wpt)
-        assert part.wit_prob() + wpt_prob == pytest.approx(1.0)
-
-
 class TestHttInstantSnr:
     def test_zero_gain(self):
         assert schemes.htt_instant_snr(0.0, P10) == 0.0
@@ -109,6 +68,13 @@ class TestHttInstantSnr:
     def test_unit_substitution(self):
         p = SystemParams(p_d=1.0, gbar=1.0, sigma2=1.0)
         assert schemes.htt_instant_snr(1.0, p) == 1.0
+
+    @pytest.mark.parametrize("g", [2.0, np.array([0.5, 2.0]), 0.0])
+    def test_overflow_names_the_downlink_power(self, g):
+        # p_d gbar^2 = 1.6e309 is already inf, so g = 0 meets inf * 0;
+        # RuntimeWarning is an error under pytest
+        with pytest.raises(ValueError, match="p_d"):
+            schemes.htt_instant_snr(g, SystemParams(p_d=1e308, gbar=4.0))
 
 
 class TestHttInstantRate:
@@ -276,68 +242,65 @@ class TestHttErgodic:
 
 class TestBalanceUlPower:
     def test_nothing_harvested(self):
-        part = Partition(wit=(Interval(0.0, OPEN_END),), wpt=())
-        assert schemes.balance_ul_power(part, P10) == 0.0
+        assert schemes.balance_ul_power(0.0, OPEN_END, P10) == 0.0
 
     def test_degenerate_information_set(self):
-        part = Partition(wit=(), wpt=(Interval(0.0, OPEN_END),))
         with pytest.raises(ValueError):
-            schemes.balance_ul_power(part, P10)
+            schemes.balance_ul_power(1.0, 1.0, P10)
 
     def test_low_harvest_high_transmit_split(self):
-        part = Partition(wit=(Interval(1.0, OPEN_END),), wpt=(Interval(0.0, 1.0),))
         expected = P10.p_d * P10.gbar * (1.0 - 2.0 / math.e) / math.exp(-1.0)
-        assert schemes.balance_ul_power(part, P10) == pytest.approx(expected, rel=1e-13)
+        assert schemes.balance_ul_power(1.0, OPEN_END, P10) == pytest.approx(expected, rel=1e-13)
 
 
 class TestUlPowers:
     def test_ip_vanishes_at_large_threshold(self):
-        assert schemes.ip_ul_power(40.0, P10) < 1e-14
+        assert schemes.band_ul_power(0.0, 40.0, P10) < 1e-14
 
     def test_ip_known_value(self):
         expected = P10.p_d * P10.gbar * (2.0 / math.e) / (1.0 - 1.0 / math.e)
-        assert schemes.ip_ul_power(1.0, P10) == pytest.approx(expected, rel=1e-13)
+        assert schemes.band_ul_power(0.0, 1.0, P10) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("g_u", [0.1, 1.0, 5.0])
     def test_ip_matches_balance(self, g_u):
-        part = schemes.policy_partition(IPPolicy(g_u))
-        ref = schemes.balance_ul_power(part, P10)
-        assert schemes.ip_ul_power(g_u, P10) == pytest.approx(ref, rel=1e-12)
+        ref = schemes.balance_ul_power(*IPPolicy(g_u).band, P10)
+        assert schemes.band_ul_power(0.0, g_u, P10) == pytest.approx(ref, rel=1e-12)
 
     def test_pi_zero_threshold(self):
-        assert schemes.pi_ul_power(0.0, P10) == 0.0
+        assert schemes.band_ul_power(0.0, OPEN_END, P10) == 0.0
 
     def test_pi_known_value(self):
         expected = P10.p_d * P10.gbar * (math.e - 2.0)
-        assert schemes.pi_ul_power(1.0, P10) == pytest.approx(expected, rel=1e-13)
+        assert schemes.band_ul_power(1.0, OPEN_END, P10) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("g_l", [0.1, 1.0, 5.0])
     def test_pi_matches_balance(self, g_l):
-        part = schemes.policy_partition(PIPolicy(g_l))
-        ref = schemes.balance_ul_power(part, P10)
-        assert schemes.pi_ul_power(g_l, P10) == pytest.approx(ref, rel=1e-12)
+        ref = schemes.balance_ul_power(*PIPolicy(g_l).band, P10)
+        assert schemes.band_ul_power(g_l, OPEN_END, P10) == pytest.approx(ref, rel=1e-12)
 
     def test_pip_reduces_to_ip(self):
-        assert schemes.pip_ul_power(0.0, 1.3, P10) == schemes.ip_ul_power(1.3, P10)
+        # at g_l = 0 the band form rounds exactly like the IP closed form
+        scale = P10.p_d * P10.gbar
+        for g_u in (0.05, 1.3, 7.0):
+            ip_form = scale * (g_u + 1.0) * math.exp(-g_u) / -math.expm1(-g_u)
+            assert schemes.band_ul_power(0.0, g_u, P10) == ip_form
 
     def test_pip_reduces_to_pi(self):
-        want = schemes.pi_ul_power(0.7, P10)
-        assert schemes.pip_ul_power(0.7, 40.0, P10) == pytest.approx(want, rel=1e-12)
-        assert schemes.pip_ul_power(0.7, math.inf, P10) == want
+        want = schemes.band_ul_power(0.7, OPEN_END, P10)
+        assert schemes.band_ul_power(0.7, 40.0, P10) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("gl,gu", [(0.2, 1.0), (1.0, 3.0), (0.05, 9.0)])
     def test_pip_matches_balance(self, gl, gu):
-        part = schemes.policy_partition(PIPPolicy(gl, gu))
-        ref = schemes.balance_ul_power(part, P10)
-        assert schemes.pip_ul_power(gl, gu, P10) == pytest.approx(ref, rel=1e-12)
+        ref = schemes.balance_ul_power(*PIPPolicy(gl, gu).band, P10)
+        assert schemes.band_ul_power(gl, gu, P10) == pytest.approx(ref, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            schemes.ip_ul_power(0.0, P10)
+            schemes.band_ul_power(0.0, 0.0, P10)
         with pytest.raises(ValueError):
-            schemes.pi_ul_power(-0.1, P10)
+            schemes.band_ul_power(-0.1, OPEN_END, P10)
         with pytest.raises(ValueError):
-            schemes.pip_ul_power(2.0, 2.0, P10)
+            schemes.band_ul_power(2.0, 2.0, P10)
 
 
 class TestThroughputs:
@@ -361,11 +324,10 @@ class TestThroughputs:
     def test_matches_quadrature(self, scheme, thresholds):
         fn = {"ip": schemes.ip_throughput, "pi": schemes.pi_throughput,
               "pip": schemes.pip_throughput}[scheme]
-        policy = {"ip": IPPolicy, "pi": PIPolicy, "pip": PIPPolicy}[scheme](*thresholds)
-        part = schemes.policy_partition(policy)
-        pu = schemes.balance_ul_power(part, P10)
+        band = {"ip": IPPolicy, "pi": PIPolicy, "pip": PIPPolicy}[scheme](*thresholds).band
+        pu = schemes.balance_ul_power(*band, P10)
         assert fn(*thresholds, P10) == pytest.approx(
-            schemes.quad_throughput_oracle(part, pu, P10), abs=1e-8
+            schemes.quad_throughput_oracle(*band, pu, P10), abs=1e-8
         )
 
     def test_randomized_oracle_equivalence(self):
@@ -381,17 +343,14 @@ class TestThroughputs:
                 ("pip", (g_l, g_hi), schemes.pip_throughput, PIPPolicy(g_l, g_hi)),
             ]
             for scheme, thr, fn, policy in cases:
-                params = _params_with_gammabar(scheme, thr, gammabar)
-                part = schemes.policy_partition(policy)
-                pu = schemes.balance_ul_power(part, params)
+                params = _params_with_gammabar(policy.band, gammabar)
+                pu = schemes.balance_ul_power(*policy.band, params)
                 assert abs(fn(*thr, params)
-                           - schemes.quad_throughput_oracle(part, pu, params)) <= 1e-8
+                           - schemes.quad_throughput_oracle(*policy.band, pu, params)) <= 1e-8
 
     def test_oracle_degenerate_cases(self):
-        part = Partition(wit=(), wpt=(Interval(0.0, OPEN_END),))
-        assert schemes.quad_throughput_oracle(part, 5.0, P10) == 0.0
-        full = Partition(wit=(Interval(0.0, OPEN_END),), wpt=())
-        assert schemes.quad_throughput_oracle(full, 0.0, P10) == 0.0
+        assert schemes.quad_throughput_oracle(1.0, 1.0, 5.0, P10) == 0.0
+        assert schemes.quad_throughput_oracle(0.0, OPEN_END, 0.0, P10) == 0.0
 
 
 class TestReductionIdentities:
@@ -409,17 +368,17 @@ class TestReductionIdentities:
 class TestInvariants:
     def test_energy_balance(self):
         rng = np.random.default_rng(31)
-        from wpcn import channel
         for _ in range(20):
             policy = [
                 IPPolicy(rng.uniform(0.1, 9.0)),
                 PIPolicy(rng.uniform(0.1, 9.0)),
                 PIPPolicy(*np.sort(rng.uniform(0.05, 9.0, size=2))),
             ][rng.integers(0, 3)]
-            part = schemes.policy_partition(policy)
-            pu = schemes.balance_ul_power(part, P10)
-            consumed = pu * part.wit_prob()
-            harvested = P10.p_d * P10.gbar * part.wpt_gain_mean()
+            lo, hi = policy.band
+            pu = schemes.band_ul_power(lo, hi, P10)
+            consumed = pu * channel.interval_prob(lo, hi)
+            harvested = P10.p_d * P10.gbar * (channel.interval_gain_mean(0.0, lo)
+                                              + channel.interval_gain_mean(hi, OPEN_END))
             assert consumed == pytest.approx(harvested, rel=1e-12, abs=1e-12)
 
     def test_units_only_ratio_enters(self):
@@ -439,7 +398,7 @@ class TestAsymptotics:
         for rho_db in (20.0, 60.0, 100.0):
             p = SystemParams.from_snr_db(rho_db)
             exact = schemes.ip_throughput(g_u, p)
-            asym = schemes.ip_asymptotic_throughput(g_u, p)
+            asym = schemes.band_asymptotic_throughput(0.0, g_u, p)
             gaps.append(abs(asym - exact) / exact)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 0.05
@@ -450,32 +409,50 @@ class TestAsymptotics:
         for rho_db in (20.0, 60.0, 100.0):
             p = SystemParams.from_snr_db(rho_db)
             exact = schemes.pi_throughput(g_l, p)
-            asym = schemes.pi_asymptotic_throughput(g_l, p)
+            asym = schemes.band_asymptotic_throughput(g_l, OPEN_END, p)
             gaps.append(abs(asym - exact) / exact)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 0.05
 
+    @pytest.mark.parametrize("gbar", [1.0, 4.0])
+    @pytest.mark.parametrize("exact,band", [
+        (lambda p: schemes.ip_throughput(1.6, p), (0.0, 1.6)),
+        (lambda p: schemes.pi_throughput(0.7, p), (0.7, OPEN_END)),
+        (lambda p: schemes.pip_throughput(0.3, 2.0, p), (0.3, 2.0)),
+    ], ids=["ip", "pi", "pip"])
+    def test_gap_tends_to_the_log_gain_integral(self, exact, band, gbar):
+        # log2(1 + gammabar g) - log2(gammabar) -> log2(g), whatever gbar is
+        p = SystemParams(p_d=1e12, gbar=gbar)
+        gap = exact(p) - schemes.band_asymptotic_throughput(*band, p)
+        limit = integrate(lambda g: math.log2(g) * math.exp(-g), *band)
+        assert gap == pytest.approx(limit, abs=1e-6)
+
     def test_ip_concavity_on_grid(self):
         p = SystemParams(p_d=1e6)
         g = np.arange(0.05, 10.0, 1e-2)
-        vals = schemes.ip_asymptotic_throughput(g, p)
+        vals = schemes.band_asymptotic_throughput(0.0, g, p)
         second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
         assert np.all(second <= 1e-9)
 
     def test_pi_log_concavity_on_grid(self):
         p = SystemParams(p_d=1e6)
         g = np.arange(0.05, 10.0, 1e-2)
-        first_factor = schemes.pi_asymptotic_throughput(g, p) * np.exp(g)
+        first_factor = schemes.band_asymptotic_throughput(g, OPEN_END, p) * np.exp(g)
         assert np.all(first_factor > 0.0)
         logf = np.log(first_factor)
         second = logf[2:] - 2.0 * logf[1:-1] + logf[:-2]
         assert np.all(second <= 1e-9)
 
+    def test_float_in_float_out(self):
+        assert type(schemes.band_asymptotic_throughput(0.5, 2.0, P10)) is float
+        assert schemes.band_asymptotic_throughput(0.5, np.array([2.0, 3.0]), P10).shape == (2,)
+
     def test_domain(self):
-        with pytest.raises(ValueError):
-            schemes.ip_asymptotic_throughput(0.0, P10)
-        with pytest.raises(ValueError):
-            schemes.pi_asymptotic_throughput(0.0, P10)
+        # zero uplink power (g_l = 0 with g_u = inf), an empty band, a bad bound
+        for band in ((0.0, OPEN_END), (0.0, 0.0), (2.0, 2.0), (2.0, 1.0), (-0.1, 1.0),
+                     (math.nan, 1.0), (0.0, 800.0)):
+            with pytest.raises(ValueError):
+                schemes.band_asymptotic_throughput(*band, P10)
 
 
 class TestPolicies:
@@ -486,24 +463,20 @@ class TestPolicies:
             PIPolicy(-1.0)
         with pytest.raises(ValueError):
             PIPPolicy(2.0, 1.0)
-        with pytest.raises(ValueError):
-            schemes.policy_partition(HTTPolicy())
 
     def test_partitions_cover(self):
         for policy, band in ((IPPolicy(1.0), (0.0, 1.0)), (PIPolicy(0.0), (0.0, OPEN_END)),
                              (PIPolicy(2.0), (2.0, OPEN_END)), (PIPPolicy(0.5, 3.0), (0.5, 3.0))):
             assert policy.band == band
-            part = schemes.policy_partition(policy)
-            assert part.wit == (Interval(*band),)
-            total = part.wit_prob() + sum(
-                channel.interval_prob(iv.lo, iv.hi) for iv in part.wpt
-            )
+            lo, hi = band
+            total = sum(channel.interval_prob(a, b)
+                        for a, b in ((0.0, lo), (lo, hi), (hi, OPEN_END)))
             assert total == pytest.approx(1.0, abs=1e-14)
 
     def test_evaluate_policy_consistency(self):
         ev = schemes.evaluate_policy(IPPolicy(1.5), P10)
         assert ev.throughput_bits == pytest.approx(schemes.ip_throughput(1.5, P10), rel=1e-14)
-        assert ev.ul_power == pytest.approx(schemes.ip_ul_power(1.5, P10), rel=1e-14)
+        assert ev.ul_power == pytest.approx(schemes.band_ul_power(0.0, 1.5, P10), rel=1e-14)
         assert ev.expected_ul_snr_gammabar == pytest.approx(
             ev.ul_power * P10.gbar / P10.sigma2, rel=1e-14
         )

@@ -227,3 +227,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="initial_energy"):
             sim.run_policy_trace(IPPolicy(1.0), P10, 10, seed=1, causal=True,
                                  initial_energy=energy)
+
+    @pytest.mark.parametrize("policy", [HTTPolicy(), IPPolicy(1.0), PIPPolicy(0.3, 2.0)])
+    def test_overflowing_harvest_names_the_downlink_power(self, policy):
+        # p_d gbar g overflows for g > 1.8; RuntimeWarning is an error under pytest
+        with pytest.raises(ValueError, match="p_d"):
+            sim.run_policy_trace(policy, SystemParams(p_d=1e308), 1000, seed=1)
