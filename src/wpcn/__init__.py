@@ -10,7 +10,7 @@ Library layout:
 * ``cli``       -- the ``wpcn`` command-line front end
 """
 from .channel import GainSampleBatch, sample
-from .numerics import ConvergenceError, Interval, OPEN_END, ToleranceSpec
+from .numerics import ConvergenceError, Interval, OPEN_END
 from .optimize import SolveConfig, SolveResult, ThroughputCurve, sweep
 from .schemes import (
     HTTPolicy,
@@ -39,7 +39,6 @@ __all__ = [
     "SolveResult",
     "SystemParams",
     "ThroughputCurve",
-    "ToleranceSpec",
     "TraceSummary",
     "mc_throughput",
     "run_policy_trace",

@@ -37,27 +37,11 @@ OPEN_END = math.inf
 _TAIL_LENGTH = 40.0
 _INTEGRATE_GATE = 1e-10  # largest error estimate integrate accepts
 _TINY = 1e-300
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_BISECTION_MAX_ITER = 200  # bisection steps maximize_scalar takes at most
 
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its requested tolerance."""
-
-
-@dataclass(frozen=True)
-class ToleranceSpec:
-    """Stopping rule for iterative maximizers."""
-
-    abs_tol: float = 1e-9
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -260,42 +244,20 @@ def integrate(f: Callable[[float], float | np.ndarray], a: float, b: float) -> f
 # Scalar and grid maximization
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, tol: ToleranceSpec):
-    a, b = lo, hi
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    for _ in range(tol.max_iter):
-        if h <= tol.abs_tol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INV_PHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = f(d)
-    else:
-        warnings.warn("golden-section search exhausted max_iter; returning best so far")
-    x = c if fc > fd else d
-    return x, f(x)
-
-
 def maximize_scalar(f: Callable[[float], float], domain: Interval,
-                    tol: ToleranceSpec | None = None) -> tuple[float, float]:
+                    abs_tol: float = 1e-9) -> tuple[float, float]:
     """Maximize a unimodal scalar function on a closed interval.
 
     Bisects on the sign of a central finite difference of f (step
-    1e-7 * max(1, |x|)); if the endpoint derivative signs do not bracket an
-    interior maximum the search falls back to golden section. Endpoints are
-    always considered as candidates. Returns (argmax, f(argmax)).
+    1e-7 * max(1, |x|)) until the bracket is narrower than ``abs_tol``, or
+    for at most _BISECTION_MAX_ITER steps, with a warning. If the endpoint
+    derivative signs do not bracket an interior maximum, a unimodal f peaks
+    at an end and no search runs. Either way each end replaces the best
+    point so far only if strictly better, so ties keep the bisection point,
+    then ``lo``. Returns (argmax, f(argmax)).
     """
-    if tol is None:
-        tol = ToleranceSpec()
+    if not abs_tol > 0.0:
+        raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
     lo, hi = domain.lo, domain.hi
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("maximize_scalar requires a bounded domain")
@@ -313,22 +275,23 @@ def maximize_scalar(f: Callable[[float], float], domain: Interval,
     if d_lo > 0.0 and d_hi < 0.0:
         a, b = lo, hi
         iterations = 0
-        while b - a > tol.abs_tol and iterations < tol.max_iter:
+        while b - a > abs_tol and iterations < _BISECTION_MAX_ITER:
             m = 0.5 * (a + b)
             if dsign(m) > 0.0:
                 a = m
             else:
                 b = m
             iterations += 1
-        if b - a > tol.abs_tol:
-            warnings.warn("derivative bisection exhausted max_iter; returning best so far")
-        x = 0.5 * (a + b)
-        fx = f(x)
+        if b - a > abs_tol:
+            warnings.warn("derivative bisection exhausted its iteration cap; returning best so far")
+        best_x = 0.5 * (a + b)
+        best_f = f(best_x)
+        ends = (lo, hi)
     else:
-        x, fx = _golden_max(f, lo, hi, tol)
+        best_x, best_f = lo, f(lo)
+        ends = (hi,)
 
-    best_x, best_f = x, fx
-    for cand in (lo, hi):
+    for cand in ends:
         fc = f(cand)
         if fc > best_f:
             best_x, best_f = cand, fc

@@ -17,7 +17,6 @@ from . import schemes
 from .numerics import (
     ConvergenceError,
     Interval,
-    ToleranceSpec,
     grid_argmax_2d,
     integrate,  # not called; test_wrapping_rebinds_every_copy_and_restores_them rebinds it
     maximize_scalar,
@@ -37,8 +36,8 @@ SCHEME_TAGS = ("htt", "ip", "pi", "pip")
 # IP power expression is 0/0 at the origin and both objectives vanish there.
 _THRESHOLD_FLOOR = 1e-6
 _COARSE_POINTS = 201
-# Stopping rule of the derivative bisection that refines the IP/PI thresholds.
-_THRESHOLD_TOL = ToleranceSpec(abs_tol=1e-7)
+# Bracket width at which the derivative bisection refining the IP/PI thresholds stops.
+_THRESHOLD_TOL = 1e-7
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,9 @@ class SystemParams:
 
     @property
     def dl_snr(self) -> float:
-        """Downlink-referenced SNR p_d gbar^2 / sigma^2 (the sweep axis)."""
-        return self.p_d * self.gbar**2 / self.sigma2
+        """Downlink-referenced SNR p_d gbar^2 / sigma^2 (the sweep axis); inf on overflow."""
+        with np.errstate(over="ignore"):  # Python's gbar**2 raises OverflowError instead
+            return float(self.p_d * np.float64(self.gbar) ** 2 / self.sigma2)
 
     @classmethod
     def from_snr_db(cls, snr_db: float, gbar: float = 1.0, sigma2: float = 1.0) -> "SystemParams":
@@ -165,9 +166,14 @@ def htt_instant_snr(g, params: SystemParams):
     if np.any(arr < 0.0) or np.isnan(arr).any():
         raise ValueError("gain must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        out = params.p_d * params.gbar**2 * np.square(arr) / params.sigma2
+        # np.float64, since Python's gbar**2 raises OverflowError; the scale
+        # goes back to a float so numpy still reuses the array temporaries
+        scale = float(params.p_d * np.float64(params.gbar) ** 2)
+        out = scale * np.square(arr) / params.sigma2
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"frame SNR p_d gbar^2 g^2 / sigma2 overflows at p_d={params.p_d}")
+        raise ValueError(
+            "frame SNR p_d gbar^2 g^2 / sigma2 overflows at "
+            f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
     return float(out) if arr.ndim == 0 else out
 
 
@@ -296,9 +302,11 @@ def band_ul_power(g_l, g_u, params: SystemParams):
     # solvers' outputs bit for bit.
     scale = params.p_d * params.gbar
     denom = -np.expm1(gl - gu)
-    with np.errstate(invalid="ignore"):
+    # an intermediate may overflow though the power fits; band_throughput
+    # rejects the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
         above = scale * (gu + 1.0) * np.exp(gl - gu) / denom
-    out = _zero_at_open_end(above, np.isinf(gu)) + scale * (np.expm1(gl) - gl) / denom
+        out = _zero_at_open_end(above, np.isinf(gu)) + scale * (np.expm1(gl) - gl) / denom
     return float(out) if out.ndim == 0 else out
 
 
@@ -329,7 +337,9 @@ def band_throughput(g_l, g_u, params: SystemParams):
     gu = np.asarray(g_u, dtype=float)
     gb = band_ul_power(gl, gu, params) * params.gbar / params.sigma2
     if not np.all(np.isfinite(gb)):
-        raise ValueError("uplink SNR overflowed; thresholds leave no usable transmit set")
+        raise ValueError(
+            "uplink SNR band_ul_power gbar / sigma2 overflows on this band at "
+            f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
     # Below ~1e-280 the throughput is zero to hundreds of digits and
     # 1/gammabar would lose the scaled-E1 argument to overflow.
     zero = gb <= 1e-280

@@ -72,9 +72,12 @@ class TestEvaluate:
         ("evaluate", "--scheme", "htt", "--p-d", "1e308"),
         ("simulate", "--scheme", "htt", "--p-d", "1e308", "--samples", "1000", "--seed", "1"),
         ("simulate", "--scheme", "ip", "--g-u", "1", "--p-d", "1e308", "--samples", "1000"),
+        ("evaluate", "--scheme", "ip", "--g-u", "1", "--p-d", "1e308"),
+        ("optimize", "--scheme", "ip", "--p-d", "1e308"),
     ])
     def test_overflowing_downlink_power_is_a_usage_error(self, capsys, argv):
-        # the frame SNR or harvest overflows: named, with no RuntimeWarning
+        # the frame SNR, harvest or uplink power overflows: named, with no
+        # RuntimeWarning
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -108,6 +111,8 @@ class TestEvaluate:
     (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10", "--gbar", "1e-160"), "gbar"),
     (("evaluate", "--scheme", "ip", "--g-u", "1", "--snr-db", "10", "--gbar", "1e150",
       "--sigma2", "1e-300"), "gbar"),
+    (("evaluate", "--scheme", "htt", "--p-d", "1", "--gbar", "1e200"), "gbar"),
+    (("simulate", "--scheme", "htt", "--p-d", "1", "--gbar", "1e200", "--samples", "10"), "gbar"),
 ])
 def test_bad_snr_input_is_a_usage_error_naming_it(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
@@ -174,27 +179,33 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     @staticmethod
-    def _assert_reference_rows(capsys, argv, keep):
-        """The sweep prints the header and the rows ``keep`` selects of the reference."""
+    def _assert_reference_rows(capsys, argv, keep, n_rows):
+        """The sweep prints the header and the ``n_rows`` rows ``keep`` selects of the reference."""
         code, out, err = run_cli(capsys, "sweep", *argv)
         assert code == 0, err
         reference = (Path(__file__).resolve().parents[1] / "bench" / "reference"
                      / "sweep.csv").read_text().splitlines()
         header, rows = reference[0], reference[1:]
         wanted = [r for r in rows if keep(r.split(","))]
-        assert len(wanted) == 16
+        assert len(wanted) == n_rows
         assert out.splitlines() == [header] + wanted
 
     def test_rows_match_the_reference_curve(self, capsys):
         # at 0 dB the PIP grid's E1 arguments reach ~2e3, past the switch to
         # the asymptotic tail of exp_scaled_e1
         self._assert_reference_rows(capsys, ("--start", "0", "--stop", "24", "--step", "8"),
-                                    lambda cells: cells[0] in ("0", "8", "16", "24"))
+                                    lambda cells: cells[0] in ("0", "8", "16", "24"), 16)
 
     def test_htt_rows_match_the_headline_curve(self, capsys):
         self._assert_reference_rows(
             capsys, ("--start", "0", "--stop", "30", "--step", "2", "--schemes", "htt"),
-            lambda cells: cells[1] == "htt")
+            lambda cells: cells[1] == "htt", 16)
+
+    def test_ip_and_pi_rows_match_the_headline_curve(self, capsys):
+        # every IP/PI threshold of the curve, as the scalar solver finds it
+        self._assert_reference_rows(
+            capsys, ("--start", "0", "--stop", "30", "--step", "2", "--schemes", "ip,pi"),
+            lambda cells: cells[1] in ("ip", "pi"), 32)
 
     def test_json_mirrors_csv_fields(self, capsys, tmp_path):
         out_path = tmp_path / "curve.json"

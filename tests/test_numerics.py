@@ -10,7 +10,6 @@ from wpcn.numerics import (
     ConvergenceError,
     Interval,
     OPEN_END,
-    ToleranceSpec,
     e1_asymptotic,
     exp_integral_e1,
     exp_scaled_e1,
@@ -228,11 +227,29 @@ class TestMaximizeScalar:
         x, _ = maximize_scalar(lambda x: x, Interval(0.0, 3.0))
         assert x == pytest.approx(3.0, abs=1e-8)
 
+    def test_decreasing_picks_exactly_the_lower_end(self):
+        assert maximize_scalar(lambda x: -x, Interval(0.5, 3.0)) == (0.5, -0.5)
+
+    def test_valley_picks_the_higher_end(self):
+        # end slopes point away from the peak, so no bisection runs; the
+        # ends score 2.25 and 6.25
+        assert maximize_scalar(lambda x: (x - 1.5) ** 2, Interval(0.0, 4.0)) == (4.0, 6.25)
+
+    def test_constant_picks_exactly_the_lower_end(self):
+        # the upper end replaces the lower one only if strictly greater
+        assert maximize_scalar(lambda x: 7.0, Interval(0.25, 3.0)) == (0.25, 7.0)
+
     def test_respects_max_iter(self):
-        tol = ToleranceSpec(abs_tol=1e-15, max_iter=3)
-        with pytest.warns(UserWarning):
-            x, _ = maximize_scalar(lambda x: -(x - 2.0) ** 2, Interval(0.0, 10.0), tol)
+        # abs_tol below the float resolution at 2 is never met, so the
+        # bisection stops at its iteration cap and warns
+        with pytest.warns(UserWarning, match="bisection"):
+            x, _ = maximize_scalar(lambda x: -(x - 2.0) ** 2, Interval(0.0, 10.0), 1e-300)
         assert 0.0 <= x <= 10.0
+
+    def test_rejects_a_non_positive_tolerance(self):
+        for abs_tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="abs_tol"):
+                maximize_scalar(lambda x: -x, Interval(0.0, 1.0), abs_tol)
 
 
 class TestGridArgmax2D:
@@ -288,12 +305,6 @@ class TestGridArgmax2D:
 
 
 class TestConfigTypes:
-    def test_tolerance_spec(self):
-        with pytest.raises(ValueError):
-            ToleranceSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            ToleranceSpec(max_iter=0)
-
     def test_interval(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
