@@ -3,9 +3,11 @@
 Contains the two special functions the closed-form throughput expressions
 are built from (the exponential integral E1 and the principal Lambert-W
 branch), one adaptive quadrature routine (``integrate``, on
-``scipy.integrate.quad_vec``: float or vector integrands, so one pass can
-integrate several quantities on shared nodes) that is the ground-truth
-oracle for every closed form, and the maximizers for the threshold searches.
+``scipy.integrate.quad_vec``, imported on first use: float or vector
+integrands, so one pass can integrate several quantities on shared nodes)
+that is the ground-truth oracle for every closed form, and the maximizers
+for the threshold searches: derivative bisection on an interval and a
+bound-pruned search over the pairs x < y of a grid.
 
 E1 and W0 come from ``scipy.special`` (``exp1`` and ``lambertw``). Two
 pieces stay local: the asymptotic tail of the scaled form e^x E1(x) above
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad_vec
 from scipy.special import exp1, lambertw
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -231,6 +232,10 @@ def integrate(f: Callable[[float], float | np.ndarray], a: float, b: float) -> f
     hi = a + _TAIL_LENGTH if math.isinf(b) else b
     if hi < a:
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
+    # imported here: scipy.integrate adds about a quarter second and 26 MB to
+    # every import of the package, and most commands never integrate
+    from scipy.integrate import quad_vec
+
     value, err_estimate = quad_vec(f, a, hi, epsabs=1e-12, epsrel=1e-12, limit=400)
     if err_estimate > _INTEGRATE_GATE:
         raise ConvergenceError(
@@ -304,27 +309,106 @@ def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.minimum(lo + step * np.arange(n), hi)
 
 
-def grid_argmax_2d(f, domain: Interval, step: float) -> tuple[tuple[float, float], float]:
-    """Exhaustive maximization of f(x, y) over the grid pairs x < y of one axis.
+# The pair triangle is walked this many rows at a time: no call of the
+# objective or the bound sees more than _GRID_CHUNK_ROWS * (axis size - 1) pairs.
+_GRID_CHUNK_ROWS = 64
+# The exact best over this many best-bound pairs sets the pruning threshold ...
+_GRID_SEED_PAIRS = 64
+# ... less this relative margin, which absorbs the rounding of bound and objective.
+_GRID_SLACK = 1e-9
 
-    The axis runs from ``domain.lo`` to ``domain.hi`` in steps of ``step``;
-    f is called once, on two arrays holding every pair, and must return an
-    array of their shape. Ties break toward the lexicographically smallest
-    (x, y) so results are reproducible.
+
+def _row_pairs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j < n, of the ascending ``rows``, in lexicographic
+    order, and the offset of each row's first pair."""
+    counts = n - 1 - rows
+    starts = np.cumsum(counts) - counts
+    i = np.repeat(rows, counts)
+    j = np.arange(i.size) - np.repeat(starts, counts) + i + 1
+    return i, j, starts
+
+
+def _row_chunks(rows: np.ndarray):
+    for k in range(0, rows.size, _GRID_CHUNK_ROWS):
+        yield rows[k:k + _GRID_CHUNK_ROWS]
+
+
+def _seed_threshold(f, bound, xs: np.ndarray):
+    """Bound every pair once; return the seed and the rows worth scoring.
+
+    The seed is the exact best (point, value) of f over the _GRID_SEED_PAIRS
+    pairs of largest bound, the first of them in lexicographic order on a
+    tie. A row is worth scoring if some pair in it has a bound at or above
+    the threshold, the seed value less _GRID_SLACK of its magnitude; that
+    threshold is returned too.
+    """
+    n = xs.size
+    row_top = np.empty(n - 1)
+    top_bound = np.empty(0)
+    top_key = np.empty(0, dtype=np.int64)
+    for rows in _row_chunks(np.arange(n - 1)):
+        i, j, starts = _row_pairs(rows, n)
+        b = np.asarray(bound(xs[i], xs[j]), dtype=float)
+        row_top[rows] = np.maximum.reduceat(b, starts)  # NaN propagates: the row stays
+        top_bound = np.concatenate([top_bound, np.where(np.isnan(b), -np.inf, b)])
+        top_key = np.concatenate([top_key, i * n + j])
+        if top_bound.size > _GRID_SEED_PAIRS:
+            keep = np.argpartition(-top_bound, _GRID_SEED_PAIRS)[:_GRID_SEED_PAIRS]
+            top_bound, top_key = top_bound[keep], top_key[keep]
+    key = np.sort(top_key)
+    gx, gy = xs[key // n], xs[key % n]
+    vals = f(gx, gy)
+    k = int(np.argmax(vals))
+    seed = float(vals[k])
+    threshold = seed - _GRID_SLACK * abs(seed)  # Python floats: inf - inf is NaN, no warning
+    live = np.flatnonzero(~(row_top < threshold))
+    return ((float(gx[k]), float(gy[k])), seed), threshold, live
+
+
+def grid_argmax_2d(f, domain: Interval, step: float,
+                   bound=None) -> tuple[tuple[float, float], float]:
+    """Maximize f(x, y) over the grid pairs x < y of one axis.
+
+    The axis runs from ``domain.lo`` to ``domain.hi`` in steps of ``step``.
+    f takes two arrays of pairs and returns an array of their shape; so does
+    ``bound``, an optional upper bound on f that is cheaper to evaluate. The
+    pairs are walked in chunks of _GRID_CHUNK_ROWS rows, so memory does not
+    grow with the number of pairs. With a bound, one pass bounds every pair
+    and scores the _GRID_SEED_PAIRS best-bound pairs exactly; f is then
+    scored only on the pairs whose bound reaches that seed value less a
+    relative 1e-9. A NaN bound never prunes its pair, and with no bound
+    every pair is scored. Ties break toward the lexicographically smallest
+    (x, y), so the result equals an exhaustive search's whenever f <= bound
+    holds to within the slack.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if domain.unbounded:
         raise ValueError("grid search requires a bounded interval")
     xs = _grid_axis(domain.lo, domain.hi, step)
-    if xs.size < 2:
+    n = xs.size
+    if n < 2:
         raise ValueError("grid axis has fewer than 2 points; no pair x < y")
+    seed, threshold, live = None, -math.inf, np.arange(n - 1)
+    if bound is not None:
+        seed, threshold, live = _seed_threshold(f, bound, xs)
     # The axis increases strictly, so the pairs x < y are the index pairs
-    # i < j, which triu_indices yields in lexicographic order: argmax then
-    # resolves ties toward the smallest point.
-    rows, cols = np.triu_indices(xs.size, k=1)
-    gx, gy = xs[rows], xs[cols]
-    del rows, cols  # free the int64 index arrays before f allocates its own
-    vals = f(gx, gy)
-    i = int(np.argmax(vals))
-    return (float(gx[i]), float(gy[i])), float(vals[i])
+    # i < j; the rows are walked in order, and a later maximum replaces the
+    # best so far only if strictly greater, so ties keep the first pair.
+    best = None
+    for rows in _row_chunks(live):
+        i, j, _ = _row_pairs(rows, n)
+        gx, gy = xs[i], xs[j]
+        if bound is not None:
+            keep = ~(np.asarray(bound(gx, gy), dtype=float) < threshold)
+            gx, gy = gx[keep], gy[keep]
+            if not gx.size:
+                continue
+        vals = f(gx, gy)
+        k = int(np.argmax(vals))
+        if best is None or vals[k] > best[1]:
+            best = ((float(gx[k]), float(gy[k])), float(vals[k]))
+    # the seed pair is pruned only if the bound undercut f beyond the slack
+    if best is None or (seed is not None and seed[1] > best[1]):
+        best = seed
+    return best

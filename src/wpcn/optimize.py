@@ -3,8 +3,16 @@
 The two-interval objectives are only provably well behaved in the
 infinite-power limit, so the scalar solvers hedge: a coarse scan plus
 derivative-bisection refinement from several brackets, best candidate wins.
-The three-interval scheme has no usable structure at all and is solved by
-exhaustive search over the grid pairs g_l < g_u, vectorized over all of them.
+The three-interval scheme has no usable structure at all and is solved by a
+grid search over the pairs g_l < g_u. It prunes with the Jensen bound
+``schemes.band_throughput_bound``, which needs no E1, and scores the closed
+form only on the pairs whose bound can still win: the same thresholds as an
+exhaustive search, on a few percent of the pairs.
+
+A threshold whose band is not ``schemes.band_eligible`` (its uplink SNR
+overflows a float) scores -inf. The solve fails with
+``schemes.UplinkOverflowError`` only if such a point might have won: if its
+throughput bound reaches the best eligible value.
 """
 from __future__ import annotations
 
@@ -32,8 +40,9 @@ from .schemes import (
 
 SCHEME_TAGS = ("htt", "ip", "pi", "pip")
 
-# Two-interval thresholds are searched down to this floor instead of 0: the
-# IP power expression is 0/0 at the origin and both objectives vanish there.
+# Two-interval thresholds are searched down to this floor instead of 0 (or
+# to half the gain cap if that is lower): the IP power expression is 0/0 at
+# the origin and both objectives vanish there.
 _THRESHOLD_FLOOR = 1e-6
 _COARSE_POINTS = 201
 # Bracket width at which the derivative bisection refining the IP/PI thresholds stops.
@@ -45,8 +54,9 @@ class SolveConfig:
     """Search-space settings shared by all solvers.
 
     gain_cap bounds the threshold search (the searchable gain range) and
-    must be finite; grid_step is the exhaustive-search resolution for the
-    PIP scheme. Every solver scores the closed forms of ``schemes``.
+    must be finite; grid_step is the spacing of the PIP grid, whose every
+    pair is bounded and whose best pair is found exactly. Every solver
+    scores the closed forms of ``schemes``.
     """
 
     gain_cap: float = 10.0
@@ -89,7 +99,41 @@ class ThroughputCurve:
         return [p for p in self.points if p.scheme == scheme]
 
 
-def _solve_threshold(f, cfg: SolveConfig, lo: float) -> tuple[float, float, bool]:
+class _Eligible:
+    """A throughput objective that scores a band not ``schemes.band_eligible`` as -inf.
+
+    ``band`` maps the objective's arguments to the band's (lo, hi). The
+    largest ``schemes.band_throughput_bound`` among the ineligible points
+    scored is kept; ``check(best)`` raises the overflow error if it reaches
+    ``best``, since such a point might have won.
+    """
+
+    def __init__(self, objective, band, params: SystemParams):
+        self.objective, self.band, self.params = objective, band, params
+        self.ineligible_bound = -math.inf
+
+    def __call__(self, *args):
+        try:
+            return self.objective(*args)
+        except schemes.UplinkOverflowError:
+            pass
+        lo, hi = np.broadcast_arrays(*self.band(*args))
+        ok = schemes.band_eligible(lo, hi, self.params)
+        bad_bound = schemes.band_throughput_bound(lo[~ok], hi[~ok], self.params)
+        self.ineligible_bound = max(self.ineligible_bound, float(np.max(bad_bound)))
+        if lo.ndim == 0:
+            return -math.inf
+        out = np.full(lo.shape, -np.inf)
+        if ok.any():
+            out[ok] = self.objective(*(np.asarray(a)[ok] for a in args))
+        return out
+
+    def check(self, best: float) -> None:
+        if not self.ineligible_bound < best:
+            raise schemes.UplinkOverflowError(self.params)
+
+
+def _solve_threshold(f: _Eligible, cfg: SolveConfig, lo: float) -> tuple[float, float, bool]:
     cap = cfg.gain_cap
     xs = np.linspace(lo, cap, _COARSE_POINTS)
     coarse = f(xs)
@@ -107,6 +151,7 @@ def _solve_threshold(f, cfg: SolveConfig, lo: float) -> tuple[float, float, bool
         x, v = maximize_scalar(f, Interval(float(a), float(b)), _THRESHOLD_TOL)
         if v > best_v:
             best_x, best_v = float(x), float(v)
+    f.check(best_v)
     at_boundary = bool(cap - best_x <= max(cfg.grid_step, float(step)))
     return best_x, best_v, at_boundary
 
@@ -114,9 +159,9 @@ def _solve_threshold(f, cfg: SolveConfig, lo: float) -> tuple[float, float, bool
 def solve_ip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best transmit-below threshold g_u in (0, gain_cap]."""
     cfg = cfg or SolveConfig()
-    g_u, value, boundary = _solve_threshold(
-        lambda x: schemes.ip_throughput(x, params), cfg, _THRESHOLD_FLOOR
-    )
+    g_u, value, boundary = _solve_threshold(_Eligible(
+        lambda x: schemes.ip_throughput(x, params), lambda x: (0.0, x), params,
+    ), cfg, min(_THRESHOLD_FLOOR, 0.5 * cfg.gain_cap))
     policy = IPPolicy(g_u=g_u)
     return SolveResult(
         scheme="ip", policy=policy, throughput_bits=value,
@@ -127,9 +172,9 @@ def solve_ip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResul
 def solve_pi(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best transmit-above threshold g_l in [0, gain_cap]."""
     cfg = cfg or SolveConfig()
-    g_l, value, boundary = _solve_threshold(
-        lambda x: schemes.pi_throughput(x, params), cfg, 0.0
-    )
+    g_l, value, boundary = _solve_threshold(_Eligible(
+        lambda x: schemes.pi_throughput(x, params), lambda x: (x, math.inf), params,
+    ), cfg, 0.0)
     policy = PIPolicy(g_l=g_l)
     return SolveResult(
         scheme="pi", policy=policy, throughput_bits=value,
@@ -138,17 +183,23 @@ def solve_pi(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResul
 
 
 def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
-    """Exhaustive grid search over 0 <= g_l < g_u <= gain_cap.
+    """Best grid pair 0 <= g_l < g_u <= gain_cap, pruned by a throughput bound.
 
-    The search always scores the closed form (the only affordable objective
-    on ~1e6 grid points); spot-check the winner with
-    ``schemes.quad_throughput_oracle(*result.policy.band, result.ul_power, params)``.
+    Every pair gets the Jensen bound ``schemes.band_throughput_bound``; the
+    closed form is scored only where that bound reaches the best of the
+    64 best-bound pairs (see ``numerics.grid_argmax_2d``), about 2% of the
+    pairs at 10 dB, and the winner is the exhaustive search's. Spot-check it
+    with ``schemes.quad_throughput_oracle(*result.policy.band, result.ul_power, params)``.
     """
     cfg = cfg or SolveConfig()
-    (g_l, g_u), value = grid_argmax_2d(
-        lambda gl, gu: schemes.pip_throughput(gl, gu, params),
-        Interval(0.0, cfg.gain_cap), cfg.grid_step,
+    objective = _Eligible(
+        lambda gl, gu: schemes.pip_throughput(gl, gu, params), lambda gl, gu: (gl, gu), params,
     )
+    (g_l, g_u), value = grid_argmax_2d(
+        objective, Interval(0.0, cfg.gain_cap), cfg.grid_step,
+        bound=lambda gl, gu: schemes.band_throughput_bound(gl, gu, params),
+    )
+    objective.check(value)
     policy = PIPPolicy(g_l=g_l, g_u=g_u)
     return SolveResult(
         scheme="pip", policy=policy, throughput_bits=value,

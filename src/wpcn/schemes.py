@@ -327,19 +327,51 @@ def _rate_mass(gammabar, bound):
     )
 
 
+class UplinkOverflowError(ValueError):
+    """The uplink SNR of a band overflows a float (see ``band_eligible``)."""
+
+    def __init__(self, params: SystemParams):
+        super().__init__(
+            "uplink SNR band_ul_power gbar / sigma2 overflows on this band at "
+            f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
+
+
+def _band_gammabar(gl, gu, params: SystemParams):
+    """Expected uplink SNR gammabar = ``band_ul_power`` gbar / sigma2; inf or NaN on overflow."""
+    return band_ul_power(gl, gu, params) * params.gbar / params.sigma2
+
+
+def _fits(gammabar, gl, gu):
+    # gammabar g at the band's largest finite edge; inf * 0 is NaN, so an
+    # infinite gammabar fails at g_l = 0 too
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(gammabar * np.where(np.isinf(gu), gl, gu))
+
+
+def band_eligible(g_l, g_u, params: SystemParams):
+    """Where ``band_throughput`` can be evaluated on [g_l, g_u).
+
+    True where the uplink SNR gammabar g at the band's largest finite edge
+    fits a float; ``band_throughput`` raises ``UplinkOverflowError`` on any
+    other band.
+    """
+    gl = np.asarray(g_l, dtype=float)
+    gu = np.asarray(g_u, dtype=float)
+    return _fits(_band_gammabar(gl, gu, params), gl, gu)
+
+
 def band_throughput(g_l, g_u, params: SystemParams):
     """Ergodic bits/frame transmitting on [g_l, g_u) at ``band_ul_power``.
 
     The integral of log2(1 + gammabar g) e^{-g} over the band, in closed
-    form; g_u may be inf. Zero at a zero uplink power by continuity.
+    form; g_u may be inf. Zero at a zero uplink power by continuity. Raises
+    ``UplinkOverflowError`` unless every band is ``band_eligible``.
     """
     gl = np.asarray(g_l, dtype=float)
     gu = np.asarray(g_u, dtype=float)
-    gb = band_ul_power(gl, gu, params) * params.gbar / params.sigma2
-    if not np.all(np.isfinite(gb)):
-        raise ValueError(
-            "uplink SNR band_ul_power gbar / sigma2 overflows on this band at "
-            f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
+    gb = _band_gammabar(gl, gu, params)
+    if not np.all(_fits(gb, gl, gu)):
+        raise UplinkOverflowError(params)
     # Below ~1e-280 the throughput is zero to hundreds of digits and
     # 1/gammabar would lose the scaled-E1 argument to overflow.
     zero = gb <= 1e-280
@@ -351,6 +383,38 @@ def band_throughput(g_l, g_u, params: SystemParams):
         with np.errstate(invalid="ignore"):
             hi_mass = _zero_at_open_end(_rate_mass(safe, gu), open_end)
     out = np.where(zero, 0.0, (_rate_mass(safe, gl) - hi_mass) / LN2)
+    return float(out) if out.ndim == 0 else out
+
+
+def band_throughput_bound(g_l, g_u, params: SystemParams):
+    """Upper bound on ``band_throughput`` from Jensen's inequality, with no E1.
+
+    log2(1 + gammabar g) is concave in g, so its integral against e^{-g}
+    over the band is at most P log2(1 + gammabar m/P), where
+    P = e^{-g_l} - e^{-g_u} is the band's probability and
+    m = (g_l+1) e^{-g_l} - (g_u+1) e^{-g_u} its gain mass; g_u may be inf.
+    m/P is evaluated as the band's mean gain g_l + 1 - d/(e^d - 1),
+    d = g_u - g_l, which does not cancel on narrow bands.
+
+    On a band that is not ``band_eligible``, gammabar is replaced by its own
+    bound p_d gbar^2/(sigma2 P) (the harvested gain mass is at most
+    E[g] = 1) and the logarithm is taken in log space, so the bound stays
+    finite; it is 0 where P underflows to 0.
+    """
+    gl = np.asarray(g_l, dtype=float)
+    gu = np.asarray(g_u, dtype=float)
+    gb = _band_gammabar(gl, gu, params)
+    span = gu - gl
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tail = -np.expm1(-span)
+        prob = np.exp(-gl) * tail
+        mean = gl + 1.0 - _zero_at_open_end(span * np.exp(-span) / tail, np.isinf(gu))
+        out = prob * np.log1p(gb * mean) / LN2
+        overflow = ~_fits(gb, gl, gu)
+        if overflow.any():
+            log_snr = math.log(params.p_d) + 2.0 * math.log(params.gbar) - math.log(params.sigma2)
+            loose = prob * np.logaddexp(0.0, log_snr + np.log(mean) - np.log(prob)) / LN2
+            out = np.where(overflow, np.where(prob > 0.0, loose, 0.0), out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -409,7 +473,7 @@ def band_asymptotic_throughput(g_l, g_u, params: SystemParams):
     """
     gl = np.asarray(g_l, dtype=float)
     gu = np.asarray(g_u, dtype=float)
-    gb = band_ul_power(gl, gu, params) * params.gbar / params.sigma2
+    gb = _band_gammabar(gl, gu, params)
     if not np.all((gb > 0.0) & np.isfinite(gb)):
         raise ValueError("band_asymptotic_throughput requires a positive, finite uplink power")
     out = np.log2(gb) * np.exp(-gl) * -np.expm1(gl - gu)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,6 +147,15 @@ class TestOptimize:
         _, out2, _ = run_cli(capsys, "optimize", "--scheme", "ip", "--snr-db", "10",
                              "--grid-step", "0.1")
         assert out1 == out2
+
+    @pytest.mark.parametrize("scheme", ["ip", "pi", "pip"])
+    def test_wide_search_past_the_power_overflow(self, capsys, scheme):
+        # the grid reaches g = 1000, where e^g overflows; those bands are not
+        # eligible and the optimum near 1 is still reported
+        row = run_json(capsys, "optimize", "--scheme", scheme, "--snr-db", "10",
+                       "--gain-cap", "1000", "--grid-step", "1")
+        assert 1.0 < row["throughput_bits"] < 2.0
+        assert not row["at_boundary"]
 
     def test_high_snr_ip_beats_htt(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--scheme", "all", "--snr-db", "30",
@@ -401,3 +413,23 @@ class TestConfigFile:
                                "--snr-db", "0", "--config", "/nonexistent.json")
         assert code == 1
         assert err.strip()
+
+
+def test_commands_that_never_integrate_leave_scipy_integrate_unloaded(tmp_path):
+    # scipy.integrate costs about a quarter second and 26 MB to import;
+    # only the quadrature in numerics.integrate loads it, on first use
+    script = (
+        "import sys\n"
+        "import wpcn.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'import'\n"
+        "code = wpcn.cli.main(['simulate', '--scheme', 'ip', '--g-u', '1.6', '--snr-db', '10',\n"
+        "                      '--samples', '1000'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.integrate' not in sys.modules, 'simulate'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -285,10 +285,43 @@ class TestGridArgmax2D:
         assert coarse >= fine - 0.1**2  # one-cell resolution bound for unit curvature
 
     def test_constant_objective_picks_the_first_pair(self):
-        lo, step = 1.5, 0.125
-        point, v = grid_argmax_2d(lambda x, y: np.zeros_like(x), Interval(lo, 4.0), step)
-        assert point == (lo, lo + step)
-        assert v == 0.0
+        # 201 axis points: the tie spans several chunks of rows
+        lo, step = 1.5, 0.0125
+        for bound in (None, lambda x, y: np.ones_like(x)):
+            point, v = grid_argmax_2d(lambda x, y: np.zeros_like(x), Interval(lo, 4.0), step,
+                                      bound=bound)
+            assert point == (lo, lo + step)
+            assert v == 0.0
+
+    def test_bound_prunes_without_changing_the_answer(self):
+        # f <= bound everywhere; ties of f (x + y >= 4) keep the first pair
+        def f(x, y):
+            scored.append(x.size)
+            return np.minimum(x + y, 4.0) - (x - 1.0) ** 2
+
+        def bound(x, y):
+            return np.minimum(x + y, 4.0) - (x - 1.0) ** 2 + 0.25 * (y - x)
+
+        scored = []
+        exhaustive = grid_argmax_2d(f, Interval(0.0, 5.0), 0.05)
+        assert sum(scored) == 101 * 100 // 2
+        scored.clear()
+        assert grid_argmax_2d(f, Interval(0.0, 5.0), 0.05, bound=bound) == exhaustive
+        assert sum(scored) < 101 * 100 // 4
+
+    def test_nan_bound_never_prunes_its_pair(self):
+        # every other bound sits far below the seed value, so only the pair
+        # with a NaN bound survives the pruning and it holds the maximum
+        def f(x, y):
+            return -(x - 1.0) ** 2 - (y - 2.0) ** 2
+
+        def bound(x, y):
+            return np.where((np.abs(x - 1.0) < 1e-9) & (np.abs(y - 2.0) < 1e-9),
+                            math.nan, -1e9)
+
+        (x, y), v = grid_argmax_2d(f, Interval(0.0, 5.0), 0.1, bound=bound)
+        assert (x, y) == (pytest.approx(1.0, abs=1e-12), pytest.approx(2.0, abs=1e-12))
+        assert v == pytest.approx(0.0, abs=1e-24)
 
     def test_empty_feasible_grid(self):
         # an axis of fewer than 2 points holds no pair x < y

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wpcn import optimize, schemes
+from wpcn import numerics, optimize, schemes
 from wpcn.optimize import SolveConfig, solve_htt, solve_ip, solve_pi, solve_pip, sweep
 from wpcn.schemes import SystemParams
 
@@ -133,6 +135,90 @@ class TestPipSolver:
         assert (res.policy.g_l, res.policy.g_u) == (0.0, 0.04)
         assert res.throughput_bits == schemes.pip_throughput(0.0, 0.04, params)
         assert res.at_boundary
+
+
+def _exhaustive_pip(params, cfg):
+    """Brute-force reference: score every grid pair at once, first maximum wins."""
+    xs = numerics._grid_axis(0.0, cfg.gain_cap, cfg.grid_step)
+    rows, cols = np.triu_indices(xs.size, k=1)
+    vals = schemes.pip_throughput(xs[rows], xs[cols], params)
+    k = int(np.argmax(vals))
+    return float(xs[rows[k]]), float(xs[cols[k]]), float(vals[k])
+
+
+def _record_sizes(monkeypatch, name):
+    """Rebind schemes.<name> to a wrapper that records the pairs of each call."""
+    sizes = []
+    real = getattr(schemes, name)
+
+    def counting(gl, gu, params):
+        sizes.append(int(np.size(gl)))
+        return real(gl, gu, params)
+
+    monkeypatch.setattr(schemes, name, counting)
+    return sizes
+
+
+class TestPrunedPipSearch:
+    @given(snr_db=st.floats(min_value=-60.0, max_value=90.0),
+           grid_step=st.floats(min_value=0.05, max_value=0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_exhaustive_search_bit_for_bit(self, snr_db, grid_step):
+        params = SystemParams.from_snr_db(snr_db)
+        cfg = SolveConfig(grid_step=grid_step)
+        res = solve_pip(params, cfg)
+        assert (res.policy.g_l, res.policy.g_u, res.throughput_bits) == \
+            _exhaustive_pip(params, cfg)
+
+    def test_scores_at_most_two_percent_of_the_pairs(self, monkeypatch):
+        # the default grid at 10 dB holds 1001 * 1000 / 2 = 500,500 pairs
+        scored = _record_sizes(monkeypatch, "pip_throughput")
+        solve_pip(SystemParams.from_snr_db(10.0))
+        assert 0 < sum(scored) <= 0.02 * 500_500
+
+    def test_no_call_sees_more_than_one_chunk(self, monkeypatch):
+        # 2001 axis points, 2,001,000 pairs: each call of the objective or
+        # the bound gets at most one chunk of rows of the pair triangle
+        cfg = SolveConfig(grid_step=0.005)
+        chunk = numerics._GRID_CHUNK_ROWS * 2000
+        scored = _record_sizes(monkeypatch, "pip_throughput")
+        bounded = _record_sizes(monkeypatch, "band_throughput_bound")
+        solve_pip(SystemParams.from_snr_db(10.0), cfg)
+        assert sum(bounded) >= 2_001_000
+        assert max(scored) <= chunk and max(bounded) <= chunk
+
+
+class TestWideSearches:
+    @given(gain_cap=st.floats(min_value=1e-12, max_value=1e3),
+           points=st.floats(min_value=1.0, max_value=1e3, exclude_min=True))
+    @settings(max_examples=30, deadline=None)
+    def test_threshold_solvers_answer(self, gain_cap, points):
+        # a band whose power overflows (g_l past ~709) is not eligible and
+        # does not fail the solve; the optimum near 1 is found
+        cfg = SolveConfig(gain_cap=gain_cap, grid_step=gain_cap / points)
+        params = SystemParams.from_snr_db(10.0)
+        for solver in (solve_ip, solve_pi, solve_pip):
+            res = solver(params, cfg)
+            assert math.isfinite(res.throughput_bits) and math.isfinite(res.ul_power)
+
+    def test_wide_cap_keeps_the_narrow_optimum(self):
+        params = SystemParams.from_snr_db(10.0)
+        wide = SolveConfig(gain_cap=1000.0, grid_step=1.0)
+        for solver in (solve_ip, solve_pi):
+            assert solver(params, wide).throughput_bits == \
+                pytest.approx(solver(params, FAST).throughput_bits, abs=1e-9)
+
+    def test_overflow_fails_only_where_it_might_win(self):
+        # at p_d = 1e308 every IP band past g_u ~ 0.8 overflows, and such a
+        # band could carry more than the few eligible ones (so could the PIP
+        # bands next to them); PI overflows only past g_l ~ 1.1, whose bands
+        # carry too little to win
+        params = SystemParams(p_d=1e308)
+        for solver in (solve_ip, solve_pip):
+            with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
+                solver(params, FAST)
+        res = solve_pi(params, FAST)
+        assert res.policy.g_l < 1.0 and math.isfinite(res.throughput_bits)
 
 
 class TestHttSolver:

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wpcn import channel, schemes, sim
 from wpcn.numerics import OPEN_END, integrate
@@ -351,6 +353,52 @@ class TestThroughputs:
     def test_oracle_degenerate_cases(self):
         assert schemes.quad_throughput_oracle(1.0, 1.0, 5.0, P10) == 0.0
         assert schemes.quad_throughput_oracle(0.0, OPEN_END, 0.0, P10) == 0.0
+
+
+class TestThroughputBound:
+    @given(snr_db=st.floats(min_value=-60.0, max_value=90.0),
+           g_l=st.floats(min_value=0.0, max_value=10.0),
+           g_u=st.floats(min_value=0.0, max_value=10.0))
+    @settings(max_examples=200)
+    def test_bounds_the_closed_form(self, snr_db, g_l, g_u):
+        # Jensen's inequality; the 1e-12 covers the closed form's own
+        # cancellation on bands a few ulps wide (up to ~2e-14 bits seen)
+        assume(g_l < g_u)
+        params = SystemParams.from_snr_db(snr_db)
+        assume(schemes.band_eligible(g_l, g_u, params))  # else band_throughput raises
+        assert schemes.band_throughput_bound(g_l, g_u, params) >= \
+            schemes.band_throughput(g_l, g_u, params) - 1e-12
+
+    def test_open_band_and_shape(self):
+        g = np.array([0.0, 0.5, 2.0, 6.0])
+        bound = schemes.band_throughput_bound(g, OPEN_END, P10)
+        assert bound.shape == (4,) and bound[0] == 0.0  # g_l = 0: no harvest, no power
+        assert np.all(bound[1:] > schemes.pi_throughput(g[1:], P10))
+        assert type(schemes.band_throughput_bound(0.5, 2.0, P10)) is float
+
+    def test_finite_where_the_power_overflows(self):
+        # g_l past ~709: e^{g_l} overflows; the bound falls back to
+        # p_d gbar/(sigma2 P) for gammabar and stays tiny, as the band is
+        g_l = np.array([650.0, 708.0, 720.0, 800.0])
+        assert list(schemes.band_eligible(g_l, OPEN_END, P10)) == [True, False, False, False]
+        bound = schemes.band_throughput_bound(g_l, OPEN_END, P10)
+        assert np.all(np.isfinite(bound)) and np.all(bound >= 0.0) and np.all(bound < 1e-270)
+        with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
+            schemes.pi_throughput(g_l, P10)
+        assert schemes.pi_throughput(g_l[:1], P10)[0] <= bound[0]
+
+    def test_overflow_fallback_stays_above_the_jensen_bound(self):
+        # gammabar = p_d gbar^2 H/(sigma2 P) overflows here; the fallback
+        # replaces the harvested mass H by 1 and must stay above the bound
+        # P log2(1 + gammabar m/P) evaluated in 30 digits
+        params = SystemParams(p_d=1e300, gbar=1e5, sigma2=1.0)
+        assert not schemes.band_eligible(0.0, 0.5, params)
+        with mpmath.workdps(30):
+            prob = 1 - mpmath.exp(-0.5)
+            mass = 1 - 1.5 * mpmath.exp(-0.5)
+            gammabar = mpmath.mpf(1e300) * mpmath.mpf(1e5) ** 2 * (1 - mass) / prob
+            jensen = prob * mpmath.log(1 + gammabar * mass / prob, 2)
+        assert schemes.band_throughput_bound(0.0, 0.5, params) >= float(jensen)
 
 
 class TestReductionIdentities:
