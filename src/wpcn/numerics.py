@@ -10,12 +10,16 @@ for the threshold searches: derivative bisection on an interval and a
 bound-pruned search over the pairs x < y of a grid.
 
 E1 and W0 come from ``scipy.special`` (``exp1`` and ``lambertw``). Two
-pieces stay local: the asymptotic tail of the scaled form e^x E1(x) above
-x = 600, where e^x overflows, and its float path, a power series and a
-continued fraction whose exact rounding the threshold solvers depend on.
+pieces of E1 stay local: the asymptotic tail of the scaled form e^x E1(x)
+above x = 600, where e^x overflows, and its float path, a power series and
+a continued fraction whose exact rounding the threshold solvers depend on.
 W0 is clamped to -1 at the branch point, where ``lambertw`` returns NaN.
 
 The special functions accept floats or numpy arrays and preserve shape.
+``exp_scaled_e1`` and ``lambert_w0`` give a float its own path, since the
+scalar solvers and the HTT quadrature call them one float at a time; W0's
+float path calls ``lambertw`` on the float and matches the array path bit
+for bit.
 Everything is pure; there is no shared state.
 """
 from __future__ import annotations
@@ -199,6 +203,7 @@ def e1_asymptotic(x):
 # ---------------------------------------------------------------------------
 
 _NEG_INV_E = -math.exp(-1.0)
+_W0_DOMAIN = f"lambert_w0 requires x >= -1/e ~ {_NEG_INV_E:.17g}"
 
 
 def lambert_w0(x):
@@ -207,11 +212,20 @@ def lambert_w0(x):
     Defined for x >= -1/e (inputs up to 1e-15 below it are accepted);
     evaluated by ``scipy.special.lambertw(x).real``. The float -exp(-1.0)
     lies 1.2e-17 below the true -1/e and ``lambertw`` returns NaN there, so
-    every input at or below it returns exactly -1.
+    every input at or below it returns exactly -1. A float takes a float
+    path with the same checks and the same result.
     """
+    if isinstance(x, float):
+        # The HTT quadrature reaches this one float per node; a float skips
+        # the array round trip and gives the bits of the array path.
+        if math.isnan(x):
+            raise ValueError("x contains NaN")
+        if x < _NEG_INV_E - 1e-15:
+            raise ValueError(_W0_DOMAIN)
+        return -1.0 if x <= _NEG_INV_E else float(lambertw(x).real)
     arr, scalar = _as_array(x, "x")
     if np.any(arr < _NEG_INV_E - 1e-15):
-        raise ValueError(f"lambert_w0 requires x >= -1/e ~ {_NEG_INV_E:.17g}")
+        raise ValueError(_W0_DOMAIN)
     return _scalar_or_array(np.where(arr <= _NEG_INV_E, -1.0, lambertw(arr).real), scalar)
 
 

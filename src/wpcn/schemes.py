@@ -160,21 +160,39 @@ class SchemeEvaluation:
 # HTT
 # ---------------------------------------------------------------------------
 
+def _frame_snr_scale(params: SystemParams) -> float:
+    """p_d gbar^2 as a float; inf where it overflows, which the frame SNR rejects."""
+    # np.float64, since Python's gbar**2 raises OverflowError
+    with np.errstate(over="ignore"):
+        return float(params.p_d * np.float64(params.gbar) ** 2)
+
+
+def _frame_snr_overflow(params: SystemParams) -> ValueError:
+    return ValueError(
+        "frame SNR p_d gbar^2 g^2 / sigma2 overflows at "
+        f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
+
+
 def htt_instant_snr(g, params: SystemParams):
     """Per-frame SNR p_d gbar^2 g^2 / sigma^2 at normalized gain g."""
     arr = np.asarray(g, dtype=float)
     if np.any(arr < 0.0) or np.isnan(arr).any():
         raise ValueError("gain must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        # np.float64, since Python's gbar**2 raises OverflowError; the scale
-        # goes back to a float so numpy still reuses the array temporaries
-        scale = float(params.p_d * np.float64(params.gbar) ** 2)
-        out = scale * np.square(arr) / params.sigma2
+        # the scale is a float, so numpy still reuses the array temporaries
+        out = _frame_snr_scale(params) * np.square(arr) / params.sigma2
     if not np.all(np.isfinite(out)):
-        raise ValueError(
-            "frame SNR p_d gbar^2 g^2 / sigma2 overflows at "
-            f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
+        raise _frame_snr_overflow(params)
     return float(out) if arr.ndim == 0 else out
+
+
+def _split_rate(gamma, tau):
+    """(1 - tau) log2(1 + gamma tau/(1 - tau)) for tau < 1, on floats or arrays.
+
+    ``np.log1p`` on a float too: ``math.log1p`` differs from it by an ulp
+    at some headline points.
+    """
+    return (1.0 - tau) * np.log1p(gamma * tau / (1.0 - tau)) / LN2
 
 
 def htt_instant_rate(g, tau, params: SystemParams):
@@ -184,12 +202,13 @@ def htt_instant_rate(g, tau, params: SystemParams):
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0) or np.isnan(t_arr).any():
         raise ValueError("tau must lie in [0, 1]")
     gamma = htt_instant_snr(g_arr, params)
-    full = t_arr == 1.0
-    safe_t = np.where(full, 0.0, t_arr)
-    rate = (1.0 - safe_t) * np.log1p(gamma * safe_t / (1.0 - safe_t)) / LN2
-    out = np.where(full, 0.0, rate)
+    # a zero split gives exactly the zero rate of a whole-frame harvest
+    out = _split_rate(gamma, np.where(t_arr == 1.0, 0.0, t_arr))
     scalar = g_arr.ndim == 0 and t_arr.ndim == 0
     return float(out) if scalar else out
+
+
+_TAU_MAX = 1.0 - 1e-16  # the split stays below 1, so 1 - tau never divides by 0
 
 
 def htt_optimal_tau(gamma):
@@ -212,40 +231,85 @@ def htt_optimal_tau(gamma):
     # small-gamma asymptote 1 - sqrt(gamma/2) there
     tau = np.where(denom == 0.0, 1.0 - np.sqrt(arr / 2.0), tau)
     tau = np.where(np.abs(arr - 1.0) < 1e-9, _TAU_AT_UNIT_SNR, tau)
-    tau = np.clip(tau, 0.0, 1.0 - 1e-16)
+    tau = np.clip(tau, 0.0, _TAU_MAX)
     return float(tau[0]) if scalar else tau
 
 
-def htt_tau(g, params: SystemParams):
-    """Per-frame optimal split at normalized gain g.
+def _htt_frame_float(g: float, params: SystemParams) -> tuple[float, float, float]:
+    # the steps of htt_instant_snr and htt_optimal_tau on one float, with
+    # their checks and their bits; W0 runs at every frame, as on the array path
+    if not g >= 0.0:
+        raise ValueError("gain must be >= 0")
+    gamma = _frame_snr_scale(params) * (g * g) / params.sigma2
+    if not math.isfinite(gamma):
+        raise _frame_snr_overflow(params)
+    if gamma == 0.0:
+        return 1.0, 0.0, 0.0
+    w = lambert_w0((gamma - 1.0) / math.e)
+    denom = (w + 1.0) * (gamma - 1.0)
+    if abs(gamma - 1.0) < 1e-9:
+        tau = _TAU_AT_UNIT_SNR
+    elif denom == 0.0:
+        tau = 1.0 - math.sqrt(gamma / 2.0)
+    else:
+        tau = (gamma - 1.0 - w) / denom
+    tau = min(max(0.0, tau), _TAU_MAX)  # as np.clip, which gives 0.0 for -0.0
+    power = tau / (1.0 - tau) * params.p_d * params.gbar * g
+    return tau, float(_split_rate(gamma, tau)), power
 
-    ``htt_optimal_tau`` of the frame SNR ``htt_instant_snr(g)``, and 1 (harvest
-    the whole frame) where that SNR is 0: at g = 0, or where g^2 underflows.
+
+def htt_frame(g, params: SystemParams):
+    """Split, rate (bits) and uplink power (W) of HTT frames at normalized gain g.
+
+    Computes the frame SNR gamma = ``htt_instant_snr(g)`` once. The split is
+    ``htt_optimal_tau(gamma)``, or 1 (harvest the whole frame) where gamma
+    is 0: at g = 0, or where g^2 underflows. The rate is
+    (1 - tau) log2(1 + gamma tau/(1 - tau)) and the power, the harvested
+    energy spent over the rest of the frame, tau/(1 - tau) p_d gbar g; both
+    are 0 where tau = 1. Returns the tuple (tau, rate, power).
+
+    Two paths with the same checks and the same bits: a float (or any
+    0-d input) gives floats, one call per node of the HTT quadrature; an
+    array gives arrays of its shape, as for the HTT frames of
+    ``sim.run_policy_trace``.
     """
-    gamma = np.atleast_1d(htt_instant_snr(g, params))
+    if isinstance(g, float) or np.ndim(g) == 0:
+        return _htt_frame_float(float(g), params)
+    g_arr = np.asarray(g, dtype=float)
+    gamma = htt_instant_snr(g_arr, params)
     tau = np.ones_like(gamma)
     live = gamma > 0.0
     if live.any():
         tau[live] = htt_optimal_tau(gamma[live])
-    return tau if np.ndim(g) else float(tau[0])
+    split = np.where(live, tau, 0.0)  # a zero split: rate and power are exactly 0
+    power = split / (1.0 - split) * params.p_d * params.gbar * g_arr
+    return tau, _split_rate(gamma, split), power
+
+
+def htt_tau(g, params: SystemParams):
+    """Per-frame optimal split at normalized gain g: the split of ``htt_frame``.
+
+    ``htt_optimal_tau`` of the frame SNR ``htt_instant_snr(g)``, and 1 (harvest
+    the whole frame) where that SNR is 0: at g = 0, or where g^2 underflows.
+    """
+    return htt_frame(g, params)[0]
 
 
 def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:
     """Fading-averaged rate, uplink power and mean split of HTT, in one pass.
 
-    One quadrature integrates [rate, power, tau] e^{-g}, calling ``htt_tau``
-    once per node. The frame power tau/(1-tau) p_d gbar g (0 where tau = 1)
-    is integrated in units of max(1, p_d gbar) W: quad_vec's rounding
-    estimate grows with the integral, and thousands of watts (above 38 dB)
-    would fail the absolute gate of ``integrate``. Monte-Carlo counterpart:
+    One quadrature integrates [rate, power, tau] e^{-g}, calling the float
+    path of ``htt_frame`` once per node. The frame power is integrated in
+    units of max(1, p_d gbar) W: quad_vec's rounding estimate grows with the
+    integral, and thousands of watts (above 38 dB) would fail the absolute
+    gate of ``integrate``. Monte-Carlo counterpart:
     ``sim.mc_throughput(HTTPolicy(), ...)``.
     """
     unit = max(1.0, params.p_d * params.gbar)
 
     def frame(g: float) -> np.ndarray:
-        tau = htt_tau(g, params)
-        power = 0.0 if tau == 1.0 else tau / (1.0 - tau) * params.p_d * params.gbar * g / unit
-        return np.array([htt_instant_rate(g, tau, params), power, tau]) * math.exp(-g)
+        tau, rate, power = htt_frame(g, params)
+        return np.array([rate, power / unit, tau]) * math.exp(-g)
 
     integral = integrate(frame, 0.0, OPEN_END) * [1.0, unit, 1.0]
     rate_bits, mean_pu, tau_mean = integral.tolist()
@@ -364,7 +428,8 @@ def band_throughput(g_l, g_u, params: SystemParams):
     """Ergodic bits/frame transmitting on [g_l, g_u) at ``band_ul_power``.
 
     The integral of log2(1 + gammabar g) e^{-g} over the band, in closed
-    form; g_u may be inf. Zero at a zero uplink power by continuity. Raises
+    form; g_u may be inf. Zero at a zero uplink power by continuity, and
+    never below zero, though the closed form may cancel there. Raises
     ``UplinkOverflowError`` unless every band is ``band_eligible``.
     """
     gl = np.asarray(g_l, dtype=float)
@@ -382,7 +447,10 @@ def band_throughput(g_l, g_u, params: SystemParams):
     else:
         with np.errstate(invalid="ignore"):
             hi_mass = _zero_at_open_end(_rate_mass(safe, gu), open_end)
-    out = np.where(zero, 0.0, (_rate_mass(safe, gl) - hi_mass) / LN2)
+    mass = _rate_mass(safe, gl) - hi_mass
+    # the integrand is non-negative; on a band a few ulps wide the difference
+    # of the two masses can cancel to just below 0
+    out = np.where(zero | (mass < 0.0), 0.0, mass / LN2)
     return float(out) if out.ndim == 0 else out
 
 

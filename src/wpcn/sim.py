@@ -62,15 +62,6 @@ class McEstimate:
     std_error: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    closed_form_bits: float
-    noncausal_mean: float
-    noncausal_std_error: float
-    causal_mean: float
-    rel_gap: float
-
-
 def mc_throughput(policy: Policy, params: SystemParams, n: int, seed: int) -> McEstimate:
     """Sample-mean throughput over n seeded gain draws, with standard error.
 
@@ -110,10 +101,9 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         raise ValueError(f"full-frame harvest p_d gbar g overflows at p_d={params.p_d}")
 
     if isinstance(policy, HTTPolicy):
-        tau = schemes.htt_tau(g, params)
+        tau, rate, _ = schemes.htt_frame(g, params)
         harvested = tau * harvest_full
         consumed = harvested.copy()  # per-frame balance, exact by construction
-        rate = schemes.htt_instant_rate(g, tau, params)
         mode = np.full(n_frames, _SPLIT, dtype=np.int8)
     else:
         pu = schemes.evaluate_policy(policy, params).ul_power
@@ -159,20 +149,3 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
     )
     return trace, summary
 
-
-def trace_throughput_convergence(policy: Policy, params: SystemParams,
-                                 n_frames: int, seed: int) -> ConvergenceReport:
-    """Compare trace throughput (both modes, shared draws) to the closed form."""
-    if n_frames < 10_000:
-        raise ValueError("convergence check needs n_frames >= 1e4")
-    closed = schemes.evaluate_policy(policy, params).throughput_bits
-    free = mc_throughput(policy, params, n_frames, seed)
-    _, capped = run_policy_trace(policy, params, n_frames, seed, causal=True)
-    gap = (free.mean - closed) / closed if closed > 0.0 else 0.0
-    return ConvergenceReport(
-        closed_form_bits=closed,
-        noncausal_mean=free.mean,
-        noncausal_std_error=free.std_error,
-        causal_mean=capped.mean_rate_bits,
-        rel_gap=gap,
-    )

@@ -145,8 +145,28 @@ class TestLambertW:
         assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            lambert_w0(-0.4)
+        for x in (-0.4, np.array([-0.4])):
+            with pytest.raises(ValueError, match="-1/e"):
+                lambert_w0(x)
+        for x in (math.nan, np.array([math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                lambert_w0(x)
+
+    @given(st.one_of(
+        st.floats(min_value=-math.exp(-1.0) - 1e-15, max_value=1e300),
+        st.floats(min_value=-math.exp(-1.0) - 1e-15, max_value=-0.3678794411),
+        st.sampled_from([-math.exp(-1.0), -math.exp(-1.0) - 1e-15, 0.0, -0.0, 1.0]),
+    ))
+    @settings(max_examples=300)
+    def test_float_path_matches_the_array_path(self, x):
+        # bit for bit, the sign of zero and the clamp to -1 included
+        w = lambert_w0(float(x))
+        assert type(w) is float
+        assert repr(w) == repr(float(lambert_w0(np.array([x]))[0]))
+
+    def test_float_path_clamps_at_the_rounded_branch_point(self):
+        for x in (-math.exp(-1.0), np.nextafter(-math.exp(-1.0), -1.0), -math.exp(-1.0) - 1e-15):
+            assert lambert_w0(float(x)) == -1.0
 
 
 class TestIntegrate:

@@ -188,6 +188,14 @@ class TestPrunedPipSearch:
         assert max(scored) <= chunk and max(bounded) <= chunk
 
 
+class TestTinyGrid:
+    def test_throughput_never_negative_on_a_band_a_few_ulps_wide(self):
+        # the closed form cancelled to -2.56e-15 bits on this band
+        res = solve_pip(SystemParams.from_snr_db(-60.0),
+                        SolveConfig(gain_cap=1e-12, grid_step=1e-12 / 1.5))
+        assert res.throughput_bits >= 0.0
+
+
 class TestWideSearches:
     @given(gain_cap=st.floats(min_value=1e-12, max_value=1e3),
            points=st.floats(min_value=1.0, max_value=1e3, exclude_min=True))

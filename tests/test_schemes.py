@@ -170,6 +170,95 @@ class TestHttTau:
             schemes.htt_tau(-0.1, P10)
 
 
+@st.composite
+def _frame_case(draw):
+    """(g, snr_db), snr_db in -60..90, with g aimed at each branch of the split."""
+    snr_db = draw(st.floats(min_value=-60.0, max_value=90.0))
+    rho = SystemParams.from_snr_db(snr_db).dl_snr  # gamma = rho g^2 at gbar = sigma2 = 1
+    kind = draw(st.sampled_from(["zero", "underflow", "unit", "tiny", "any"]))
+    if kind == "zero":
+        g = 0.0
+    elif kind == "underflow":  # g^2 rounds to 0: the whole frame harvests
+        g = draw(st.floats(min_value=0.0, max_value=1e-163))
+    elif kind == "unit":  # gamma within about 1e-9 of 1: the limit 1 - 1/e
+        g = math.sqrt(1.0 / rho) * (1.0 + draw(st.floats(min_value=-1e-9, max_value=1e-9)))
+    elif kind == "tiny":  # gamma below 1e-32: the asymptote 1 - sqrt(gamma/2)
+        g = math.sqrt(10.0 ** draw(st.floats(min_value=-300.0, max_value=-32.0)) / rho)
+    else:
+        g = draw(st.floats(min_value=0.0, max_value=50.0))
+    return g, snr_db
+
+
+class TestHttFrame:
+    @given(case=_frame_case())
+    @settings(max_examples=300, deadline=None)
+    def test_float_and_array_paths_agree_bitwise(self, case):
+        # nine copies: numpy's vector loops run a full block and a tail
+        g, snr_db = case
+        params = SystemParams.from_snr_db(snr_db)
+        one = schemes.htt_frame(g, params)
+        many = schemes.htt_frame(np.full(9, g), params)
+        for x, column in zip(one, many):
+            assert type(x) is float
+            assert {repr(float(c)) for c in column} == {repr(x)}
+
+    def test_each_branch_of_the_split(self):
+        p = SystemParams(p_d=1.0)  # gamma = g^2
+        assert schemes.htt_frame(0.0, p) == (1.0, 0.0, 0.0)
+        assert schemes.htt_frame(1e-200, p) == (1.0, 0.0, 0.0)
+        assert schemes.htt_frame(1.0, p)[0] == schemes._TAU_AT_UNIT_SNR
+        # 1 - sqrt(gamma/2) rounds above the clip below 1
+        small = min(1.0 - math.sqrt(1e-40 / 2.0), schemes._TAU_MAX)
+        assert schemes.htt_frame(1e-20, p)[0] == small
+        tau, rate, power = schemes.htt_frame(3.0, p)
+        assert tau == schemes.htt_optimal_tau(9.0)
+        assert rate == schemes.htt_instant_rate(3.0, tau, p)
+        assert power == tau / (1.0 - tau) * 3.0
+
+    def test_rate_is_the_instant_rate_of_the_split(self):
+        g = np.array([0.0, 1e-200, 1e-20, 0.3, 1.0, 7.0])
+        tau, rate, _ = schemes.htt_frame(g, P10)
+        assert np.array_equal(schemes.htt_instant_rate(g, tau, P10), rate)
+
+    @pytest.mark.parametrize("g", [-0.1, math.nan])
+    def test_rejects_a_negative_or_nan_gain_on_both_paths(self, g):
+        for gain in (g, np.array([0.5, g])):
+            with pytest.raises(ValueError, match="gain must be >= 0"):
+                schemes.htt_frame(gain, P10)
+
+    @pytest.mark.parametrize("g", [2.0, 0.0])
+    def test_frame_snr_overflow_raises_the_same_message(self, g):
+        # p_d gbar^2 overflows to inf, and inf * 0 is NaN at g = 0
+        params = SystemParams(p_d=1e308, gbar=4.0)
+        with pytest.raises(ValueError) as one:
+            schemes.htt_frame(g, params)
+        with pytest.raises(ValueError) as many:
+            schemes.htt_frame(np.array([g]), params)
+        assert str(one.value) == str(many.value)
+        assert "frame SNR" in str(one.value) and "p_d" in str(one.value)
+
+    def test_quadrature_node_count_at_ten_db(self, monkeypatch):
+        # a count gate, not a timing: quad_vec calls the integrand once per
+        # node, and each node with a nonzero frame SNR calls W0 once
+        import scipy.integrate
+
+        nodes, w_calls = [], []
+        real_quad, real_w0 = scipy.integrate.quad_vec, schemes.lambert_w0
+
+        def counting_quad(f, *args, **kwargs):
+            return real_quad(lambda x: nodes.append(x) or f(x), *args, **kwargs)
+
+        def counting_w0(x):
+            w_calls.append(x)
+            return real_w0(x)
+
+        monkeypatch.setattr(scipy.integrate, "quad_vec", counting_quad)
+        monkeypatch.setattr(schemes, "lambert_w0", counting_w0)
+        schemes.htt_ergodic_throughput(P10)
+        assert 0 < len(nodes) <= 273
+        assert len(w_calls) == len(nodes)
+
+
 def _htt_reference(snr_db):
     """mpmath quadrature of HTT's rate, power and mean split at gbar = sigma2 = 1.
 
@@ -202,8 +291,8 @@ def _htt_reference(snr_db):
 
 class TestHttErgodic:
     # measured relative errors: at most 2e-15 for rate and tau, 1e-12 for
-    # the power at -20 dB; at most 5e-16 for all three at 60 and 90 dB
-    @pytest.mark.parametrize("snr_db", [-20.0, 0.0, 10.0, 30.0, 60.0, 90.0])
+    # the power at -20 dB; at most 5e-16 for all three from 20 to 90 dB
+    @pytest.mark.parametrize("snr_db", [-20.0, 0.0, 10.0, 20.0, 30.0, 45.0, 60.0, 75.0, 90.0])
     def test_one_pass_matches_mpmath(self, snr_db):
         rate, power, tau = _htt_reference(snr_db)
         ev = schemes.htt_ergodic_throughput(SystemParams.from_snr_db(snr_db))
@@ -211,6 +300,23 @@ class TestHttErgodic:
         assert ev.ul_power == pytest.approx(power, rel=1e-11)
         assert ev.tau_mean == pytest.approx(tau, rel=1e-13)
         assert ev.expected_ul_snr_gammabar == ev.ul_power
+
+    # At low SNR the power (1.4 mW at -60 dB, 14 mW at -40 dB) is only as
+    # good as quad_vec's absolute tolerance: errors of 1-2e-12 W, which are
+    # 1.4e-9 relative at -60 dB, 5e-11 at -50 dB and 8.4e-11 at -40 dB. So
+    # the power is held to the 1e-10 absolute error gate of ``integrate``,
+    # and so is the mean split at -60 and -50 dB (1.1e-13 relative at
+    # -60 dB). The rate meets 1e-13 relative throughout (at most 3.4e-15).
+    @pytest.mark.parametrize("snr_db, tau_rel", [(-60.0, None), (-50.0, None), (-40.0, 1e-13)])
+    def test_low_snr_meets_the_absolute_gate(self, snr_db, tau_rel):
+        rate, power, tau = _htt_reference(snr_db)
+        ev = schemes.htt_ergodic_throughput(SystemParams.from_snr_db(snr_db))
+        assert ev.throughput_bits == pytest.approx(rate, rel=1e-13)
+        assert abs(ev.ul_power - power) <= 1e-10
+        if tau_rel is None:
+            assert abs(ev.tau_mean - tau) <= 1e-10
+        else:
+            assert ev.tau_mean == pytest.approx(tau, rel=tau_rel)
 
     # a power of thousands of watts, which the separate integrals also met
     # the gate on; measured relative errors at most 9e-16
@@ -353,6 +459,22 @@ class TestThroughputs:
     def test_oracle_degenerate_cases(self):
         assert schemes.quad_throughput_oracle(1.0, 1.0, 5.0, P10) == 0.0
         assert schemes.quad_throughput_oracle(0.0, OPEN_END, 0.0, P10) == 0.0
+
+
+class TestNarrowBands:
+    @given(snr_db=st.floats(min_value=-60.0, max_value=90.0),
+           g_l=st.floats(min_value=0.0, max_value=10.0),
+           width=st.floats(min_value=-16.0, max_value=-9.0))
+    @settings(max_examples=200)
+    def test_throughput_never_negative(self, snr_db, g_l, width):
+        # the two rate masses cancel on a band this narrow
+        g_u = g_l + 10.0 ** width * max(1.0, g_l)
+        assume(g_l < g_u)
+        params = SystemParams.from_snr_db(snr_db)
+        assume(schemes.band_eligible(g_l, g_u, params))
+        assert schemes.band_throughput(g_l, g_u, params) >= 0.0
+        pair = schemes.band_throughput(np.array([g_l, 0.0]), np.array([g_u, 1.0]), params)
+        assert np.all(pair >= 0.0)
 
 
 class TestThroughputBound:
