@@ -7,7 +7,8 @@ branch), one adaptive quadrature routine (``integrate``, on
 integrands, so one pass can integrate several quantities on shared nodes)
 that is the ground-truth oracle for every closed form, and the maximizers
 for the threshold searches: derivative bisection on an interval and a
-bound-pruned search over the pairs x < y of a grid.
+search over the pairs x < y of a grid, walked once by rows, that drops a
+row by its row bound and scores a pair only where its bound can still win.
 
 E1 and W0 come from ``scipy.special`` (``exp1`` and ``lambertw``). Two
 pieces of E1 stay local: the asymptotic tail of the scaled form e^x E1(x)
@@ -16,10 +17,10 @@ a continued fraction whose exact rounding the threshold solvers depend on.
 W0 is clamped to -1 at the branch point, where ``lambertw`` returns NaN.
 
 The special functions accept floats or numpy arrays and preserve shape.
-``exp_scaled_e1`` and ``lambert_w0`` give a float its own path, since the
-scalar solvers and the HTT quadrature call them one float at a time; W0's
-float path calls ``lambertw`` on the float and matches the array path bit
-for bit.
+``exp_scaled_e1`` and ``lambert_w0`` give a float its own entry, with no
+array round trip, since the scalar solvers and the HTT quadrature call them
+one float at a time; W0's float path calls ``lambertw`` on the float and
+matches the array path bit for bit.
 Everything is pure; there is no shared state.
 """
 from __future__ import annotations
@@ -140,6 +141,17 @@ def _e1_tail_scaled(x: np.ndarray) -> np.ndarray:
     return total * inv
 
 
+def _exp_scaled_e1_float(x: float) -> float:
+    # The IP and PI solvers bisect on the sign of a 1e-7 finite difference
+    # of their throughput, which reaches this path one float at a time.
+    # An ulp-level change here moves their printed thresholds in the 8th
+    # digit (exp1 in its place changes six cells of the 0-30 dB sweep
+    # CSV), so the float path keeps its own series and continued fraction.
+    if x <= 1.0:
+        return math.exp(x) * _e1_series_scalar(x)
+    return _e1_cf_scaled_scalar(x)
+
+
 def exp_integral_e1(x):
     """Exponential integral E1(x) = integral_x^inf e^{-t}/t dt, for x > 0.
 
@@ -159,22 +171,20 @@ def exp_scaled_e1(x):
     evaluating the scaled form avoids overflow of the bare exponential.
     Arrays use e^x * ``scipy.special.exp1(x)`` up to x = 600 and the 12-term
     asymptotic series (1/x) sum_k (-1)^k k!/x^k above it (truncation error
-    below 1e-25 relative). A float uses a power series up to 1 and a
-    continued fraction above.
+    below 1e-25 relative). A float, or a 0-d array, uses a power series up
+    to 1 and a continued fraction above; a float skips the array round trip.
     """
+    if isinstance(x, float):
+        if math.isnan(x):
+            raise ValueError("x contains NaN")
+        if not x > 0.0:
+            raise ValueError("exp_scaled_e1 requires x > 0")
+        return _exp_scaled_e1_float(float(x))  # np.float64 is a float too
     arr, scalar = _as_array(x, "x")
     if np.any(arr <= 0.0):
         raise ValueError("exp_scaled_e1 requires x > 0")
     if scalar:
-        # The IP and PI solvers bisect on the sign of a 1e-7 finite difference
-        # of their throughput, which reaches this path one float at a time.
-        # An ulp-level change here moves their printed thresholds in the 8th
-        # digit (exp1 in its place changes six cells of the 0-30 dB sweep
-        # CSV), so the scalar path keeps its own series and continued fraction.
-        xv = float(arr)
-        if xv <= 1.0:
-            return math.exp(xv) * _e1_series_scalar(xv)
-        return _e1_cf_scaled_scalar(xv)
+        return _exp_scaled_e1_float(float(arr))
     head = np.minimum(arr, _E1_TAIL_FROM)
     out = np.exp(head) * exp1(head)
     tail = arr > _E1_TAIL_FROM
@@ -326,73 +336,62 @@ def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
 # The pair triangle is walked this many rows at a time: no call of the
 # objective or the bound sees more than _GRID_CHUNK_ROWS * (axis size - 1) pairs.
 _GRID_CHUNK_ROWS = 64
-# The exact best over this many best-bound pairs sets the pruning threshold ...
+# The exact best over this many best-bound pairs of the first chunk sets the
+# pruning threshold ...
 _GRID_SEED_PAIRS = 64
-# ... less this relative margin, which absorbs the rounding of bound and objective.
+# ... less this relative margin, which absorbs the rounding of bound and
+# objective; later the best score so far, less the same margin, raises it.
 _GRID_SLACK = 1e-9
 
 
-def _row_pairs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j < n, of the ascending ``rows``, in lexicographic
-    order, and the offset of each row's first pair."""
+def _row_pairs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j < n, of the ascending ``rows``, in lexicographic order."""
     counts = n - 1 - rows
     starts = np.cumsum(counts) - counts
     i = np.repeat(rows, counts)
     j = np.arange(i.size) - np.repeat(starts, counts) + i + 1
-    return i, j, starts
+    return i, j
 
 
-def _row_chunks(rows: np.ndarray):
-    for k in range(0, rows.size, _GRID_CHUNK_ROWS):
-        yield rows[k:k + _GRID_CHUNK_ROWS]
-
-
-def _seed_threshold(f, bound, xs: np.ndarray):
-    """Bound every pair once; return the seed and the rows worth scoring.
-
-    The seed is the exact best (point, value) of f over the _GRID_SEED_PAIRS
-    pairs of largest bound, the first of them in lexicographic order on a
-    tie. A row is worth scoring if some pair in it has a bound at or above
-    the threshold, the seed value less _GRID_SLACK of its magnitude; that
-    threshold is returned too.
-    """
-    n = xs.size
-    row_top = np.empty(n - 1)
-    top_bound = np.empty(0)
-    top_key = np.empty(0, dtype=np.int64)
-    for rows in _row_chunks(np.arange(n - 1)):
-        i, j, starts = _row_pairs(rows, n)
-        b = np.asarray(bound(xs[i], xs[j]), dtype=float)
-        row_top[rows] = np.maximum.reduceat(b, starts)  # NaN propagates: the row stays
-        top_bound = np.concatenate([top_bound, np.where(np.isnan(b), -np.inf, b)])
-        top_key = np.concatenate([top_key, i * n + j])
-        if top_bound.size > _GRID_SEED_PAIRS:
-            keep = np.argpartition(-top_bound, _GRID_SEED_PAIRS)[:_GRID_SEED_PAIRS]
-            top_bound, top_key = top_bound[keep], top_key[keep]
-    key = np.sort(top_key)
-    gx, gy = xs[key // n], xs[key % n]
-    vals = f(gx, gy)
+def _seed(f, gx: np.ndarray, gy: np.ndarray, b: np.ndarray):
+    """Exact best (point, value) of f over the _GRID_SEED_PAIRS pairs of largest
+    bound ``b`` among the pairs (gx, gy), the first of them on a tie."""
+    top = np.where(np.isnan(b), -np.inf, b)
+    if top.size > _GRID_SEED_PAIRS:
+        top = np.sort(np.argpartition(-top, _GRID_SEED_PAIRS)[:_GRID_SEED_PAIRS])
+    else:
+        top = np.arange(top.size)
+    vals = f(gx[top], gy[top])
     k = int(np.argmax(vals))
-    seed = float(vals[k])
-    threshold = seed - _GRID_SLACK * abs(seed)  # Python floats: inf - inf is NaN, no warning
-    live = np.flatnonzero(~(row_top < threshold))
-    return ((float(gx[k]), float(gy[k])), seed), threshold, live
+    return (float(gx[top[k]]), float(gy[top[k]])), float(vals[k])
+
+
+def _less_slack(value: float) -> float:
+    # Python floats: -inf less its slack stays -inf, with no warning
+    return value - _GRID_SLACK * abs(value)
 
 
 def grid_argmax_2d(f, domain: Interval, step: float,
-                   bound=None) -> tuple[tuple[float, float], float]:
+                   bound=None, row_bound=None) -> tuple[tuple[float, float], float]:
     """Maximize f(x, y) over the grid pairs x < y of one axis.
 
     The axis runs from ``domain.lo`` to ``domain.hi`` in steps of ``step``.
     f takes two arrays of pairs and returns an array of their shape; so does
-    ``bound``, an optional upper bound on f that is cheaper to evaluate. The
-    pairs are walked in chunks of _GRID_CHUNK_ROWS rows, so memory does not
-    grow with the number of pairs. With a bound, one pass bounds every pair
-    and scores the _GRID_SEED_PAIRS best-bound pairs exactly; f is then
-    scored only on the pairs whose bound reaches that seed value less a
-    relative 1e-9. A NaN bound never prunes its pair, and with no bound
-    every pair is scored. Ties break toward the lexicographically smallest
-    (x, y), so the result equals an exhaustive search's whenever f <= bound
+    ``bound``, an optional upper bound on f that is cheaper to evaluate.
+    ``row_bound(x, y_max)``, also optional, takes the x of some rows and the
+    last axis point and returns, per row, an upper bound on ``bound`` (on f
+    if there is no ``bound``) over every pair of the row.
+
+    The rows of the pair triangle are walked once, in order, in chunks of
+    _GRID_CHUNK_ROWS rows, so memory does not grow with the number of pairs.
+    A running threshold, the best value so far less a relative 1e-9, prunes
+    in two steps: a row whose row bound is below it is dropped before any of
+    its pairs is bounded, and f is scored only on the pairs whose bound
+    reaches it. The first chunk sets the threshold from the exact best of its
+    _GRID_SEED_PAIRS best-bound pairs; it then rises with the best score. A
+    NaN bound never prunes, and with no bound every pair of a kept row is
+    scored. Ties break toward the lexicographically smallest (x, y), so the
+    result equals an exhaustive search's whenever f <= bound <= row bound
     holds to within the slack.
     """
     if not step > 0.0:
@@ -403,18 +402,25 @@ def grid_argmax_2d(f, domain: Interval, step: float,
     n = xs.size
     if n < 2:
         raise ValueError("grid axis has fewer than 2 points; no pair x < y")
-    seed, threshold, live = None, -math.inf, np.arange(n - 1)
-    if bound is not None:
-        seed, threshold, live = _seed_threshold(f, bound, xs)
     # The axis increases strictly, so the pairs x < y are the index pairs
     # i < j; the rows are walked in order, and a later maximum replaces the
     # best so far only if strictly greater, so ties keep the first pair.
-    best = None
-    for rows in _row_chunks(live):
-        i, j, _ = _row_pairs(rows, n)
+    best = seed = None
+    threshold = -math.inf
+    for first in range(0, n - 1, _GRID_CHUNK_ROWS):
+        rows = np.arange(first, min(first + _GRID_CHUNK_ROWS, n - 1))
+        if row_bound is not None:
+            rows = rows[~(np.asarray(row_bound(xs[rows], xs[-1]), dtype=float) < threshold)]
+            if not rows.size:
+                continue
+        i, j = _row_pairs(rows, n)
         gx, gy = xs[i], xs[j]
         if bound is not None:
-            keep = ~(np.asarray(bound(gx, gy), dtype=float) < threshold)
+            b = np.asarray(bound(gx, gy), dtype=float)
+            if seed is None:
+                seed = _seed(f, gx, gy, b)
+                threshold = _less_slack(seed[1])
+            keep = ~(b < threshold)
             gx, gy = gx[keep], gy[keep]
             if not gx.size:
                 continue
@@ -422,6 +428,7 @@ def grid_argmax_2d(f, domain: Interval, step: float,
         k = int(np.argmax(vals))
         if best is None or vals[k] > best[1]:
             best = ((float(gx[k]), float(gy[k])), float(vals[k]))
+            threshold = max(threshold, _less_slack(best[1]))
     # the seed pair is pruned only if the bound undercut f beyond the slack
     if best is None or (seed is not None and seed[1] > best[1]):
         best = seed

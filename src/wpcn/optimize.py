@@ -4,10 +4,12 @@ The two-interval objectives are only provably well behaved in the
 infinite-power limit, so the scalar solvers hedge: a coarse scan plus
 derivative-bisection refinement from several brackets, best candidate wins.
 The three-interval scheme has no usable structure at all and is solved by a
-grid search over the pairs g_l < g_u. It prunes with the Jensen bound
-``schemes.band_throughput_bound``, which needs no E1, and scores the closed
-form only on the pairs whose bound can still win: the same thresholds as an
-exhaustive search, on a few percent of the pairs.
+grid search over the pairs g_l < g_u. It prunes with bounds that need no
+E1: a row bound ``schemes.band_throughput_row_bound`` drops the rows g_l
+that cannot win before any pair of them is bounded, and the Jensen bound
+``schemes.band_throughput_bound`` picks the pairs of the other rows that
+are scored. It finds the same thresholds as an exhaustive search, bounding
+a quarter of the pairs and scoring a few percent.
 
 A threshold whose band is not ``schemes.band_eligible`` (its uplink SNR
 overflows a float) scores -inf. The solve fails with
@@ -54,9 +56,9 @@ class SolveConfig:
     """Search-space settings shared by all solvers.
 
     gain_cap bounds the threshold search (the searchable gain range) and
-    must be finite; grid_step is the spacing of the PIP grid, whose every
-    pair is bounded and whose best pair is found exactly. Every solver
-    scores the closed forms of ``schemes``.
+    must be finite; grid_step is the spacing of the PIP grid, whose best
+    pair is found exactly. Every solver scores the closed forms of
+    ``schemes``.
     """
 
     gain_cap: float = 10.0
@@ -105,14 +107,25 @@ class _Eligible:
     ``band`` maps the objective's arguments to the band's (lo, hi). The
     largest ``schemes.band_throughput_bound`` among the ineligible points
     scored is kept; ``check(best)`` raises the overflow error if it reaches
-    ``best``, since such a point might have won.
+    ``best``, since such a point might have won. A float argument is scored
+    once per instance (one solve): ``maximize_scalar`` scores its ends again
+    after their slopes, and the brackets of ``_solve_threshold`` share ends.
     """
 
     def __init__(self, objective, band, params: SystemParams):
         self.objective, self.band, self.params = objective, band, params
         self.ineligible_bound = -math.inf
+        self.scored: dict[float, float] = {}
 
     def __call__(self, *args):
+        if len(args) == 1 and isinstance(args[0], float):
+            x = args[0]
+            if x not in self.scored:
+                self.scored[x] = self._score(x)
+            return self.scored[x]
+        return self._score(*args)
+
+    def _score(self, *args):
         try:
             return self.objective(*args)
         except schemes.UplinkOverflowError:
@@ -183,13 +196,17 @@ def solve_pi(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResul
 
 
 def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
-    """Best grid pair 0 <= g_l < g_u <= gain_cap, pruned by a throughput bound.
+    """Best grid pair 0 <= g_l < g_u <= gain_cap, pruned by throughput bounds.
 
-    Every pair gets the Jensen bound ``schemes.band_throughput_bound``; the
-    closed form is scored only where that bound reaches the best of the
-    64 best-bound pairs (see ``numerics.grid_argmax_2d``), about 2% of the
-    pairs at 10 dB, and the winner is the exhaustive search's. Spot-check it
-    with ``schemes.quad_throughput_oracle(*result.policy.band, result.ul_power, params)``.
+    ``numerics.grid_argmax_2d`` walks the rows g_l once against a running
+    threshold, the best score so far: a row whose
+    ``schemes.band_throughput_row_bound`` falls below it is dropped whole,
+    the pairs of the other rows get the Jensen bound
+    ``schemes.band_throughput_bound``, and the closed form is scored only
+    where that reaches the threshold. At 10 dB a quarter of the pairs is
+    bounded and under 2% scored, and the winner is the exhaustive search's.
+    Spot-check it with
+    ``schemes.quad_throughput_oracle(*result.policy.band, result.ul_power, params)``.
     """
     cfg = cfg or SolveConfig()
     objective = _Eligible(
@@ -198,6 +215,7 @@ def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
     (g_l, g_u), value = grid_argmax_2d(
         objective, Interval(0.0, cfg.gain_cap), cfg.grid_step,
         bound=lambda gl, gu: schemes.band_throughput_bound(gl, gu, params),
+        row_bound=lambda gl, cap: schemes.band_throughput_row_bound(gl, cap, params),
     )
     objective.check(value)
     policy = PIPPolicy(g_l=g_l, g_u=g_u)

@@ -235,12 +235,14 @@ def htt_optimal_tau(gamma):
     return float(tau[0]) if scalar else tau
 
 
-def _htt_frame_float(g: float, params: SystemParams) -> tuple[float, float, float]:
+def _htt_frame_float(g: float, params: SystemParams,
+                     scale: float) -> tuple[float, float, float]:
     # the steps of htt_instant_snr and htt_optimal_tau on one float, with
-    # their checks and their bits; W0 runs at every frame, as on the array path
+    # their checks and their bits; W0 runs at every frame, as on the array
+    # path. ``scale`` is _frame_snr_scale(params), computed once per caller.
     if not g >= 0.0:
         raise ValueError("gain must be >= 0")
-    gamma = _frame_snr_scale(params) * (g * g) / params.sigma2
+    gamma = scale * (g * g) / params.sigma2
     if not math.isfinite(gamma):
         raise _frame_snr_overflow(params)
     if gamma == 0.0:
@@ -274,7 +276,7 @@ def htt_frame(g, params: SystemParams):
     ``sim.run_policy_trace``.
     """
     if isinstance(g, float) or np.ndim(g) == 0:
-        return _htt_frame_float(float(g), params)
+        return _htt_frame_float(float(g), params, _frame_snr_scale(params))
     g_arr = np.asarray(g, dtype=float)
     gamma = htt_instant_snr(g_arr, params)
     tau = np.ones_like(gamma)
@@ -299,16 +301,17 @@ def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:
     """Fading-averaged rate, uplink power and mean split of HTT, in one pass.
 
     One quadrature integrates [rate, power, tau] e^{-g}, calling the float
-    path of ``htt_frame`` once per node. The frame power is integrated in
-    units of max(1, p_d gbar) W: quad_vec's rounding estimate grows with the
-    integral, and thousands of watts (above 38 dB) would fail the absolute
-    gate of ``integrate``. Monte-Carlo counterpart:
-    ``sim.mc_throughput(HTTPolicy(), ...)``.
+    path of ``htt_frame`` once per node; the frame SNR scale p_d gbar^2 is
+    computed once. The frame power is integrated in units of max(1, p_d gbar)
+    W: quad_vec's rounding estimate grows with the integral, and thousands of
+    watts (above 38 dB) would fail the absolute gate of ``integrate``.
+    Monte-Carlo counterpart: ``sim.mc_throughput(HTTPolicy(), ...)``.
     """
     unit = max(1.0, params.p_d * params.gbar)
+    scale = _frame_snr_scale(params)
 
     def frame(g: float) -> np.ndarray:
-        tau, rate, power = htt_frame(g, params)
+        tau, rate, power = _htt_frame_float(float(g), params, scale)
         return np.array([rate, power / unit, tau]) * math.exp(-g)
 
     integral = integrate(frame, 0.0, OPEN_END) * [1.0, unit, 1.0]
@@ -347,6 +350,22 @@ def _zero_at_open_end(term, open_end):
     true value is 0: no gain lies above an open band.
     """
     return np.where(open_end, 0.0, term) if open_end.any() else term
+
+
+def _band_ul_power_float(gl: float, gu: float, params: SystemParams) -> float:
+    # the steps of band_ul_power on two floats, for band_throughput's float
+    # path, with its checks and its bits: the ufuncs of the array path on
+    # floats, Python arithmetic elsewhere
+    if not gl >= 0.0:
+        raise ValueError("band_ul_power requires g_l >= 0")
+    if not gu > gl:
+        raise ValueError("band_ul_power requires g_l < g_u (zero transmit probability otherwise)")
+    scale = params.p_d * params.gbar
+    denom = -float(np.expm1(gl - gu))
+    above = 0.0 if gu == math.inf else scale * (gu + 1.0) * float(np.exp(gl - gu)) / denom
+    with np.errstate(over="ignore"):  # band_throughput rejects the infinite power
+        grown = float(np.expm1(gl))
+    return above + scale * (grown - gl) / denom
 
 
 def band_ul_power(g_l, g_u, params: SystemParams):
@@ -424,6 +443,18 @@ def band_eligible(g_l, g_u, params: SystemParams):
     return _fits(_band_gammabar(gl, gu, params), gl, gu)
 
 
+def _band_throughput_float(gl: float, gu: float, params: SystemParams) -> float:
+    # the steps of band_throughput on two floats, with its checks and its bits
+    gb = _band_ul_power_float(gl, gu, params) * params.gbar / params.sigma2
+    open_end = gu == math.inf
+    if not math.isfinite(gb * (gl if open_end else gu)):
+        raise UplinkOverflowError(params)
+    if gb <= 1e-280:
+        return 0.0
+    mass = float(_rate_mass(gb, gl)) - (0.0 if open_end else float(_rate_mass(gb, gu)))
+    return 0.0 if mass < 0.0 else mass / LN2
+
+
 def band_throughput(g_l, g_u, params: SystemParams):
     """Ergodic bits/frame transmitting on [g_l, g_u) at ``band_ul_power``.
 
@@ -431,7 +462,16 @@ def band_throughput(g_l, g_u, params: SystemParams):
     form; g_u may be inf. Zero at a zero uplink power by continuity, and
     never below zero, though the closed form may cancel there. Raises
     ``UplinkOverflowError`` unless every band is ``band_eligible``.
+
+    Two floats, as the IP and PI solvers pass one threshold at a time, take
+    a float path with the same checks, errors and bits as the array path:
+    numpy's ufuncs on floats (``math``'s differ from them by an ulp at some
+    points) and Python arithmetic elsewhere, with no 0-d arrays.
     """
+    if isinstance(g_l, float) and isinstance(g_u, float):
+        # float() turns an np.float64 into a Python float, whose arithmetic
+        # overflows to inf without a warning
+        return _band_throughput_float(float(g_l), float(g_u), params)
     gl = np.asarray(g_l, dtype=float)
     gu = np.asarray(g_u, dtype=float)
     gb = _band_gammabar(gl, gu, params)
@@ -480,9 +520,41 @@ def band_throughput_bound(g_l, g_u, params: SystemParams):
         out = prob * np.log1p(gb * mean) / LN2
         overflow = ~_fits(gb, gl, gu)
         if overflow.any():
-            log_snr = math.log(params.p_d) + 2.0 * math.log(params.gbar) - math.log(params.sigma2)
-            loose = prob * np.logaddexp(0.0, log_snr + np.log(mean) - np.log(prob)) / LN2
+            loose = prob * np.logaddexp(0.0, _log_snr(params) + np.log(mean) - np.log(prob)) / LN2
             out = np.where(overflow, np.where(prob > 0.0, loose, 0.0), out)
+    return float(out) if out.ndim == 0 else out
+
+
+def _log_snr(params: SystemParams) -> float:
+    """ln(p_d gbar^2 / sigma2), finite where the product overflows."""
+    return math.log(params.p_d) + 2.0 * math.log(params.gbar) - math.log(params.sigma2)
+
+
+# Relative pad on the logarithm of band_throughput_row_bound: it keeps the
+# bound above the pair bounds, whose argument rounds differently (by up to
+# ~7e-15 relative seen).
+_ROW_LOG_PAD = 1e-11
+
+
+def band_throughput_row_bound(g_l, g_cap: float, params: SystemParams):
+    """Upper bound on ``band_throughput_bound`` over the bands [g_l, g_u), g_l < g_u <= g_cap.
+
+    Both forms of that bound are P log2(1 + snr H m/P), snr = p_d gbar^2/sigma2,
+    with P the band's probability, m its mean gain and H <= 1 the gain mass
+    harvested outside the band (the overflow form takes H = 1). The form
+    increases in P and in H m, and P and m grow with g_u, so H = 1 and the
+    P and m of [g_l, g_cap) bound the whole row: the overflow form on that
+    band, padded against rounding; 0 where P underflows. g_cap must be finite.
+    """
+    gl = np.asarray(g_l, dtype=float)
+    span = g_cap - gl
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tail = -np.expm1(-span)
+        prob = np.exp(-gl) * tail
+        mean = gl + 1.0 - span * np.exp(-span) / tail
+        log_term = np.logaddexp(0.0, _log_snr(params) + np.log(mean) - np.log(prob))
+        # in the pair bound's order: (P log) / ln 2 rounds alike where P is subnormal
+        out = np.where(prob > 0.0, prob * (log_term * (1.0 + _ROW_LOG_PAD)) / LN2, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -82,6 +82,28 @@ class TestExpIntegral:
             exp_scaled_e1(bad)
 
 
+class TestExpScaledE1Float:
+    @given(st.one_of(
+        st.floats(min_value=5e-324, max_value=1e6),
+        st.sampled_from([1.0, math.nextafter(1.0, 2.0), 600.0, 1e-300]),
+    ))
+    @settings(max_examples=300)
+    def test_float_entry_equals_the_scalar_result(self, x):
+        # a 0-d array reaches the same series and continued fraction
+        v = exp_scaled_e1(x)
+        assert type(v) is float
+        assert repr(v) == repr(exp_scaled_e1(np.asarray(x)))
+        assert repr(exp_scaled_e1(np.float64(x))) == repr(v)
+
+    @pytest.mark.parametrize("bad,match", [
+        (0.0, "x > 0"), (-0.0, "x > 0"), (-1.0, "x > 0"), (-math.inf, "x > 0"), (math.nan, "NaN"),
+    ])
+    def test_float_entry_rejects_what_the_array_path_rejects(self, bad, match):
+        for x in (bad, np.asarray(bad)):
+            with pytest.raises(ValueError, match=match):
+                exp_scaled_e1(x)
+
+
 class TestE1Asymptotic:
     def test_direct_substitution_at_one(self):
         assert e1_asymptotic(1.0) == pytest.approx(math.exp(-1.0) * math.log(2.0), rel=1e-14)
@@ -342,6 +364,58 @@ class TestGridArgmax2D:
         (x, y), v = grid_argmax_2d(f, Interval(0.0, 5.0), 0.1, bound=bound)
         assert (x, y) == (pytest.approx(1.0, abs=1e-12), pytest.approx(2.0, abs=1e-12))
         assert v == pytest.approx(0.0, abs=1e-24)
+
+    def test_row_bound_drops_rows_without_changing_the_answer(self):
+        # 201 axis points, four chunks of rows; the row bound is the largest
+        # bound of each row x < 2 and above it elsewhere
+        def f(x, y):
+            return -(x - 1.0) ** 2 - (y - 2.0) ** 2
+
+        def bound(x, y):
+            bounded.append(x.size)
+            return f(x, y) + 0.01
+
+        bounded = []
+        domain, step = Interval(0.0, 4.0), 0.02
+        exhaustive = grid_argmax_2d(f, domain, step)
+        full = grid_argmax_2d(f, domain, step, bound=bound)
+        assert full == exhaustive and sum(bounded) == 201 * 200 // 2
+        bounded.clear()
+        pruned = grid_argmax_2d(f, domain, step, bound=bound,
+                                row_bound=lambda x, y_max: -(x - 1.0) ** 2 + 0.01)
+        assert pruned == exhaustive
+        assert 0 < sum(bounded) < 201 * 200 // 2 and max(bounded) <= 64 * 200
+
+    def test_threshold_rises_with_the_best_score(self):
+        # f peaks at x = 2, in the second chunk of rows; once it is scored,
+        # every row of the third and fourth chunks bounds below 0 and is
+        # dropped, though the seed of the first chunk (x <= 1.26) is lower
+        def f(x, y):
+            return -(x - 2.0) ** 2 + 0.0 * y
+
+        def bound(x, y):
+            bounded.append(x.size)
+            return f(x, y)
+
+        bounded = []
+        domain, step = Interval(0.0, 4.0), 0.02
+        assert grid_argmax_2d(f, domain, step, bound=bound,
+                              row_bound=lambda x, y_max: f(x, x)) == \
+            grid_argmax_2d(f, domain, step)
+        assert sum(bounded) == sum(200 - r for r in range(128))
+
+    def test_nan_row_bound_never_drops_its_row(self):
+        # the maximum sits in the last chunk, in the one row whose bound is
+        # NaN; every other row bound lies far below the first chunk's seed
+        def f(x, y):
+            return -(x - 3.5) ** 2 - (y - 3.8) ** 2
+
+        def row_bound(x, y_max):
+            return np.where(np.abs(x - 3.5) < 1e-9, math.nan, -1e9)
+
+        domain, step = Interval(0.0, 4.0), 0.02
+        assert grid_argmax_2d(f, domain, step, row_bound=row_bound) == \
+            grid_argmax_2d(f, domain, step)
 
     def test_empty_feasible_grid(self):
         # an axis of fewer than 2 points holds no pair x < y

@@ -176,6 +176,12 @@ class TestPrunedPipSearch:
         solve_pip(SystemParams.from_snr_db(10.0))
         assert 0 < sum(scored) <= 0.02 * 500_500
 
+    def test_bounds_at_most_thirty_percent_of_the_pairs(self, monkeypatch):
+        # the row bound drops whole rows before any of their pairs is bounded
+        bounded = _record_sizes(monkeypatch, "band_throughput_bound")
+        solve_pip(SystemParams.from_snr_db(10.0))
+        assert 0 < sum(bounded) <= 0.30 * 500_500
+
     def test_no_call_sees_more_than_one_chunk(self, monkeypatch):
         # 2001 axis points, 2,001,000 pairs: each call of the objective or
         # the bound gets at most one chunk of rows of the pair triangle
@@ -184,8 +190,27 @@ class TestPrunedPipSearch:
         scored = _record_sizes(monkeypatch, "pip_throughput")
         bounded = _record_sizes(monkeypatch, "band_throughput_bound")
         solve_pip(SystemParams.from_snr_db(10.0), cfg)
-        assert sum(bounded) >= 2_001_000
+        assert 0 < sum(bounded) <= 0.30 * 2_001_000
         assert max(scored) <= chunk and max(bounded) <= chunk
+
+
+class TestScoreOnce:
+    @pytest.mark.parametrize("solver,name", [(solve_ip, "ip_throughput"),
+                                             (solve_pi, "pi_throughput")])
+    def test_no_threshold_is_scored_twice(self, monkeypatch, solver, name):
+        # maximize_scalar scores its ends after their slopes, and the
+        # brackets share ends: each float is scored once per solve
+        scored = []
+        real = getattr(schemes, name)
+
+        def recording(x, params):
+            if np.ndim(x) == 0:
+                scored.append(x)
+            return real(x, params)
+
+        monkeypatch.setattr(schemes, name, recording)
+        solver(SystemParams.from_snr_db(10.0))
+        assert scored and len(set(scored)) == len(scored)
 
 
 class TestTinyGrid:

@@ -3,10 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wpcn import channel, schemes, sim
+from wpcn import channel, numerics, schemes, sim
 from wpcn.numerics import OPEN_END, integrate
 from wpcn.schemes import (
     HTTPolicy,
@@ -521,6 +521,115 @@ class TestThroughputBound:
             gammabar = mpmath.mpf(1e300) * mpmath.mpf(1e5) ** 2 * (1 - mass) / prob
             jensen = prob * mpmath.log(1 + gammabar * mass / prob, 2)
         assert schemes.band_throughput_bound(0.0, 0.5, params) >= float(jensen)
+
+
+class TestThroughputRowBound:
+    @given(snr_db=st.floats(min_value=-60.0, max_value=90.0),
+           gain_cap=st.floats(min_value=1e-12, max_value=1e3),
+           points=st.floats(min_value=1.0, max_value=1e3, exclude_min=True),
+           row=st.floats(min_value=0.0, max_value=1.0))
+    # row 738 of 836: the band probability is subnormal there, so the bound
+    # must round its product with P in the order the pair bound does
+    @example(snr_db=-58.195651145076305, gain_cap=835.2813063547396,
+             points=835.06996098296, row=738.5 / 835)
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_every_pair_bound_of_its_row(self, snr_db, gain_cap, points, row):
+        # the axis of solve_pip's grid; the row bound needs only g_l and the cap
+        params = SystemParams.from_snr_db(snr_db)
+        xs = numerics._grid_axis(0.0, gain_cap, gain_cap / points)
+        i = min(int(row * (xs.size - 1)), xs.size - 2)
+        pairs = schemes.band_throughput_bound(np.full(xs.size - 1 - i, xs[i]), xs[i + 1:], params)
+        bound = schemes.band_throughput_row_bound(xs[i], xs[-1], params)
+        assert type(bound) is float and bound >= 0.0
+        assert not np.any(pairs > bound)
+
+    def test_is_the_overflow_form_on_the_whole_row(self):
+        # the band [g_l, g_cap) is in its own row; where it overflows the
+        # pair bound takes H = 1 too, and the two agree to the padding
+        params = SystemParams(p_d=1e300, gbar=1e5, sigma2=1.0)
+        assert not schemes.band_eligible(0.0, 0.5, params)
+        pair = schemes.band_throughput_bound(0.0, 0.5, params)
+        assert pair <= schemes.band_throughput_row_bound(0.0, 0.5, params) <= pair * (1.0 + 1e-10)
+
+    def test_shape_and_underflow(self):
+        g_l = np.array([0.0, 1.0, 9.0, 800.0])
+        bound = schemes.band_throughput_row_bound(g_l, 1000.0, P10)
+        assert bound.shape == (4,) and np.all(np.diff(bound) < 0.0)
+        assert bound[-1] == 0.0  # e^{-800} underflows: so does every band of the row
+
+
+def _band_case():
+    """(g_l, g_u, snr_db): IP, PI and PIP bands, bands past the overflow of
+    e^{g_l} and bands a few ulps wide."""
+    edge = st.floats(min_value=1e-9, max_value=1e3)
+    snr = st.floats(min_value=-60.0, max_value=90.0)
+    ulps = st.integers(min_value=1, max_value=4)
+
+    def widen(g, k):
+        for _ in range(k):
+            g = math.nextafter(g, math.inf)
+        return g
+
+    return st.one_of(
+        st.tuples(st.just(0.0), edge, snr),
+        st.tuples(edge, st.just(OPEN_END), snr),
+        st.tuples(edge, edge, snr).map(lambda c: (min(c[:2]), max(c[:2]), c[2])),
+        st.tuples(st.floats(min_value=600.0, max_value=800.0),
+                  st.sampled_from([1.0, 30.0, OPEN_END]), snr).map(
+            lambda c: (c[0], c[0] + c[1], c[2])),
+        st.tuples(edge, ulps, snr).map(lambda c: (c[0], widen(c[0], c[1]), c[2])),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestBandFloatPath:
+    @given(case=_band_case(), p_d_exp=st.one_of(st.none(), st.floats(min_value=290.0,
+                                                                    max_value=308.0)))
+    # math.expm1 differs from np.expm1 by an ulp at -0.2802438592617129, and
+    # the two masses cancel to -1.8e-15 on the second band
+    @example(case=(0.0, 0.2802438592617129, 10.0), p_d_exp=None)
+    @example(case=(0.0, 1e-12 / 1.5, -60.0), p_d_exp=None)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_array_path_bit_for_bit(self, case, p_d_exp):
+        # 0-d arrays take the array path; the results and errors must agree,
+        # the overflow of the uplink SNR (UplinkOverflowError) included
+        g_l, g_u, snr_db = case
+        params = (SystemParams.from_snr_db(snr_db) if p_d_exp is None
+                  else SystemParams(p_d=10.0 ** p_d_exp))
+        ref = _outcome(schemes.band_throughput, np.asarray(g_l), np.asarray(g_u), params)
+        for one in (_outcome(schemes.band_throughput, g_l, g_u, params),
+                    _outcome(schemes.band_throughput, np.float64(g_l), np.float64(g_u), params)):
+            if isinstance(ref, tuple):
+                assert one == ref
+            else:
+                assert type(one) is float and repr(one) == repr(ref)
+        power = _outcome(schemes._band_ul_power_float, g_l, g_u, params)
+        assert repr(power) == repr(_outcome(schemes.band_ul_power, np.asarray(g_l),
+                                            np.asarray(g_u), params))
+
+    def test_overflow_at_the_upper_edge_only(self):
+        # gammabar = 1.44e308 fits a float, gammabar g_u does not
+        params = SystemParams(p_d=1e300, sigma2=5e-9)
+        assert math.isfinite(schemes._band_gammabar(0.0, 1.5, params))
+        for g_l, g_u in ((0.0, 1.5), (np.asarray(0.0), np.asarray(1.5))):
+            with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
+                schemes.band_throughput(g_l, g_u, params)
+
+    @pytest.mark.parametrize("g_l,g_u", [
+        (-1e-300, 1.0), (1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (0.0, 0.0),
+    ])
+    def test_rejects_what_the_array_path_rejects(self, g_l, g_u):
+        with pytest.raises(ValueError) as array_error:
+            schemes.band_throughput(np.asarray(g_l), np.asarray(g_u), P10)
+        with pytest.raises(ValueError) as float_error:
+            schemes.band_throughput(g_l, g_u, P10)
+        assert float_error.value.args == array_error.value.args
 
 
 class TestReductionIdentities:
