@@ -251,16 +251,17 @@ def cmd_sweep(args) -> int:
     return 2 if failures else 0
 
 
+# one frame per line; "%.12g" formats a float as _fmt does
+_FRAME_ROW = "%d,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n"
+
+
 def _dump_frames(path: str, trace) -> None:
-    gain, harvested, consumed, stored, rate = (
-        map(_fmt, col.tolist())
-        for col in (trace.gain, trace.harvested, trace.consumed, trace.stored, trace.rate)
-    )
     modes = (sim.MODE_NAMES[code] for code in trace.mode.tolist())
-    rows = zip(gain, modes, harvested, consumed, stored, rate)
+    rows = zip(range(trace.gain.size), trace.gain.tolist(), modes, trace.harvested.tolist(),
+               trace.consumed.tolist(), trace.stored.tolist(), trace.rate.tolist())
     with open(path, "w") as fh:
         fh.write("index,gain,mode,harvested_j,consumed_j,stored_j,rate_bits\n")
-        fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(rows))
+        fh.writelines(_FRAME_ROW % row for row in rows)
 
 
 def cmd_simulate(args) -> int:

@@ -7,8 +7,9 @@ branch), one adaptive quadrature routine (``integrate``, on
 integrands, so one pass can integrate several quantities on shared nodes)
 that is the ground-truth oracle for every closed form, and the maximizers
 for the threshold searches: derivative bisection on an interval and a
-search over the pairs x < y of a grid, walked once by rows, that drops a
-row by its row bound and scores a pair only where its bound can still win.
+search over the pairs x < y of a grid, seeded from a coarse sub-grid and
+walked once by rows, that drops a block of a row by its block bound and
+scores a pair only where its bound can still win.
 
 E1 and W0 come from ``scipy.special`` (``exp1`` and ``lambertw``). Two
 pieces of E1 stay local: the asymptotic tail of the scaled form e^x E1(x)
@@ -334,9 +335,13 @@ def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 # The pair triangle is walked this many rows at a time: no call of the
-# objective or the bound sees more than _GRID_CHUNK_ROWS * (axis size - 1) pairs.
+# objective or the bound sees more than _GRID_CHUNK_ROWS * (axis size - 1)
+# pairs. Each row of a chunk is cut into blocks of as many columns.
 _GRID_CHUNK_ROWS = 64
-# The exact best over this many best-bound pairs of the first chunk sets the
+# The seed bounds every pair of a sub-grid of at most this many axis points
+# (8,128 pairs, under one chunk) ...
+_GRID_SEED_POINTS = 128
+# ... and the exact best over its _GRID_SEED_PAIRS best-bound pairs sets the
 # pruning threshold ...
 _GRID_SEED_PAIRS = 64
 # ... less this relative margin, which absorbs the rounding of bound and
@@ -344,19 +349,26 @@ _GRID_SEED_PAIRS = 64
 _GRID_SLACK = 1e-9
 
 
-def _row_pairs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j < n, of the ascending ``rows``, in lexicographic order."""
-    counts = n - 1 - rows
+def _segment_pairs(rows: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (rows[k], j), lo[k] <= j <= hi[k], segment after segment."""
+    counts = hi - lo + 1
     starts = np.cumsum(counts) - counts
     i = np.repeat(rows, counts)
-    j = np.arange(i.size) - np.repeat(starts, counts) + i + 1
+    j = np.arange(i.size) - np.repeat(starts - lo, counts)
     return i, j
 
 
-def _seed(f, gx: np.ndarray, gy: np.ndarray, b: np.ndarray):
+def _seed(f, bound, xs: np.ndarray):
     """Exact best (point, value) of f over the _GRID_SEED_PAIRS pairs of largest
-    bound ``b`` among the pairs (gx, gy), the first of them on a tie."""
-    top = np.where(np.isnan(b), -np.inf, b)
+    bound among the pairs of every k-th axis point, at most _GRID_SEED_POINTS
+    of them; the lexicographically first of them on a tie."""
+    stride = -(-(xs.size - 1) // (_GRID_SEED_POINTS - 1))  # ceil
+    sub = xs[::stride]
+    i, j = np.triu_indices(sub.size, k=1)
+    gx, gy = sub[i], sub[j]
+    top = np.asarray(bound(gx, gy), dtype=float)
+    top = np.where(np.isnan(top), -np.inf, top)
     if top.size > _GRID_SEED_PAIRS:
         top = np.sort(np.argpartition(-top, _GRID_SEED_PAIRS)[:_GRID_SEED_PAIRS])
     else:
@@ -372,27 +384,30 @@ def _less_slack(value: float) -> float:
 
 
 def grid_argmax_2d(f, domain: Interval, step: float,
-                   bound=None, row_bound=None) -> tuple[tuple[float, float], float]:
+                   bound=None, block_bound=None) -> tuple[tuple[float, float], float]:
     """Maximize f(x, y) over the grid pairs x < y of one axis.
 
     The axis runs from ``domain.lo`` to ``domain.hi`` in steps of ``step``.
     f takes two arrays of pairs and returns an array of their shape; so does
     ``bound``, an optional upper bound on f that is cheaper to evaluate.
-    ``row_bound(x, y_max)``, also optional, takes the x of some rows and the
-    last axis point and returns, per row, an upper bound on ``bound`` (on f
-    if there is no ``bound``) over every pair of the row.
+    ``block_bound(x, y_lo, y_hi)``, also optional, takes three arrays, one
+    entry per block of pairs (x, y), y_lo <= y <= y_hi, and returns per
+    block an upper bound on ``bound`` (on f if there is no ``bound``) over
+    its pairs.
 
     The rows of the pair triangle are walked once, in order, in chunks of
-    _GRID_CHUNK_ROWS rows, so memory does not grow with the number of pairs.
-    A running threshold, the best value so far less a relative 1e-9, prunes
-    in two steps: a row whose row bound is below it is dropped before any of
-    its pairs is bounded, and f is scored only on the pairs whose bound
-    reaches it. The first chunk sets the threshold from the exact best of its
-    _GRID_SEED_PAIRS best-bound pairs; it then rises with the best score. A
-    NaN bound never prunes, and with no bound every pair of a kept row is
-    scored. Ties break toward the lexicographically smallest (x, y), so the
-    result equals an exhaustive search's whenever f <= bound <= row bound
-    holds to within the slack.
+    _GRID_CHUNK_ROWS rows, each row cut into blocks of as many columns, so
+    memory does not grow with the number of pairs. A running threshold, the
+    best value so far less a relative 1e-9, prunes in two steps: a block
+    whose block bound is below it is dropped before any of its pairs is
+    bounded, and f is scored only on the pairs whose bound reaches it.
+    Before the walk the threshold is set from a coarse sub-grid: the exact
+    best of the _GRID_SEED_PAIRS best-bound pairs among the pairs of every
+    k-th axis point, at most _GRID_SEED_POINTS of them; it then rises with
+    the best score. A NaN bound never prunes, and with no bound every pair
+    of a kept block is scored. Ties break toward the lexicographically
+    smallest (x, y), so the result equals an exhaustive search's whenever
+    f <= bound <= block bound holds to within the slack.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -403,24 +418,33 @@ def grid_argmax_2d(f, domain: Interval, step: float,
     if n < 2:
         raise ValueError("grid axis has fewer than 2 points; no pair x < y")
     # The axis increases strictly, so the pairs x < y are the index pairs
-    # i < j; the rows are walked in order, and a later maximum replaces the
-    # best so far only if strictly greater, so ties keep the first pair.
+    # i < j; the blocks are walked in lexicographic order, and a later
+    # maximum replaces the best so far only if strictly greater, so ties
+    # keep the first pair.
     best = seed = None
     threshold = -math.inf
-    for first in range(0, n - 1, _GRID_CHUNK_ROWS):
-        rows = np.arange(first, min(first + _GRID_CHUNK_ROWS, n - 1))
-        if row_bound is not None:
-            rows = rows[~(np.asarray(row_bound(xs[rows], xs[-1]), dtype=float) < threshold)]
-            if not rows.size:
+    if bound is not None:
+        seed = _seed(f, bound, xs)
+        threshold = _less_slack(seed[1])
+    width = _GRID_CHUNK_ROWS
+    for first in range(0, n - 1, width):
+        # the blocks (row r, columns lo .. hi) cut row r's columns r < j < n
+        # into runs of ``width`` from its first, the last run maybe shorter
+        r, c = np.meshgrid(np.arange(first, min(first + width, n - 1)),
+                           np.arange(0, n - 1 - first, width), indexing="ij")
+        r, lo = r.ravel(), (r + 1 + c).ravel()
+        real = lo < n
+        r, lo = r[real], lo[real]
+        hi = np.minimum(lo + width - 1, n - 1)
+        if block_bound is not None:
+            keep = ~(np.asarray(block_bound(xs[r], xs[lo], xs[hi]), dtype=float) < threshold)
+            r, lo, hi = r[keep], lo[keep], hi[keep]
+            if not r.size:
                 continue
-        i, j = _row_pairs(rows, n)
+        i, j = _segment_pairs(r, lo, hi)
         gx, gy = xs[i], xs[j]
         if bound is not None:
-            b = np.asarray(bound(gx, gy), dtype=float)
-            if seed is None:
-                seed = _seed(f, gx, gy, b)
-                threshold = _less_slack(seed[1])
-            keep = ~(b < threshold)
+            keep = ~(np.asarray(bound(gx, gy), dtype=float) < threshold)
             gx, gy = gx[keep], gy[keep]
             if not gx.size:
                 continue

@@ -5,11 +5,12 @@ infinite-power limit, so the scalar solvers hedge: a coarse scan plus
 derivative-bisection refinement from several brackets, best candidate wins.
 The three-interval scheme has no usable structure at all and is solved by a
 grid search over the pairs g_l < g_u. It prunes with bounds that need no
-E1: a row bound ``schemes.band_throughput_row_bound`` drops the rows g_l
+E1: a coarse sub-grid seeds the pruning threshold, a block bound
+``schemes.band_throughput_block_bound`` drops the runs of g_u in a row g_l
 that cannot win before any pair of them is bounded, and the Jensen bound
-``schemes.band_throughput_bound`` picks the pairs of the other rows that
+``schemes.band_throughput_bound`` picks the pairs of the other blocks that
 are scored. It finds the same thresholds as an exhaustive search, bounding
-a quarter of the pairs and scoring a few percent.
+about 5% of the pairs and scoring about 1%.
 
 A threshold whose band is not ``schemes.band_eligible`` (its uplink SNR
 overflows a float) scores -inf. The solve fails with
@@ -198,13 +199,14 @@ def solve_pi(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResul
 def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best grid pair 0 <= g_l < g_u <= gain_cap, pruned by throughput bounds.
 
-    ``numerics.grid_argmax_2d`` walks the rows g_l once against a running
-    threshold, the best score so far: a row whose
-    ``schemes.band_throughput_row_bound`` falls below it is dropped whole,
-    the pairs of the other rows get the Jensen bound
+    ``numerics.grid_argmax_2d`` seeds a threshold from the best-bound pairs
+    of a coarse sub-grid and walks the rows g_l once, in blocks of 64 g_u,
+    against it; the best score so far raises it. A block whose
+    ``schemes.band_throughput_block_bound`` falls below it is dropped whole,
+    the pairs of the other blocks get the Jensen bound
     ``schemes.band_throughput_bound``, and the closed form is scored only
-    where that reaches the threshold. At 10 dB a quarter of the pairs is
-    bounded and under 2% scored, and the winner is the exhaustive search's.
+    where that reaches the threshold. At 10 dB under 5% of the pairs are
+    bounded and about 1% scored, and the winner is the exhaustive search's.
     Spot-check it with
     ``schemes.quad_throughput_oracle(*result.policy.band, result.ul_power, params)``.
     """
@@ -215,7 +217,7 @@ def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
     (g_l, g_u), value = grid_argmax_2d(
         objective, Interval(0.0, cfg.gain_cap), cfg.grid_step,
         bound=lambda gl, gu: schemes.band_throughput_bound(gl, gu, params),
-        row_bound=lambda gl, cap: schemes.band_throughput_row_bound(gl, cap, params),
+        block_bound=lambda gl, lo, hi: schemes.band_throughput_block_bound(gl, lo, hi, params),
     )
     objective.check(value)
     policy = PIPPolicy(g_l=g_l, g_u=g_u)

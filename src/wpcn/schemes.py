@@ -421,7 +421,9 @@ class UplinkOverflowError(ValueError):
 
 def _band_gammabar(gl, gu, params: SystemParams):
     """Expected uplink SNR gammabar = ``band_ul_power`` gbar / sigma2; inf or NaN on overflow."""
-    return band_ul_power(gl, gu, params) * params.gbar / params.sigma2
+    # the power may fit though power * gbar does not; _fits rejects the inf
+    with np.errstate(over="ignore"):
+        return band_ul_power(gl, gu, params) * params.gbar / params.sigma2
 
 
 def _fits(gammabar, gl, gu):
@@ -530,31 +532,56 @@ def _log_snr(params: SystemParams) -> float:
     return math.log(params.p_d) + 2.0 * math.log(params.gbar) - math.log(params.sigma2)
 
 
-# Relative pad on the logarithm of band_throughput_row_bound: it keeps the
+# Relative pad on the logarithm of band_throughput_block_bound: it keeps the
 # bound above the pair bounds, whose argument rounds differently (by up to
 # ~7e-15 relative seen).
-_ROW_LOG_PAD = 1e-11
+_BLOCK_LOG_PAD = 1e-11
+# Floats keep full precision from e^-708 to e^709.78. A block whose uplink
+# power, and each product band_ul_power and band_eligible form on the way,
+# stays below e^_LOG_RANGE holds only eligible bands; below e^-_LOG_RANGE a
+# pair bound's logarithm rounds in subnormal floats, which the pad does not
+# cover, so the block bound's logarithm is taken no smaller.
+_LOG_RANGE = 700.0
 
 
-def band_throughput_row_bound(g_l, g_cap: float, params: SystemParams):
-    """Upper bound on ``band_throughput_bound`` over the bands [g_l, g_u), g_l < g_u <= g_cap.
+def band_throughput_block_bound(g_l, g_lo, g_hi, params: SystemParams):
+    """Upper bound on ``band_throughput_bound`` over the bands [g_l, g_u), g_lo <= g_u <= g_hi.
 
     Both forms of that bound are P log2(1 + snr H m/P), snr = p_d gbar^2/sigma2,
-    with P the band's probability, m its mean gain and H <= 1 the gain mass
+    with P the band's probability, m its mean gain and
+    H = e^{-g_l}(e^{g_l} - g_l - 1) + (g_u+1) e^{-g_u} <= 1 the gain mass
     harvested outside the band (the overflow form takes H = 1). The form
-    increases in P and in H m, and P and m grow with g_u, so H = 1 and the
-    P and m of [g_l, g_cap) bound the whole row: the overflow form on that
-    band, padded against rounding; 0 where P underflows. g_cap must be finite.
+    increases in P and in H m; P and m grow with g_u and H falls, so the P
+    and m of [g_l, g_hi) and the H of [g_l, g_lo), capped at 1, bound the
+    block, padded against rounding; 0 where P underflows. Where a band of the
+    block may not be ``band_eligible``, H = 1, and the argument snr H m/P of
+    the logarithm is taken no smaller than e^-700, below which the pair
+    bound rounds in subnormal floats. Needs g_l < g_lo <= g_hi < inf.
     """
     gl = np.asarray(g_l, dtype=float)
-    span = g_cap - gl
+    lo = np.asarray(g_lo, dtype=float)
+    hi = np.asarray(g_hi, dtype=float)
+    span = hi - gl
+    log_scale = math.log(params.p_d) + math.log(params.gbar)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tail = -np.expm1(-span)
         prob = np.exp(-gl) * tail
         mean = gl + 1.0 - span * np.exp(-span) / tail
-        log_term = np.logaddexp(0.0, _log_snr(params) + np.log(mean) - np.log(prob))
+        # H e^{g_l} at g_lo, the numerator of band_ul_power; inf past g_l ~ 709
+        log_held = np.log((lo + 1.0) * np.exp(gl - lo) + (np.expm1(gl) - gl))
+        # the block's largest uplink power p_d gbar H/P is at g_lo; peak is
+        # the log of the largest product formed on the way to gammabar g_u
+        log_power = log_scale + log_held - np.log(-np.expm1(gl - lo))
+        log_gb = log_power + math.log(params.gbar) - math.log(params.sigma2)
+        peak = np.maximum(np.maximum(
+            log_scale + np.log1p(hi),                         # p_d gbar (g_u + 1)
+            log_power + max(0.0, math.log(params.gbar))),     # the power, times gbar
+            log_gb + np.maximum(0.0, np.log(hi)))             # gammabar, times g_u
+        log_h = np.where(peak < _LOG_RANGE, np.minimum(log_held - gl, 0.0), 0.0)
+        log_arg = _log_snr(params) + log_h + np.log(mean) - np.log(prob)
+        log_term = np.logaddexp(0.0, np.maximum(log_arg, -_LOG_RANGE))
         # in the pair bound's order: (P log) / ln 2 rounds alike where P is subnormal
-        out = np.where(prob > 0.0, prob * (log_term * (1.0 + _ROW_LOG_PAD)) / LN2, 0.0)
+        out = np.where(prob > 0.0, prob * (log_term * (1.0 + _BLOCK_LOG_PAD)) / LN2, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

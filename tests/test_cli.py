@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wpcn import cli, optimize, schemes, sim
 from wpcn.schemes import IPPolicy, PIPPolicy, SystemParams
@@ -329,6 +331,32 @@ class TestSimulate:
         columns = (trace.gain, trace.harvested, trace.consumed, trace.stored, trace.rate)
         expect = [[cli._fmt(float(x)) for x in col] for col in columns]
         assert [[row[k] for row in rows] for k in (1, 3, 4, 5, 6)] == expect
+
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(-0.0)
+    @example(5e-324)
+    def test_frame_format_is_the_sweep_format(self, x):
+        # the frame dump formats a row with "%.12g", the sweep cells with _fmt
+        assert "%.12g" % x == cli._fmt(x)
+
+    def test_causal_dump_matches_per_cell_formatting(self, capsys, tmp_path):
+        # the causal trace demotes frames and stores fractional energy; each
+        # line is the old join of _fmt over the cells
+        dump = tmp_path / "frames.csv"
+        run_json(capsys, "simulate", "--scheme", "pip", "--g-l", "0.3", "--g-u", "2.0",
+                 "--snr-db", "0", "--samples", "3000", "--seed", "6", "--causal",
+                 "--dump-frames", str(dump))
+        trace, summary = sim.run_policy_trace(PIPPolicy(0.3, 2.0), SystemParams.from_snr_db(0.0),
+                                              3000, 6, causal=True)
+        assert summary.skipped_wit_frames > 0
+        columns = (trace.gain, trace.harvested, trace.consumed, trace.stored, trace.rate)
+        cells = [[cli._fmt(x) for x in col.tolist()] for col in columns]
+        modes = [sim.MODE_NAMES[code] for code in trace.mode.tolist()]
+        expect = ["index,gain,mode,harvested_j,consumed_j,stored_j,rate_bits"] + [
+            ",".join([str(i), cells[0][i], modes[i]] + [col[i] for col in cells[1:]])
+            for i in range(3000)
+        ]
+        assert dump.read_text() == "\n".join(expect) + "\n"
 
     @pytest.mark.parametrize("energy", ["nan", "inf"])
     def test_non_finite_initial_energy_is_a_usage_error(self, capsys, energy):

@@ -365,9 +365,10 @@ class TestGridArgmax2D:
         assert (x, y) == (pytest.approx(1.0, abs=1e-12), pytest.approx(2.0, abs=1e-12))
         assert v == pytest.approx(0.0, abs=1e-24)
 
-    def test_row_bound_drops_rows_without_changing_the_answer(self):
-        # 201 axis points, four chunks of rows; the row bound is the largest
-        # bound of each row x < 2 and above it elsewhere
+    def test_block_bound_drops_blocks_without_changing_the_answer(self):
+        # 201 axis points, four chunks of rows; the block bound is the largest
+        # bound over each block's pairs. The first call of the bound is the
+        # seed's: the 101 * 100 / 2 pairs of every second axis point.
         def f(x, y):
             return -(x - 1.0) ** 2 - (y - 2.0) ** 2
 
@@ -375,23 +376,29 @@ class TestGridArgmax2D:
             bounded.append(x.size)
             return f(x, y) + 0.01
 
+        def block_bound(x, y_lo, y_hi):
+            gap = np.maximum(np.maximum(y_lo - 2.0, 2.0 - y_hi), 0.0)
+            return -(x - 1.0) ** 2 - gap ** 2 + 0.01
+
         bounded = []
         domain, step = Interval(0.0, 4.0), 0.02
         exhaustive = grid_argmax_2d(f, domain, step)
         full = grid_argmax_2d(f, domain, step, bound=bound)
-        assert full == exhaustive and sum(bounded) == 201 * 200 // 2
+        assert full == exhaustive
+        assert bounded[0] == 101 * 100 // 2 and sum(bounded[1:]) == 201 * 200 // 2
         bounded.clear()
-        pruned = grid_argmax_2d(f, domain, step, bound=bound,
-                                row_bound=lambda x, y_max: -(x - 1.0) ** 2 + 0.01)
-        assert pruned == exhaustive
-        assert 0 < sum(bounded) < 201 * 200 // 2 and max(bounded) <= 64 * 200
+        pruned = grid_argmax_2d(f, domain, step, bound=bound, block_bound=block_bound)
+        assert pruned == exhaustive and bounded[0] == 101 * 100 // 2
+        assert 0 < sum(bounded[1:]) < 201 * 200 // 2 and max(bounded) <= 64 * 200
 
     def test_threshold_rises_with_the_best_score(self):
-        # f peaks at x = 2, in the second chunk of rows; once it is scored,
-        # every row of the third and fourth chunks bounds below 0 and is
-        # dropped, though the seed of the first chunk (x <= 1.26) is lower
+        # f peaks at x = 2.54, row 127, the last row of the second chunk and
+        # off the seed's sub-grid of even rows, whose best is 0.02^2 lower.
+        # Rows 126 and 127 bound at or above the seed and are bounded; once
+        # row 127 is scored, row 128, the first of the third chunk, bounds
+        # below the best and is dropped, though it reaches the seed
         def f(x, y):
-            return -(x - 2.0) ** 2 + 0.0 * y
+            return -(x - 2.54) ** 2 + 0.0 * y
 
         def bound(x, y):
             bounded.append(x.size)
@@ -400,21 +407,22 @@ class TestGridArgmax2D:
         bounded = []
         domain, step = Interval(0.0, 4.0), 0.02
         assert grid_argmax_2d(f, domain, step, bound=bound,
-                              row_bound=lambda x, y_max: f(x, x)) == \
+                              block_bound=lambda x, y_lo, y_hi: f(x, x)) == \
             grid_argmax_2d(f, domain, step)
-        assert sum(bounded) == sum(200 - r for r in range(128))
+        assert bounded == [101 * 100 // 2, (200 - 126) + (200 - 127)]
 
-    def test_nan_row_bound_never_drops_its_row(self):
-        # the maximum sits in the last chunk, in the one row whose bound is
-        # NaN; every other row bound lies far below the first chunk's seed
+    def test_nan_block_bound_never_drops_its_block(self):
+        # the maximum sits in the last chunk, in the one block whose bound is
+        # NaN; every other block bound lies far below the first chunk's best
         def f(x, y):
             return -(x - 3.5) ** 2 - (y - 3.8) ** 2
 
-        def row_bound(x, y_max):
-            return np.where(np.abs(x - 3.5) < 1e-9, math.nan, -1e9)
+        def block_bound(x, y_lo, y_hi):
+            holds = (np.abs(x - 3.5) < 1e-9) & (y_lo <= 3.8 + 1e-9) & (y_hi >= 3.8 - 1e-9)
+            return np.where(holds, math.nan, -1e9)
 
         domain, step = Interval(0.0, 4.0), 0.02
-        assert grid_argmax_2d(f, domain, step, row_bound=row_bound) == \
+        assert grid_argmax_2d(f, domain, step, block_bound=block_bound) == \
             grid_argmax_2d(f, domain, step)
 
     def test_empty_feasible_grid(self):

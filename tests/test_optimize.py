@@ -182,6 +182,16 @@ class TestPrunedPipSearch:
         solve_pip(SystemParams.from_snr_db(10.0))
         assert 0 < sum(bounded) <= 0.30 * 500_500
 
+    def test_blocks_and_seed_bound_eight_and_score_one_and_a_half_percent(self, monkeypatch):
+        # the block bound drops the blocks of a row that cannot win, and the
+        # coarse seed starts the threshold near the best pair (23,043 pairs
+        # bounded and 5,139 scored of the 500,500)
+        scored = _record_sizes(monkeypatch, "pip_throughput")
+        bounded = _record_sizes(monkeypatch, "band_throughput_bound")
+        solve_pip(SystemParams.from_snr_db(10.0))
+        assert 0 < sum(bounded) <= 0.08 * 500_500
+        assert 0 < sum(scored) <= 0.015 * 500_500
+
     def test_no_call_sees_more_than_one_chunk(self, monkeypatch):
         # 2001 axis points, 2,001,000 pairs: each call of the objective or
         # the bound gets at most one chunk of rows of the pair triangle
@@ -190,8 +200,15 @@ class TestPrunedPipSearch:
         scored = _record_sizes(monkeypatch, "pip_throughput")
         bounded = _record_sizes(monkeypatch, "band_throughput_bound")
         solve_pip(SystemParams.from_snr_db(10.0), cfg)
-        assert 0 < sum(bounded) <= 0.30 * 2_001_000
+        assert 0 < sum(bounded) <= 0.05 * 2_001_000
         assert max(scored) <= chunk and max(bounded) <= chunk
+
+    def test_headline_sweep_scores_at_most_80k_pairs(self, monkeypatch):
+        # the 16 PIP grids of 0-30 dB in steps of 2 dB (73,042 pairs scored)
+        scored = _record_sizes(monkeypatch, "pip_throughput")
+        for k in range(16):
+            solve_pip(SystemParams.from_snr_db(2.0 * k))
+        assert 0 < sum(scored) <= 80_000
 
 
 class TestScoreOnce:

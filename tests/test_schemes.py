@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -522,38 +523,75 @@ class TestThroughputBound:
             jensen = prob * mpmath.log(1 + gammabar * mass / prob, 2)
         assert schemes.band_throughput_bound(0.0, 0.5, params) >= float(jensen)
 
+    def test_power_that_fits_while_power_times_gbar_overflows(self):
+        # the uplink power fits a float here but power * gbar does not: the
+        # band is not eligible, and no numpy overflow warning escapes
+        params = SystemParams(p_d=4.592836491614691e303, gbar=7.760618635341894)
+        gl, gu = np.array([3.5]), np.array([3.55])
+        assert math.isfinite(schemes.band_ul_power(3.5, 3.55, params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not schemes.band_eligible(gl, gu, params)[0]
+            assert math.isfinite(schemes.band_throughput_bound(gl, gu, params)[0])
+            for args in ((3.5, 3.55), (gl, gu)):
+                with pytest.raises(schemes.UplinkOverflowError):
+                    schemes.band_throughput(*args, params)
 
-class TestThroughputRowBound:
+
+class TestThroughputBlockBound:
     @given(snr_db=st.floats(min_value=-60.0, max_value=90.0),
            gain_cap=st.floats(min_value=1e-12, max_value=1e3),
            points=st.floats(min_value=1.0, max_value=1e3, exclude_min=True),
-           row=st.floats(min_value=0.0, max_value=1.0))
+           row=st.floats(min_value=0.0, max_value=1.0),
+           start=st.floats(min_value=0.0, max_value=1.0),
+           width=st.floats(min_value=0.0, max_value=1.0))
     # row 738 of 836: the band probability is subnormal there, so the bound
     # must round its product with P in the order the pair bound does
     @example(snr_db=-58.195651145076305, gain_cap=835.2813063547396,
-             points=835.06996098296, row=738.5 / 835)
+             points=835.06996098296, row=738.5 / 835, start=0.0, width=1.0)
+    # row 705 of 1001: e^{g_l} overflows on the bands past g_u ~ 709, which
+    # are not eligible, and the bound takes H = 1 on the block
+    @example(snr_db=90.0, gain_cap=1000.0, points=1000.0, row=0.705, start=0.0,
+             width=0.1)
     @settings(max_examples=300, deadline=None)
-    def test_bounds_every_pair_bound_of_its_row(self, snr_db, gain_cap, points, row):
-        # the axis of solve_pip's grid; the row bound needs only g_l and the cap
+    def test_bounds_every_pair_bound_of_its_block(self, snr_db, gain_cap, points, row,
+                                                  start, width):
+        # the axis of solve_pip's grid; the block bound needs only g_l and
+        # the block's first and last g_u
         params = SystemParams.from_snr_db(snr_db)
         xs = numerics._grid_axis(0.0, gain_cap, gain_cap / points)
         i = min(int(row * (xs.size - 1)), xs.size - 2)
-        pairs = schemes.band_throughput_bound(np.full(xs.size - 1 - i, xs[i]), xs[i + 1:], params)
-        bound = schemes.band_throughput_row_bound(xs[i], xs[-1], params)
+        lo = i + 1 + int(start * (xs.size - 2 - i))
+        hi = lo + int(width * (xs.size - 1 - lo))
+        pairs = schemes.band_throughput_bound(np.full(hi + 1 - lo, xs[i]), xs[lo:hi + 1], params)
+        bound = schemes.band_throughput_block_bound(xs[i], xs[lo], xs[hi], params)
         assert type(bound) is float and bound >= 0.0
         assert not np.any(pairs > bound)
 
-    def test_is_the_overflow_form_on_the_whole_row(self):
-        # the band [g_l, g_cap) is in its own row; where it overflows the
-        # pair bound takes H = 1 too, and the two agree to the padding
-        params = SystemParams(p_d=1e300, gbar=1e5, sigma2=1.0)
-        assert not schemes.band_eligible(0.0, 0.5, params)
-        pair = schemes.band_throughput_bound(0.0, 0.5, params)
-        assert pair <= schemes.band_throughput_row_bound(0.0, 0.5, params) <= pair * (1.0 + 1e-10)
+    def test_is_the_pair_bound_on_a_single_band(self):
+        # g_lo = g_hi: H, P and m are the band's own, and the two agree to the
+        # padding; at p_d = 1e300 the band overflows and both take H = 1
+        overflowing = SystemParams(p_d=1e300, gbar=1e5, sigma2=1.0)
+        assert not schemes.band_eligible(0.0, 0.5, overflowing)
+        for params in (P10, overflowing):
+            pair = schemes.band_throughput_bound(0.0, 0.5, params)
+            assert pair <= schemes.band_throughput_block_bound(0.0, 0.5, 0.5, params) \
+                <= pair * (1.0 + 1e-10)
+
+    def test_harvested_mass_tightens_blocks_far_along_a_row(self):
+        # on a block four units past a low g_l little gain mass is harvested
+        # outside the bands; against the same form with H = 1
+        g_l = np.array([0.0, 1.0])
+        bound = schemes.band_throughput_block_bound(g_l, g_l + 4.0, 10.0, P10)
+        span = 10.0 - g_l
+        prob = np.exp(-g_l) * -np.expm1(-span)
+        mean = g_l + 1.0 - span * np.exp(-span) / -np.expm1(-span)
+        loose = prob * np.log2(1.0 + P10.dl_snr * mean / prob)
+        assert np.all(bound < 0.75 * loose)
 
     def test_shape_and_underflow(self):
         g_l = np.array([0.0, 1.0, 9.0, 800.0])
-        bound = schemes.band_throughput_row_bound(g_l, 1000.0, P10)
+        bound = schemes.band_throughput_block_bound(g_l, g_l + 1.0, 1000.0, P10)
         assert bound.shape == (4,) and np.all(np.diff(bound) < 0.0)
         assert bound[-1] == 0.0  # e^{-800} underflows: so does every band of the row
 
