@@ -1,8 +1,8 @@
 """Normalized Rayleigh-fading channel model.
 
 Under Rayleigh fading the channel power gain divided by its mean is a
-unit-mean exponential random variable; this module provides its density,
-interval probabilities and truncated first moments in closed form, plus a
+unit-mean exponential random variable; this module provides its interval
+probabilities and truncated first moments in closed form, plus a
 reproducible inverse-CDF sampler.
 
 The sampler is built on splitmix64, a counter-based 64-bit generator chosen
@@ -44,15 +44,6 @@ class GainSampleBatch:
             raise ValueError("values length does not match count")
         if np.any(self.values < 0.0):
             raise ValueError("gain draws must be non-negative")
-
-
-def pdf(g):
-    """Density e^{-g} of the normalized gain (g >= 0)."""
-    arr = np.asarray(g, dtype=float)
-    if np.any(arr < 0.0) or np.isnan(arr).any():
-        raise ValueError("pdf requires g >= 0")
-    out = np.exp(-arr)
-    return float(out) if arr.ndim == 0 else out
 
 
 def interval_prob(a: float, b: float) -> float:

@@ -16,13 +16,17 @@ pieces of E1 stay local: the asymptotic tail of the scaled form e^x E1(x)
 above x = 600, where e^x overflows, and its float path, a power series and
 a continued fraction whose exact rounding the threshold solvers depend on.
 W0 is clamped to -1 at the branch point, where ``lambertw`` returns NaN.
+Importing the package loads numpy and no scipy module: ``scipy.special``
+is imported on the first call that needs it (the array paths of E1, either
+path of W0), and ``scipy.integrate`` on the first ``integrate``.
 
 The special functions accept floats or numpy arrays and preserve shape.
 ``exp_scaled_e1`` and ``lambert_w0`` give a float its own entry, with no
 array round trip, since the scalar solvers and the HTT quadrature call them
 one float at a time; W0's float path calls ``lambertw`` on the float and
 matches the array path bit for bit.
-Everything is pure; there is no shared state.
+Everything is pure; the only module state is the binding of those two
+scipy imports.
 """
 from __future__ import annotations
 
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import exp1, lambertw
 
 EULER_GAMMA = 0.5772156649015328606065121
 #: Marker for an open upper integration bound, e.g. ``integrate(f, a, OPEN_END)``.
@@ -80,6 +83,36 @@ def _as_array(x, name: str):
 
 def _scalar_or_array(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# scipy.special, bound on first use
+# ---------------------------------------------------------------------------
+
+def _exp1(x):
+    # stands in for scipy.special.exp1 until its first call binds it
+    _load_special()
+    return _exp1(x)
+
+
+def _lambertw(x):
+    # stands in for scipy.special.lambertw until its first call binds it
+    _load_special()
+    return _lambertw(x)
+
+
+def _load_special() -> None:
+    """Bind ``_exp1`` and ``_lambertw`` to scipy.special's, importing it if need be.
+
+    scipy.special takes about 0.3 s to import, more than numpy and the rest
+    of the package together, and only the array E1 and W0 need it. Once
+    bound, a call pays no import machinery: the one-float W0 of the HTT
+    quadrature calls the ufunc directly.
+    """
+    global _exp1, _lambertw
+    from scipy.special import exp1, lambertw
+
+    _exp1, _lambertw = exp1, lambertw
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +195,7 @@ def exp_integral_e1(x):
     arr, scalar = _as_array(x, "x")
     if np.any(arr <= 0.0):
         raise ValueError("exp_integral_e1 requires x > 0")
-    return _scalar_or_array(exp1(arr), scalar)
+    return _scalar_or_array(_exp1(arr), scalar)
 
 
 def exp_scaled_e1(x):
@@ -187,7 +220,7 @@ def exp_scaled_e1(x):
     if scalar:
         return _exp_scaled_e1_float(float(arr))
     head = np.minimum(arr, _E1_TAIL_FROM)
-    out = np.exp(head) * exp1(head)
+    out = np.exp(head) * _exp1(head)
     tail = arr > _E1_TAIL_FROM
     if tail.any():
         out[tail] = _e1_tail_scaled(arr[tail])
@@ -233,11 +266,11 @@ def lambert_w0(x):
             raise ValueError("x contains NaN")
         if x < _NEG_INV_E - 1e-15:
             raise ValueError(_W0_DOMAIN)
-        return -1.0 if x <= _NEG_INV_E else float(lambertw(x).real)
+        return -1.0 if x <= _NEG_INV_E else float(_lambertw(x).real)
     arr, scalar = _as_array(x, "x")
     if np.any(arr < _NEG_INV_E - 1e-15):
         raise ValueError(_W0_DOMAIN)
-    return _scalar_or_array(np.where(arr <= _NEG_INV_E, -1.0, lambertw(arr).real), scalar)
+    return _scalar_or_array(np.where(arr <= _NEG_INV_E, -1.0, _lambertw(arr).real), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +290,9 @@ def integrate(f: Callable[[float], float | np.ndarray], a: float, b: float) -> f
     hi = a + _TAIL_LENGTH if math.isinf(b) else b
     if hi < a:
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
-    # imported here: scipy.integrate adds about a quarter second and 26 MB to
-    # every import of the package, and most commands never integrate
+    # imported here, as scipy.special is by _load_special: scipy.integrate
+    # adds about a quarter second and 26 MB to an import, and most commands
+    # never integrate
     from scipy.integrate import quad_vec
 
     value, err_estimate = quad_vec(f, a, hi, epsabs=1e-12, epsrel=1e-12, limit=400)

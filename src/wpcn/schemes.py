@@ -33,6 +33,7 @@ import numpy as np
 from . import channel
 from .numerics import (
     OPEN_END,
+    _scalar_or_array,
     exp_scaled_e1,
     integrate,
     lambert_w0,
@@ -183,7 +184,7 @@ def htt_instant_snr(g, params: SystemParams):
         out = _frame_snr_scale(params) * np.square(arr) / params.sigma2
     if not np.all(np.isfinite(out)):
         raise _frame_snr_overflow(params)
-    return float(out) if arr.ndim == 0 else out
+    return _scalar_or_array(out, arr.ndim == 0)
 
 
 def _split_rate(gamma, tau):
@@ -204,8 +205,7 @@ def htt_instant_rate(g, tau, params: SystemParams):
     gamma = htt_instant_snr(g_arr, params)
     # a zero split gives exactly the zero rate of a whole-frame harvest
     out = _split_rate(gamma, np.where(t_arr == 1.0, 0.0, t_arr))
-    scalar = g_arr.ndim == 0 and t_arr.ndim == 0
-    return float(out) if scalar else out
+    return _scalar_or_array(out, g_arr.ndim == 0 and t_arr.ndim == 0)
 
 
 _TAU_MAX = 1.0 - 1e-16  # the split stays below 1, so 1 - tau never divides by 0
@@ -221,9 +221,7 @@ def htt_optimal_tau(gamma):
     arr = np.asarray(gamma, dtype=float)
     if np.any(arr <= 0.0) or np.isnan(arr).any():
         raise ValueError("htt_optimal_tau requires gamma > 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    w = np.atleast_1d(lambert_w0((arr - 1.0) / math.e))
+    w = lambert_w0((arr - 1.0) / math.e)
     denom = (w + 1.0) * (arr - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = (arr - 1.0 - w) / denom
@@ -231,8 +229,7 @@ def htt_optimal_tau(gamma):
     # small-gamma asymptote 1 - sqrt(gamma/2) there
     tau = np.where(denom == 0.0, 1.0 - np.sqrt(arr / 2.0), tau)
     tau = np.where(np.abs(arr - 1.0) < 1e-9, _TAU_AT_UNIT_SNR, tau)
-    tau = np.clip(tau, 0.0, _TAU_MAX)
-    return float(tau[0]) if scalar else tau
+    return _scalar_or_array(np.clip(tau, 0.0, _TAU_MAX), arr.ndim == 0)
 
 
 def _htt_frame_float(g: float, params: SystemParams,
@@ -390,7 +387,7 @@ def band_ul_power(g_l, g_u, params: SystemParams):
     with np.errstate(over="ignore", invalid="ignore"):
         above = scale * (gu + 1.0) * np.exp(gl - gu) / denom
         out = _zero_at_open_end(above, np.isinf(gu)) + scale * (np.expm1(gl) - gl) / denom
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out, out.ndim == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +490,7 @@ def band_throughput(g_l, g_u, params: SystemParams):
     # the integrand is non-negative; on a band a few ulps wide the difference
     # of the two masses can cancel to just below 0
     out = np.where(zero | (mass < 0.0), 0.0, mass / LN2)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out, out.ndim == 0)
 
 
 def band_throughput_bound(g_l, g_u, params: SystemParams):
@@ -524,7 +521,7 @@ def band_throughput_bound(g_l, g_u, params: SystemParams):
         if overflow.any():
             loose = prob * np.logaddexp(0.0, _log_snr(params) + np.log(mean) - np.log(prob)) / LN2
             out = np.where(overflow, np.where(prob > 0.0, loose, 0.0), out)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out, out.ndim == 0)
 
 
 def _log_snr(params: SystemParams) -> float:
@@ -582,7 +579,7 @@ def band_throughput_block_bound(g_l, g_lo, g_hi, params: SystemParams):
         log_term = np.logaddexp(0.0, np.maximum(log_arg, -_LOG_RANGE))
         # in the pair bound's order: (P log) / ln 2 rounds alike where P is subnormal
         out = np.where(prob > 0.0, prob * (log_term * (1.0 + _BLOCK_LOG_PAD)) / LN2, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out, out.ndim == 0)
 
 
 def ip_throughput(g_u, params: SystemParams):
@@ -644,4 +641,4 @@ def band_asymptotic_throughput(g_l, g_u, params: SystemParams):
     if not np.all((gb > 0.0) & np.isfinite(gb)):
         raise ValueError("band_asymptotic_throughput requires a positive, finite uplink power")
     out = np.log2(gb) * np.exp(-gl) * -np.expm1(gl - gu)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out, out.ndim == 0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, schemes
+from . import channel, numerics, schemes
 from .schemes import HTTPolicy, Policy, SystemParams
 
 MODE_WIT = "WIT"
@@ -94,13 +94,16 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         raise ValueError("n_frames must be >= 1")
     if not 0.0 <= initial_energy < math.inf:
         raise ValueError("initial_energy must be finite and >= 0")
+    htt = isinstance(policy, HTTPolicy)
+    if htt:  # bind W0 first: scipy loaded above the frame arrays stops the heap shrinking
+        numerics._load_special()
     g = channel.sample(n_frames, seed).values
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         harvest_full = params.p_d * params.gbar * g  # full-frame harvest energy
     if not np.all(np.isfinite(harvest_full)):
         raise ValueError(f"full-frame harvest p_d gbar g overflows at p_d={params.p_d}")
 
-    if isinstance(policy, HTTPolicy):
+    if htt:
         tau, rate, _ = schemes.htt_frame(g, params)
         harvested = tau * harvest_full
         consumed = harvested.copy()  # per-frame balance, exact by construction

@@ -11,19 +11,6 @@ from wpcn.numerics import OPEN_END, integrate
 bounds = st.floats(min_value=0.0, max_value=20.0)
 
 
-class TestPdf:
-    def test_values(self):
-        assert channel.pdf(0.0) == 1.0
-        assert channel.pdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-    def test_normalization(self):
-        assert integrate(channel.pdf, 0.0, OPEN_END) == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            channel.pdf(-0.1)
-
-
 class TestIntervalProb:
     def test_full_support(self):
         assert channel.interval_prob(0.0, OPEN_END) == 1.0

@@ -461,3 +461,37 @@ def test_commands_that_never_integrate_leave_scipy_integrate_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_threshold_commands_load_no_scipy_and_htt_loads_scipy_special(tmp_path):
+    # importing the package loads numpy only; scipy.special, about 0.3 s of
+    # import, is loaded by the first call of the array E1 or of W0
+    script = (
+        "import sys\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import wpcn.cli\n"
+        "assert not scipy_loaded(), ('import', scipy_loaded())\n"
+        "try:\n"
+        "    wpcn.cli.main(['--help'])\n"
+        "except SystemExit as done:\n"
+        "    assert done.code == 0, done.code\n"
+        "assert not scipy_loaded(), ('--help', scipy_loaded())\n"
+        "point = ['--snr-db', '10']\n"
+        "bands = {'ip': ['--g-u', '1.6'], 'pi': ['--g-l', '0.5'],\n"
+        "         'pip': ['--g-l', '0.3', '--g-u', '2.0']}\n"
+        "for scheme, band in bands.items():\n"
+        "    for command in (['evaluate'], ['simulate', '--samples', '1000', '--causal']):\n"
+        "        argv = command + ['--scheme', scheme] + band + point\n"
+        "        assert wpcn.cli.main(argv) == 0, argv\n"
+        "        assert not scipy_loaded(), (argv, scipy_loaded())\n"
+        "argv = ['simulate', '--scheme', 'htt', '--samples', '1000'] + point\n"
+        "assert wpcn.cli.main(argv) == 0, argv\n"
+        "assert 'scipy.special' in sys.modules, argv\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

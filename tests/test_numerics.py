@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpcn import numerics
 from wpcn.numerics import (
     ConvergenceError,
     Interval,
@@ -189,6 +194,37 @@ class TestLambertW:
     def test_float_path_clamps_at_the_rounded_branch_point(self):
         for x in (-math.exp(-1.0), np.nextafter(-math.exp(-1.0), -1.0), -math.exp(-1.0) - 1e-15):
             assert lambert_w0(float(x)) == -1.0
+
+
+# Each scipy-backed entry, as the first call that binds scipy.special; an
+# expression in ``numerics`` and ``np``, with arrays as lists so repr keeps
+# every digit.
+FIRST_CALLS = [
+    "numerics.lambert_w0(0.7)",
+    "numerics.lambert_w0(np.array([-0.25, 0.0, 0.7, 3e5])).tolist()",
+    "numerics.exp_scaled_e1(np.array([1e-3, 0.7, 45.0, 750.0])).tolist()",
+    "numerics.exp_integral_e1(np.array([1e-3, 0.7, 45.0])).tolist()",
+]
+
+
+@pytest.mark.parametrize("expr", FIRST_CALLS)
+def test_first_call_binds_scipy_special_and_matches_later_calls(expr):
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from wpcn import numerics\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        f"print(repr({expr}))\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    numerics._load_special()  # here the call is never the first
+    assert done.stdout.strip() == repr(eval(expr, {"numerics": numerics, "np": np}))
 
 
 class TestIntegrate:
