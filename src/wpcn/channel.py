@@ -27,6 +27,9 @@ import numpy as np
 _SM64_INCREMENT = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
+# frames per block: the sampler and the frame traces of ``sim`` and ``cli``
+# work on this many at a time, so their temporaries stay a few MB
+_FRAME_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,28 +75,49 @@ def _check_bounds(a: float, b: float) -> None:
         raise ValueError(f"interval bounds out of order: [{a}, {b})")
 
 
+def _splitmix64_block(seed: int, start: int, stop: int) -> np.ndarray:
+    """Generator outputs for counters start+1..stop: draws [start, stop) of the stream."""
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= np.uint64(_SM64_INCREMENT)
+    z += np.uint64(seed % 2**64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_SM64_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_SM64_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniform01_block(seed: int, start: int, stop: int) -> np.ndarray:
+    z = _splitmix64_block(seed, start, stop)
+    z >>= np.uint64(11)
+    return z * 2.0**-53
+
+
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """The raw 64-bit outputs of the counter-based generator (see module doc)."""
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    state = np.uint64(seed % 2**64) + idx * np.uint64(_SM64_INCREMENT)
-    z = state
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM64_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM64_MIX2)
-    return z ^ (z >> np.uint64(31))
+    return _splitmix64_block(seed, 0, count)
 
 
 def uniform01(seed: int, count: int) -> np.ndarray:
     """Deterministic uniforms in [0, 1) with 53-bit resolution."""
-    return (splitmix64(seed, count) >> np.uint64(11)) * 2.0**-53
+    return _uniform01_block(seed, 0, count)
 
 
 def sample(count: int, seed: int) -> GainSampleBatch:
     """Draw ``count`` normalized gains by inverse CDF: g = -ln(1 - u).
 
     Identical (count, seed) pairs reproduce identical sequences bit for bit.
+    The generator is counter-based, so the draws are made ``_FRAME_BLOCK``
+    at a time into one output array: no full-length temporary.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    u = uniform01(seed, count)
-    values = -np.log1p(-u)
+    values = np.empty(count)
+    for start in range(0, count, _FRAME_BLOCK):
+        block = values[start:start + _FRAME_BLOCK]
+        u = _uniform01_block(seed, start, start + len(block))
+        np.negative(u, out=u)
+        np.log1p(u, out=block)
+        np.negative(block, out=block)
     return GainSampleBatch(values=values, seed=int(seed), count=int(count))

@@ -256,12 +256,19 @@ _FRAME_ROW = "%d,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n"
 
 
 def _dump_frames(path: str, trace) -> None:
-    modes = (sim.MODE_NAMES[code] for code in trace.mode.tolist())
-    rows = zip(range(trace.gain.size), trace.gain.tolist(), modes, trace.harvested.tolist(),
-               trace.consumed.tolist(), trace.stored.tolist(), trace.rate.tolist())
+    # one block of rows at a time: the Python objects of a whole 1e6-frame
+    # trace would take about 170 MB
+    n = trace.gain.size
     with open(path, "w") as fh:
         fh.write("index,gain,mode,harvested_j,consumed_j,stored_j,rate_bits\n")
-        fh.writelines(_FRAME_ROW % row for row in rows)
+        for start in range(0, n, sim._FRAME_BLOCK):
+            block = slice(start, min(start + sim._FRAME_BLOCK, n))
+            # no name holds a block's lists, so they are freed before the next
+            fh.writelines(_FRAME_ROW % row for row in zip(
+                range(start, block.stop), trace.gain[block].tolist(),
+                (sim.MODE_NAMES[code] for code in trace.mode[block].tolist()),
+                trace.harvested[block].tolist(), trace.consumed[block].tolist(),
+                trace.stored[block].tolist(), trace.rate[block].tolist()))
 
 
 def cmd_simulate(args) -> int:

@@ -196,19 +196,12 @@ def _split_rate(gamma, tau):
     return (1.0 - tau) * np.log1p(gamma * tau / (1.0 - tau)) / LN2
 
 
-def htt_instant_rate(g, tau, params: SystemParams):
-    """Frame rate (1 - tau) log2(1 + gamma tau/(1 - tau)); zero at tau = 1."""
-    g_arr = np.asarray(g, dtype=float)
-    t_arr = np.asarray(tau, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0) or np.isnan(t_arr).any():
-        raise ValueError("tau must lie in [0, 1]")
-    gamma = htt_instant_snr(g_arr, params)
-    # a zero split gives exactly the zero rate of a whole-frame harvest
-    out = _split_rate(gamma, np.where(t_arr == 1.0, 0.0, t_arr))
-    return _scalar_or_array(out, g_arr.ndim == 0 and t_arr.ndim == 0)
-
-
 _TAU_MAX = 1.0 - 1e-16  # the split stays below 1, so 1 - tau never divides by 0
+
+
+def _split_of_huge_snr(gamma, w):
+    # (gamma - 1)(W0 + 1) overflows while gamma fits: divide by each factor
+    return (gamma - 1.0 - w) / (gamma - 1.0) / (w + 1.0)
 
 
 def htt_optimal_tau(gamma):
@@ -222,9 +215,9 @@ def htt_optimal_tau(gamma):
     if np.any(arr <= 0.0) or np.isnan(arr).any():
         raise ValueError("htt_optimal_tau requires gamma > 0")
     w = lambert_w0((arr - 1.0) / math.e)
-    denom = (w + 1.0) * (arr - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = (arr - 1.0 - w) / denom
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        denom = (w + 1.0) * (arr - 1.0)
+        tau = np.where(np.isinf(denom), _split_of_huge_snr(arr, w), (arr - 1.0 - w) / denom)
     # W0 rounds to exactly -1 once gamma drops below ~1e-32; use the
     # small-gamma asymptote 1 - sqrt(gamma/2) there
     tau = np.where(denom == 0.0, 1.0 - np.sqrt(arr / 2.0), tau)
@@ -250,6 +243,8 @@ def _htt_frame_float(g: float, params: SystemParams,
         tau = _TAU_AT_UNIT_SNR
     elif denom == 0.0:
         tau = 1.0 - math.sqrt(gamma / 2.0)
+    elif denom == math.inf:
+        tau = _split_of_huge_snr(gamma, w)
     else:
         tau = (gamma - 1.0 - w) / denom
     tau = min(max(0.0, tau), _TAU_MAX)  # as np.clip, which gives 0.0 for -0.0
@@ -283,15 +278,6 @@ def htt_frame(g, params: SystemParams):
     split = np.where(live, tau, 0.0)  # a zero split: rate and power are exactly 0
     power = split / (1.0 - split) * params.p_d * params.gbar * g_arr
     return tau, _split_rate(gamma, split), power
-
-
-def htt_tau(g, params: SystemParams):
-    """Per-frame optimal split at normalized gain g: the split of ``htt_frame``.
-
-    ``htt_optimal_tau`` of the frame SNR ``htt_instant_snr(g)``, and 1 (harvest
-    the whole frame) where that SNR is 0: at g = 0, or where g^2 underflows.
-    """
-    return htt_frame(g, params)[0]
 
 
 def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:

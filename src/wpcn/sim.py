@@ -11,6 +11,14 @@ stored-energy ledger as one running sum of the frames' net energy. Two modes:
   "may only harvest at start-up" behaviour; the exact demotion rule is this
   package's choice, not part of the analytical model. The running sum
   restarts at each demoted frame from the exact level before it.
+
+Memory: the seven ``FrameTrace`` columns are the only full-length arrays.
+They are allocated once and filled ``_FRAME_BLOCK`` frames at a time
+(gains by ``channel.sample``, modes, splits, energies and rates here),
+and the ledger sums the frames' net energy in windows of ``_LEDGER_BLOCK``
+frames. Every entry is that of one whole-array expression, bit for bit;
+the means and the minimum of the summary run on whole columns, since
+per-block sums would change the bits of numpy's pairwise summation.
 """
 from __future__ import annotations
 
@@ -27,6 +35,7 @@ MODE_WPT = "WPT"
 MODE_SPLIT = "SPLIT"
 MODE_NAMES = (MODE_WIT, MODE_WPT, MODE_SPLIT)
 _WIT, _WPT, _SPLIT = 0, 1, 2
+_FRAME_BLOCK = channel._FRAME_BLOCK  # frames per block of per-frame quantities
 _LEDGER_BLOCK = 4096  # frames per ledger window: a demotion re-sums at most this many
 
 
@@ -99,41 +108,51 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         numerics._load_special()
     g = channel.sample(n_frames, seed).values
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        harvest_full = params.p_d * params.gbar * g  # full-frame harvest energy
-    if not np.all(np.isfinite(harvest_full)):
+        pd_gbar = params.p_d * params.gbar
+        # p_d gbar g rises with g, so the largest draw decides for every frame
+        top = pd_gbar * np.max(g)
+    if not np.isfinite(top):
         raise ValueError(f"full-frame harvest p_d gbar g overflows at p_d={params.p_d}")
 
+    harvested, consumed, stored, rate = (np.empty(n_frames) for _ in range(4))
     if htt:
-        tau, rate, _ = schemes.htt_frame(g, params)
-        harvested = tau * harvest_full
-        consumed = harvested.copy()  # per-frame balance, exact by construction
         mode = np.full(n_frames, _SPLIT, dtype=np.int8)
+        tau = np.empty(n_frames)
     else:
+        mode = np.empty(n_frames, dtype=np.int8)
+        tau = np.full(n_frames, np.nan)
         pu = schemes.evaluate_policy(policy, params).ul_power
         gammabar = pu * params.gbar / params.sigma2
         lo, hi = policy.band
-        wit = (g >= lo) & (g < hi)  # half-open band: ties go to the upper side
-        mode = np.where(wit, _WIT, _WPT).astype(np.int8)
-        harvested = np.where(wit, 0.0, harvest_full)
-        consumed = np.where(wit, pu, 0.0)
-        rate = np.where(wit, np.log1p(gammabar * g) / schemes.LN2, 0.0)
-        tau = np.full(n_frames, np.nan)
+    for start in range(0, n_frames, _FRAME_BLOCK):
+        block = slice(start, min(start + _FRAME_BLOCK, n_frames))
+        gb = g[block]
+        if htt:
+            tau[block], rate[block], _ = schemes.htt_frame(gb, params)
+            np.multiply(tau[block], pd_gbar * gb, out=harvested[block])
+            consumed[block] = harvested[block]  # per-frame balance, exact by construction
+        else:
+            wit = (gb >= lo) & (gb < hi)  # half-open band: ties go to the upper side
+            mode[block] = np.where(wit, _WIT, _WPT)
+            harvested[block] = np.where(wit, 0.0, pd_gbar * gb)
+            consumed[block] = np.where(wit, pu, 0.0)
+            rate[block] = np.where(wit, np.log1p(gammabar * gb) / schemes.LN2, 0.0)
 
     # net is exact (one of harvested/consumed is 0, or the two are equal in
     # HTT), and np.cumsum adds in sequence: each level is stored[k-1] + net[k]
-    net = harvested - consumed
-    stored = np.empty(n_frames)
     level, skipped, i = float(initial_energy), 0, 0
     while i < n_frames:
         j = min(i + _LEDGER_BLOCK, n_frames)
-        run = np.cumsum(np.concatenate(([level], net[i:j])))  # run[k]: level before frame i+k
+        net = harvested[i:j] - consumed[i:j]
+        run = np.cumsum(np.concatenate(([level], net)))  # run[k]: level before frame i+k
         broke = np.flatnonzero((mode[i:j] == _WIT) & (run[:-1] < consumed[i:j])) if causal else []
         if len(broke):
             # not enough charge: demote the first such frame to harvesting and
-            # restart the sum there, from the exact level before it
+            # restart the sum there, from the exact level before it; the next
+            # window begins at that frame and sums its new net
             j = i + int(broke[0])
             mode[j], consumed[j], rate[j] = _WPT, 0.0, 0.0
-            harvested[j] = net[j] = harvest_full[j]
+            harvested[j] = pd_gbar * g[j]
             skipped += 1
         stored[i:j] = run[1:j - i + 1]
         level, i = run[j - i], j

@@ -69,6 +69,18 @@ class TestSampler:
             0xF88BB8A8724C81EC,
         ]
 
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1, -5])
+    def test_blocks_match_the_whole_array_sampler(self, seed):
+        # lengths on and across the edges of the sampler's blocks
+        block = channel._FRAME_BLOCK
+        for n in (1, block - 1, block, block + 1, 2 * block + 5):
+            values = channel.sample(n, seed).values
+            assert values.tobytes() == (-np.log1p(-channel.uniform01(seed, n))).tobytes(), n
+
+    def test_a_block_is_a_stretch_of_the_counter_stream(self):
+        raw = channel.splitmix64(7, 3000)
+        assert channel._splitmix64_block(7, 1000, 2500).tobytes() == raw[1000:2500].tobytes()
+
     def test_determinism(self):
         a = channel.sample(5000, seed=99)
         b = channel.sample(5000, seed=99)

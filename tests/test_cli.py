@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -277,6 +279,30 @@ class TestSweep:
         assert "gain_cap" in err
 
 
+# `simulate --samples 70000 --snr-db 10 --causal --seed 3 --dump-frames F`: the
+# summary line and the sha256 of the dump, pinned before the trace and the dump
+# were computed in blocks; 70,000 frames span two blocks
+PINNED_SIMULATE = [
+    (("ip", "--g-u", "1.6"),
+     '{"scheme": "ip", "g_l": null, "g_u": 1.6, "causal": true, "n_frames": 70000, '
+     '"mean_rate_bits": 1.6000689192607593, "mean_harvested_j": 5.221033044689971, '
+     '"mean_consumed_j": 5.21621249944904, "min_stored_j": 0.0035795598004213502, '
+     '"skipped_wit_frames": 599}',
+     "0f610067f2f7022d6e5ff4e2cc48b57a830bffb7770691916cc111ab27b0dcdb"),
+    (("htt",),
+     '{"scheme": "htt", "g_l": null, "g_u": null, "causal": true, "n_frames": 70000, '
+     '"mean_rate_bits": 1.4781829707925283, "mean_harvested_j": 3.6795613110762124, '
+     '"mean_consumed_j": 3.6795613110762124, "min_stored_j": 0.0, "skipped_wit_frames": 0}',
+     "1624dcbc3c83306ab7a50bcdf6a6646eb0b322bd90a0305b07e1fb08a0b43c52"),
+    (("pip", "--g-l", "0.3", "--g-u", "2.0"),
+     '{"scheme": "pip", "g_l": 0.3, "g_u": 2.0, "causal": true, "n_frames": 70000, '
+     '"mean_rate_bits": 1.6922185531692646, "mean_harvested_j": 4.409707209813412, '
+     '"mean_consumed_j": 4.4035241053056176, "min_stored_j": 0.0037922681567730265, '
+     '"skipped_wit_frames": 393}',
+     "fb26c117ef7eb18bec1049cc3eaa76e508ff6705f25350f1cbc75207081be884"),
+]
+
+
 class TestSimulate:
     def test_htt_constant_storage(self, capsys, tmp_path):
         dump = tmp_path / "frames.csv"
@@ -357,6 +383,29 @@ class TestSimulate:
             for i in range(3000)
         ]
         assert dump.read_text() == "\n".join(expect) + "\n"
+
+    @pytest.mark.parametrize("flags,stdout,digest", PINNED_SIMULATE, ids=["ip", "htt", "pip"])
+    def test_stdout_and_dump_bytes_are_pinned(self, capsys, tmp_path, flags, stdout, digest):
+        dump = tmp_path / "frames.csv"
+        code, out, err = run_cli(capsys, "simulate", "--scheme", *flags, "--samples", "70000",
+                                 "--snr-db", "10", "--causal", "--seed", "3",
+                                 "--dump-frames", str(dump))
+        assert code == 0, err
+        assert out == stdout + "\n"
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+    def test_dump_holds_one_block_of_rows_at_a_time(self, tmp_path):
+        # a count gate on bytes, not time: the Python floats of one block take
+        # about 10 MiB, those of all 300k frames about 48 MiB
+        trace, _ = sim.run_policy_trace(IPPolicy(1.6), SystemParams.from_snr_db(10.0),
+                                        300_000, seed=1, causal=True)
+        tracemalloc.start()
+        try:
+            cli._dump_frames(str(tmp_path / "frames.csv"), trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("energy", ["nan", "inf"])
     def test_non_finite_initial_energy_is_a_usage_error(self, capsys, energy):

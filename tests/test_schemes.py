@@ -80,22 +80,40 @@ class TestHttInstantSnr:
             schemes.htt_instant_snr(g, SystemParams(p_d=1e308, gbar=4.0))
 
 
+def _frame_rate(gamma, tau):
+    """(1 - tau) log2(1 + gamma tau/(1 - tau)), and 0 at a whole-frame harvest tau = 1."""
+    t = np.where(tau == 1.0, 0.0, tau)
+    return (1.0 - t) * np.log1p(gamma * t / (1.0 - t)) / schemes.LN2
+
+
 class TestHttInstantRate:
+    """The per-frame rate, the second output of ``htt_frame``."""
+
     def test_no_harvest_no_rate(self):
-        assert schemes.htt_instant_rate(1.0, 0.0, P10) == 0.0
+        # a frame with zero SNR harvests all of it and sends nothing
+        g = np.array([0.0, 1e-200])
+        tau, rate, power = schemes.htt_frame(g, P10)
+        assert tau.tolist() == [1.0, 1.0]
+        assert rate.tolist() == [0.0, 0.0] and power.tolist() == [0.0, 0.0]
 
     def test_vanishes_as_tau_approaches_one(self):
-        assert schemes.htt_instant_rate(1.0, 1.0 - 1e-12, P10) < 1e-10
-        assert schemes.htt_instant_rate(1.0, 1.0, P10) == 0.0
+        # gamma = g^2 = 1e-24: the split is within 1e-11 of the whole frame
+        tau, rate, _ = schemes.htt_frame(1e-12, SystemParams(p_d=1.0))
+        assert 1.0 - 1e-11 < tau < 1.0
+        assert 0.0 < rate < 1e-10
 
     def test_zero_gain(self):
-        assert schemes.htt_instant_rate(0.0, 0.5, P10) == 0.0
+        tau, rate, power = schemes.htt_frame(0.0, P10)
+        assert type(rate) is float and (tau, rate, power) == (1.0, 0.0, 0.0)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            schemes.htt_instant_rate(1.0, -0.1, P10)
-        with pytest.raises(ValueError):
-            schemes.htt_instant_rate(1.0, 1.1, P10)
+        for g in (-0.1, np.array([0.5, -0.1])):
+            with pytest.raises(ValueError, match="gain must be >= 0"):
+                schemes.htt_frame(g, P10)
+        g = np.linspace(0.0, 50.0, 501)
+        for snr_db in (-60.0, 10.0, 90.0):
+            rate = schemes.htt_frame(g, SystemParams.from_snr_db(snr_db))[1]
+            assert np.all(np.isfinite(rate)) and np.all(rate >= 0.0)
 
 
 class TestHttOptimalTau:
@@ -109,7 +127,7 @@ class TestHttOptimalTau:
             grid_tau = taus[np.argmax(rates)]
             tau = schemes.htt_optimal_tau(gamma)
             assert abs(tau - grid_tau) <= 1e-4
-            assert schemes.htt_instant_rate(1.0, tau, SystemParams(p_d=gamma)) >= np.max(rates) - 1e-8
+            assert schemes.htt_frame(1.0, SystemParams(p_d=gamma))[1] >= np.max(rates) - 1e-8
 
     def test_stationarity_residual(self):
         for gamma in np.logspace(-2, 4, 25):
@@ -121,11 +139,11 @@ class TestHttOptimalTau:
     def test_beats_neighbors(self):
         for gamma in np.logspace(-2, 4, 25):
             p = SystemParams(p_d=gamma)  # gbar = sigma2 = 1, so snr(1) = gamma
-            tau = schemes.htt_optimal_tau(gamma)
-            best = schemes.htt_instant_rate(1.0, tau, p)
+            tau, best, _ = schemes.htt_frame(1.0, p)
+            assert tau == schemes.htt_optimal_tau(gamma)
             for nudge in (-1e-4, 1e-4):
                 other = min(max(tau + nudge, 0.0), 1.0 - 1e-12)
-                assert best >= schemes.htt_instant_rate(1.0, other, p) - 1e-12
+                assert best >= _frame_rate(gamma, other) - 1e-12
 
     def test_finite_where_w0_meets_its_branch_point(self):
         # (gamma - 1)/e rounds to the branch point -exp(-1.0) for tiny gamma
@@ -141,34 +159,36 @@ class TestHttOptimalTau:
 
 
 class TestHttTau:
+    """The per-frame split, the first output of ``htt_frame``."""
+
     def test_whole_frame_harvest_where_the_snr_is_zero(self):
         # g**2 underflows to 0 at 1e-200, so that frame has no SNR either
         assert schemes.htt_instant_snr(1e-200, P10) == 0.0
         for g in (0.0, 1e-200):
-            tau = schemes.htt_tau(g, P10)
+            tau = schemes.htt_frame(g, P10)[0]
             assert type(tau) is float and tau == 1.0
-        assert schemes.htt_tau(np.array([0.0, 1e-200]), P10).tolist() == [1.0, 1.0]
+        assert schemes.htt_frame(np.array([0.0, 1e-200]), P10)[0].tolist() == [1.0, 1.0]
 
     def test_optimal_split_of_the_frame_snr_elsewhere(self):
         g = np.array([1e-150, 1e-20, 1e-3, 0.3, 1.0 / math.sqrt(10.0), 1.0, 2.5, 7.0, 40.0])
         expect = schemes.htt_optimal_tau(schemes.htt_instant_snr(g, P10))
-        assert np.array_equal(schemes.htt_tau(g, P10), expect)
+        assert np.array_equal(schemes.htt_frame(g, P10)[0], expect)
         for x, t in zip(g, expect):
-            assert schemes.htt_tau(float(x), P10) == t
+            assert schemes.htt_frame(float(x), P10)[0] == t
 
     def test_float_in_float_out_and_shape_kept(self):
-        assert type(schemes.htt_tau(1.0, P10)) is float
-        assert type(schemes.htt_tau(np.float64(1.0), P10)) is float
+        assert type(schemes.htt_frame(1.0, P10)[0]) is float
+        assert type(schemes.htt_frame(np.float64(1.0), P10)[0]) is float
         grid = np.array([[0.0, 0.5, 1.0], [2.0, 1e-200, 3.0]])
-        tau = schemes.htt_tau(grid, P10)
+        tau = schemes.htt_frame(grid, P10)[0]
         assert tau.shape == (2, 3)
         assert tau[0, 0] == tau[1, 1] == 1.0
-        assert tau[1, 2] == schemes.htt_tau(3.0, P10)
-        assert schemes.htt_tau(np.array([0.7]), P10).shape == (1,)
+        assert tau[1, 2] == schemes.htt_frame(3.0, P10)[0]
+        assert schemes.htt_frame(np.array([0.7]), P10)[0].shape == (1,)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            schemes.htt_tau(-0.1, P10)
+            schemes.htt_frame(-0.1, P10)
 
 
 @st.composite
@@ -213,13 +233,32 @@ class TestHttFrame:
         assert schemes.htt_frame(1e-20, p)[0] == small
         tau, rate, power = schemes.htt_frame(3.0, p)
         assert tau == schemes.htt_optimal_tau(9.0)
-        assert rate == schemes.htt_instant_rate(3.0, tau, p)
+        assert rate == _frame_rate(9.0, tau)
         assert power == tau / (1.0 - tau) * 3.0
 
     def test_rate_is_the_instant_rate_of_the_split(self):
         g = np.array([0.0, 1e-200, 1e-20, 0.3, 1.0, 7.0])
         tau, rate, _ = schemes.htt_frame(g, P10)
-        assert np.array_equal(schemes.htt_instant_rate(g, tau, P10), rate)
+        assert np.array_equal(_frame_rate(schemes.htt_instant_snr(g, P10), tau), rate)
+
+    @pytest.mark.parametrize("g", [0.6, 1.0, 3.0])
+    def test_split_where_the_denominator_overflows_matches_mpmath(self, g):
+        # gamma = 1e306 g^2 fits, but (W0 + 1)(gamma - 1) overflows to inf:
+        # the split must still be the optimum, on both paths, with no warning
+        params = SystemParams(p_d=1e306)
+        with mpmath.workdps(40):
+            gamma = mpmath.mpf(1e306) * mpmath.mpf(g) ** 2
+            w = mpmath.lambertw((gamma - 1) / mpmath.e).real
+            tau_ref = (gamma - 1 - w) / ((w + 1) * (gamma - 1))
+            rate_ref = (1 - tau_ref) * mpmath.log(1 + gamma * tau_ref / (1 - tau_ref), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau, rate, _ = schemes.htt_frame(g, params)
+            many = schemes.htt_frame(np.full(9, g), params)
+        assert tau == pytest.approx(float(tau_ref), rel=1e-14)
+        assert rate == pytest.approx(float(rate_ref), rel=1e-14)
+        for x, column in zip((tau, rate), many):
+            assert {repr(float(c)) for c in column} == {repr(x)}
 
     @pytest.mark.parametrize("g", [-0.1, math.nan])
     def test_rejects_a_negative_or_nan_gain_on_both_paths(self, g):

@@ -1,40 +1,58 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcn import channel, schemes, sim
+from wpcn import channel, numerics, schemes, sim
 from wpcn.schemes import HTTPolicy, IPPolicy, PIPolicy, PIPPolicy, SystemParams
 
 P10 = SystemParams.from_snr_db(10.0)
 
 
 def loop_ledger(policy, params, n, seed, causal, initial_energy):
-    """Frame-by-frame reference ledger: the loop the running sum replaced.
+    """Whole-array, frame-by-frame reference trace: what the blocks and the running sum replaced.
 
-    Returns the trace columns (mode, harvested, consumed, stored, rate) and
-    the number of demoted frames.
+    The gains come from the whole-array sampler, every per-frame quantity
+    from one whole-array expression and the ledger from a loop. Returns a
+    ``sim.FrameTrace`` and the number of demoted frames.
     """
-    g = channel.sample(n, seed).values
+    g = -np.log1p(-channel.uniform01(seed, n))
     harvest_full = params.p_d * params.gbar * g
-    pu = schemes.evaluate_policy(policy, params).ul_power
-    lo, hi = policy.band
-    wit = (g >= lo) & (g < hi)
-    mode = np.where(wit, 0, 1).astype(np.int8)
-    harvested = np.where(wit, 0.0, harvest_full)
-    consumed = np.where(wit, pu, 0.0)
-    rate = np.where(wit, np.log1p(pu * params.gbar / params.sigma2 * g) / schemes.LN2, 0.0)
+    if isinstance(policy, HTTPolicy):
+        tau, rate, _ = schemes.htt_frame(g, params)
+        mode = np.full(n, 2, dtype=np.int8)
+        harvested = tau * harvest_full
+        consumed = harvested.copy()
+    else:
+        pu = schemes.evaluate_policy(policy, params).ul_power
+        lo, hi = policy.band
+        wit = (g >= lo) & (g < hi)
+        mode = np.where(wit, 0, 1).astype(np.int8)
+        tau = np.full(n, np.nan)
+        harvested = np.where(wit, 0.0, harvest_full)
+        consumed = np.where(wit, pu, 0.0)
+        rate = np.where(wit, np.log1p(pu * params.gbar / params.sigma2 * g) / schemes.LN2, 0.0)
     stored = np.empty(n)
     level, skipped = float(initial_energy), 0
     for i in range(n):
         if causal and mode[i] == 0 and level < consumed[i]:
             mode[i], harvested[i], consumed[i], rate[i] = 1, harvest_full[i], 0.0, 0.0
             skipped += 1
-        level = level + harvested[i] - consumed[i]
+        level = level + (harvested[i] - consumed[i])
         stored[i] = level
-    return (mode, harvested, consumed, stored, rate), skipped
+    trace = sim.FrameTrace(gain=g, mode=mode, tau=tau, harvested=harvested,
+                           consumed=consumed, stored=stored, rate=rate)
+    return trace, skipped
+
+
+def assert_same_trace(trace, ref, label):
+    for field in dataclasses.fields(ref):
+        got, want = getattr(trace, field.name), getattr(ref, field.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (field.name, label)
 
 
 class TestMcThroughput:
@@ -88,25 +106,22 @@ class TestTraceLedger:
         for n in WINDOW_LENGTHS:
             trace, summary = sim.run_policy_trace(policy, P10, n, seed, causal=causal,
                                                   initial_energy=initial_energy)
-            columns, skipped = loop_ledger(policy, P10, n, seed, causal, initial_energy)
-            got = (trace.mode, trace.harvested, trace.consumed, trace.stored, trace.rate)
-            for name, a, b in zip(("mode", "harvested", "consumed", "stored", "rate"),
-                                  got, columns):
-                assert a.tobytes() == b.tobytes(), (name, n)
+            ref, skipped = loop_ledger(policy, P10, n, seed, causal, initial_energy)
+            assert_same_trace(trace, ref, n)
             assert summary.skipped_wit_frames == skipped
-            assert summary.min_stored == float(np.min(columns[3]))
+            assert summary.min_stored == float(np.min(ref.stored))
 
     def test_demotions_after_the_first_window(self):
         # the comparison above restarts the sum past a window edge only if
         # a demotion lands there: pin that these draws make some
         trace, summary = sim.run_policy_trace(IPPolicy(0.05), P10, 10_000, seed=1,
                                               causal=True)
-        columns, skipped = loop_ledger(IPPolicy(0.05), P10, 10_000, 1, True, 0.0)
+        ref, skipped = loop_ledger(IPPolicy(0.05), P10, 10_000, 1, True, 0.0)
         wit = trace.gain < 0.05
         late = np.flatnonzero(wit & (trace.mode == 1))
         assert late[-1] >= sim._LEDGER_BLOCK
         assert summary.skipped_wit_frames == skipped
-        assert trace.stored.tobytes() == columns[3].tobytes()
+        assert trace.stored.tobytes() == ref.stored.tobytes()
 
     def test_mode_threshold_consistency(self):
         g_l, g_u = 0.4, 1.9
@@ -132,6 +147,47 @@ class TestTraceLedger:
         net = trace.harvested - trace.consumed
         se = float(np.std(net, ddof=1)) / math.sqrt(len(net))
         assert abs(summary.mean_harvested - summary.mean_consumed) <= 3.0 * se
+
+
+# lengths on and across the edges of the blocks of per-frame quantities
+BLOCK_LENGTHS = (sim._FRAME_BLOCK - 1, sim._FRAME_BLOCK, sim._FRAME_BLOCK + 1,
+                 2 * sim._FRAME_BLOCK + 5)
+
+
+class TestFrameBlocks:
+    @pytest.mark.parametrize("policy", [
+        IPPolicy(1.6), PIPolicy(0.5), PIPPolicy(0.3, 2.0), HTTPolicy(),
+    ], ids=repr)
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_blocks_match_the_whole_array_trace(self, policy, causal):
+        for n in BLOCK_LENGTHS:
+            trace, summary = sim.run_policy_trace(policy, P10, n, seed=11, causal=causal,
+                                                  initial_energy=1.5)
+            ref, skipped = loop_ledger(policy, P10, n, 11, causal, 1.5)
+            assert_same_trace(trace, ref, n)
+            expect = sim.TraceSummary(
+                n_frames=n, mean_rate_bits=float(np.mean(ref.rate)),
+                mean_harvested=float(np.mean(ref.harvested)),
+                mean_consumed=float(np.mean(ref.consumed)),
+                min_stored=float(np.min(ref.stored)), skipped_wit_frames=skipped)
+            assert repr(summary) == repr(expect), n
+            if causal and not isinstance(policy, HTTPolicy):
+                assert skipped > 0
+
+    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 56.0), (IPPolicy(1.6), 52.0)],
+                             ids=repr)
+    def test_traced_peak_of_a_million_frame_trace(self, policy, limit_mib):
+        # a count gate on bytes, not time: the seven columns take 46.7 MiB
+        # and the blocks keep the rest to a few MiB; whole-array temporaries
+        # peaked at 78.2 MiB (HTT) and 63.1 MiB (IP)
+        numerics._load_special()  # the module objects of scipy.special are not the trace's
+        tracemalloc.start()
+        try:
+            sim.run_policy_trace(policy, P10, 1_000_000, seed=1, causal=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
 
 
 class TestHttTrace:
