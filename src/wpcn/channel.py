@@ -37,16 +37,16 @@ class GainSampleBatch:
     """A reproducible batch of normalized gain draws."""
 
     values: np.ndarray
-    seed: int
-    count: int
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if len(self.values) != self.count:
-            raise ValueError("values length does not match count")
         if np.any(self.values < 0.0):
             raise ValueError("gain draws must be non-negative")
+
+    @property
+    def count(self) -> int:
+        return len(self.values)
 
 
 def interval_prob(a: float, b: float) -> float:
@@ -120,4 +120,4 @@ def sample(count: int, seed: int) -> GainSampleBatch:
         np.negative(u, out=u)
         np.log1p(u, out=block)
         np.negative(block, out=block)
-    return GainSampleBatch(values=values, seed=int(seed), count=int(count))
+    return GainSampleBatch(values=values)

@@ -235,9 +235,8 @@ def render_curve_json(curve) -> str:
 def cmd_sweep(args) -> int:
     cfg = _cfg(args)
     tags = SCHEME_TAGS if args.schemes == "all" else tuple(args.schemes.split(","))
-    template = SystemParams(p_d=1.0, gbar=args.gbar, sigma2=args.sigma2)
-    curve = optimize.sweep(args.start, args.stop, args.step,
-                           schemes_to_run=tags, params_template=template, cfg=cfg)
+    curve = optimize.sweep(args.start, args.stop, args.step, schemes_to_run=tags,
+                           gbar=args.gbar, sigma2=args.sigma2, cfg=cfg)
     text = render_curve_csv(curve) if args.format == "csv" else render_curve_json(curve)
     if args.output:
         with open(args.output, "w") as fh:

@@ -56,22 +56,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Half-open interval [lo, hi); ``hi`` may be ``OPEN_END`` (math.inf)."""
+    """Bounded interval [lo, hi]: both ends finite, lo <= hi."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lo):
-            raise ValueError(f"interval lower bound must be finite, got {self.lo}")
-        if math.isnan(self.hi):
-            raise ValueError("interval upper bound is NaN")
+        for name, end in (("lower", self.lo), ("upper", self.hi)):
+            if not math.isfinite(end):
+                raise ValueError(f"interval {name} bound must be finite, got {end}")
         if self.lo > self.hi:
-            raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi})")
-
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.hi)
+            raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
 
 
 def _as_array(x, name: str):
@@ -310,7 +305,7 @@ def integrate(f: Callable[[float], float | np.ndarray], a: float, b: float) -> f
 
 def maximize_scalar(f: Callable[[float], float], domain: Interval,
                     abs_tol: float = 1e-9) -> tuple[float, float]:
-    """Maximize a unimodal scalar function on a closed interval.
+    """Maximize a unimodal scalar function on the closed, finite interval ``domain``.
 
     Bisects on the sign of a central finite difference of f (step
     1e-7 * max(1, |x|)) until the bracket is narrower than ``abs_tol``, or
@@ -323,8 +318,6 @@ def maximize_scalar(f: Callable[[float], float], domain: Interval,
     if not abs_tol > 0.0:
         raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
     lo, hi = domain.lo, domain.hi
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("maximize_scalar requires a bounded domain")
     if hi <= lo:
         return lo, f(lo)
 
@@ -445,8 +438,6 @@ def grid_argmax_2d(f, domain: Interval, step: float,
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    if domain.unbounded:
-        raise ValueError("grid search requires a bounded interval")
     xs = _grid_axis(domain.lo, domain.hi, step)
     n = xs.size
     if n < 2:

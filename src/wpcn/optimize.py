@@ -147,7 +147,11 @@ class _Eligible:
             raise schemes.UplinkOverflowError(self.params)
 
 
-def _solve_threshold(f: _Eligible, cfg: SolveConfig, lo: float) -> tuple[float, float, bool]:
+def _solve_threshold(scheme: str, throughput, band, policy_type, lo: float,
+                     params: SystemParams, cfg: SolveConfig) -> SolveResult:
+    """Best threshold x in [lo, gain_cap] of the scheme whose closed form is
+    ``throughput(x, params)``, transmit band ``band(x)`` and policy ``policy_type(x)``."""
+    f = _Eligible(lambda x: throughput(x, params), band, params)
     cap = cfg.gain_cap
     xs = np.linspace(lo, cap, _COARSE_POINTS)
     coarse = f(xs)
@@ -166,34 +170,26 @@ def _solve_threshold(f: _Eligible, cfg: SolveConfig, lo: float) -> tuple[float, 
         if v > best_v:
             best_x, best_v = float(x), float(v)
     f.check(best_v)
-    at_boundary = bool(cap - best_x <= max(cfg.grid_step, float(step)))
-    return best_x, best_v, at_boundary
+    policy = policy_type(best_x)
+    return SolveResult(
+        scheme=scheme, policy=policy, throughput_bits=best_v,
+        ul_power=schemes.band_ul_power(*policy.band, params),
+        at_boundary=bool(cap - best_x <= max(cfg.grid_step, float(step))),
+    )
 
 
 def solve_ip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best transmit-below threshold g_u in (0, gain_cap]."""
     cfg = cfg or SolveConfig()
-    g_u, value, boundary = _solve_threshold(_Eligible(
-        lambda x: schemes.ip_throughput(x, params), lambda x: (0.0, x), params,
-    ), cfg, min(_THRESHOLD_FLOOR, 0.5 * cfg.gain_cap))
-    policy = IPPolicy(g_u=g_u)
-    return SolveResult(
-        scheme="ip", policy=policy, throughput_bits=value,
-        ul_power=schemes.band_ul_power(*policy.band, params), at_boundary=boundary,
-    )
+    return _solve_threshold("ip", schemes.ip_throughput, lambda x: (0.0, x), IPPolicy,
+                            min(_THRESHOLD_FLOOR, 0.5 * cfg.gain_cap), params, cfg)
 
 
 def solve_pi(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best transmit-above threshold g_l in [0, gain_cap]."""
     cfg = cfg or SolveConfig()
-    g_l, value, boundary = _solve_threshold(_Eligible(
-        lambda x: schemes.pi_throughput(x, params), lambda x: (x, math.inf), params,
-    ), cfg, 0.0)
-    policy = PIPolicy(g_l=g_l)
-    return SolveResult(
-        scheme="pi", policy=policy, throughput_bits=value,
-        ul_power=schemes.band_ul_power(*policy.band, params), at_boundary=boundary,
-    )
+    return _solve_threshold("pi", schemes.pi_throughput, lambda x: (x, math.inf), PIPolicy,
+                            0.0, params, cfg)
 
 
 def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
@@ -261,14 +257,15 @@ def _sweep_point(snr_db: float, result: SolveResult) -> SweepPoint:
 
 
 def sweep(start_db: float, stop_db: float, step_db: float,
-          schemes_to_run=SCHEME_TAGS,
-          params_template: SystemParams | None = None,
+          schemes_to_run=SCHEME_TAGS, gbar: float = 1.0, sigma2: float = 1.0,
           cfg: SolveConfig | None = None) -> ThroughputCurve:
     """Optimize each scheme across a downlink-SNR range.
 
-    Each point fixes p_d gbar^2/sigma^2 to the point's SNR (gbar and sigma2
-    taken from ``params_template``). A failing solve flags its point and the
-    sweep continues; output is ordered by (snr_db, scheme).
+    Each point sets p_d so that p_d gbar^2/sigma2 equals the point's SNR,
+    at the given average gain ``gbar`` and noise variance ``sigma2``; a bad
+    ``gbar`` or ``sigma2`` raises before the first solve. A failing solve
+    flags its point and the sweep continues; output is ordered by
+    (snr_db, scheme).
     """
     if not step_db > 0.0:
         raise ValueError(f"step_db must be positive, got {step_db}")
@@ -282,8 +279,6 @@ def sweep(start_db: float, stop_db: float, step_db: float,
     unknown = [t for t in tags if t not in SCHEME_TAGS]
     if unknown:
         raise ValueError(f"unknown scheme tags: {unknown}")
-    gbar = params_template.gbar if params_template else 1.0
-    sigma2 = params_template.sigma2 if params_template else 1.0
 
     n_points = int(math.floor((stop_db - start_db) / step_db + 1e-9)) + 1
     points: list[SweepPoint] = []

@@ -12,13 +12,14 @@ stored-energy ledger as one running sum of the frames' net energy. Two modes:
   package's choice, not part of the analytical model. The running sum
   restarts at each demoted frame from the exact level before it.
 
-Memory: the seven ``FrameTrace`` columns are the only full-length arrays.
-They are allocated once and filled ``_FRAME_BLOCK`` frames at a time
-(gains by ``channel.sample``, modes, splits, energies and rates here),
-and the ledger sums the frames' net energy in windows of ``_LEDGER_BLOCK``
-frames. Every entry is that of one whole-array expression, bit for bit;
-the means and the minimum of the summary run on whole columns, since
-per-block sums would change the bits of numpy's pairwise summation.
+Memory: the six ``FrameTrace`` columns are the only full-length arrays,
+41 bytes a frame (about 39 MiB for 1e6 frames). They are allocated once
+and filled ``_FRAME_BLOCK`` frames at a time (gains by ``channel.sample``,
+modes, energies and rates here), and the ledger sums the frames' net
+energy in windows of ``_LEDGER_BLOCK`` frames. Every entry is that of one
+whole-array expression, bit for bit; the means and the minimum of the
+summary run on whole columns, since per-block sums would change the bits
+of numpy's pairwise summation.
 """
 from __future__ import annotations
 
@@ -43,12 +44,12 @@ _LEDGER_BLOCK = 4096  # frames per ledger window: a demotion re-sums at most thi
 class FrameTrace:
     """Columnar per-frame ledger: one array per quantity, one entry per frame.
 
-    ``mode`` holds int codes; ``MODE_NAMES[code]`` is the mode's name.
+    ``mode`` holds int codes; ``MODE_NAMES[code]`` is the mode's name. The
+    HTT split is not stored: ``schemes.htt_frame(gain, params)[0]`` gives it.
     """
 
     gain: np.ndarray
     mode: np.ndarray          # int codes, see MODE_NAMES
-    tau: np.ndarray           # NaN outside SPLIT frames
     harvested: np.ndarray
     consumed: np.ndarray
     stored: np.ndarray        # post-frame ledger
@@ -117,10 +118,8 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
     harvested, consumed, stored, rate = (np.empty(n_frames) for _ in range(4))
     if htt:
         mode = np.full(n_frames, _SPLIT, dtype=np.int8)
-        tau = np.empty(n_frames)
     else:
         mode = np.empty(n_frames, dtype=np.int8)
-        tau = np.full(n_frames, np.nan)
         pu = schemes.evaluate_policy(policy, params).ul_power
         gammabar = pu * params.gbar / params.sigma2
         lo, hi = policy.band
@@ -128,8 +127,8 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         block = slice(start, min(start + _FRAME_BLOCK, n_frames))
         gb = g[block]
         if htt:
-            tau[block], rate[block], _ = schemes.htt_frame(gb, params)
-            np.multiply(tau[block], pd_gbar * gb, out=harvested[block])
+            tau, rate[block], _ = schemes.htt_frame(gb, params)
+            np.multiply(tau, pd_gbar * gb, out=harvested[block])
             consumed[block] = harvested[block]  # per-frame balance, exact by construction
         else:
             wit = (gb >= lo) & (gb < hi)  # half-open band: ties go to the upper side
@@ -158,8 +157,7 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         level, i = run[j - i], j
 
     trace = FrameTrace(
-        gain=g, mode=mode, tau=tau,
-        harvested=harvested, consumed=consumed, stored=stored, rate=rate,
+        gain=g, mode=mode, harvested=harvested, consumed=consumed, stored=stored, rate=rate,
     )
     summary = TraceSummary(
         n_frames=n_frames,

@@ -117,7 +117,10 @@ class TestSampler:
         with pytest.raises(ValueError):
             channel.sample(0, seed=1)
         with pytest.raises(ValueError):
-            channel.GainSampleBatch(values=np.array([1.0, -2.0]), seed=0, count=2)
+            channel.GainSampleBatch(values=np.array([1.0, -2.0]))
+        with pytest.raises(ValueError):
+            channel.GainSampleBatch(values=np.array([]))
+        assert channel.sample(3, seed=1).count == 3
 
     def test_all_draws_non_negative_and_finite(self):
         g = channel.sample(200_000, seed=5).values

@@ -120,6 +120,8 @@ class TestEvaluate:
       "--sigma2", "1e-300"), "gbar"),
     (("evaluate", "--scheme", "htt", "--p-d", "1", "--gbar", "1e200"), "gbar"),
     (("simulate", "--scheme", "htt", "--p-d", "1", "--gbar", "1e200", "--samples", "10"), "gbar"),
+    (("sweep", "--start", "0", "--stop", "30", "--gbar", "0"), "gbar"),
+    (("sweep", "--start", "0", "--stop", "30", "--sigma2", "nan"), "sigma2"),
 ])
 def test_bad_snr_input_is_a_usage_error_naming_it(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
@@ -169,7 +171,31 @@ class TestOptimize:
         assert by["ip"]["throughput_bits"] >= by["htt"]["throughput_bits"]
 
 
+# sha256 of the stdout of `wpcn sweep --start 0 --stop 30 --step 2`, and of
+# the reprs of its 64 SweepPoints, one a line: a float's repr round-trips, so
+# the second pins every threshold, split, power and throughput bit for bit,
+# where the CSV's .12g cells could hide a moved bit
+HEADLINE_CSV_SHA256 = "1c6b0c7d9ee79322a8c41f10b6bc5422b80b533eb7bbec0885bc13df0d2e2111"
+HEADLINE_POINTS_SHA256 = "f116e85c932b36a8bb82a94573ed53c79bb4c7228824962002f7a1bd104fa987"
+
+
 class TestSweep:
+    def test_headline_curve_is_pinned_bit_for_bit(self, capsys, monkeypatch):
+        curves, sweep = [], optimize.sweep
+
+        def keep(*args, **kwargs):
+            curves.append(sweep(*args, **kwargs))
+            return curves[-1]
+
+        monkeypatch.setattr(optimize, "sweep", keep)
+        code, out, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "30", "--step", "2")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == HEADLINE_CSV_SHA256
+        (curve,) = curves
+        assert len(curve.points) == 64
+        reprs = "\n".join(map(repr, curve.points)).encode()
+        assert hashlib.sha256(reprs).hexdigest() == HEADLINE_POINTS_SHA256
+
     def test_csv_shape_header_and_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "curve.csv"
         code, _, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "30", "--step", "2",

@@ -466,8 +466,6 @@ class TestGridArgmax2D:
         for domain, step in ((Interval(0.0, 0.4), 0.5), (Interval(1.0, 1.0), 0.1)):
             with pytest.raises(ValueError, match="fewer than 2"):
                 grid_argmax_2d(lambda x, y: x + y, domain, step)
-        with pytest.raises(ValueError, match="bounded"):
-            grid_argmax_2d(lambda x, y: x + y, Interval(0.0, OPEN_END), 0.1)
 
     def test_bad_step(self):
         for step in (0.0, -0.5, math.nan):
@@ -481,4 +479,7 @@ class TestConfigTypes:
             Interval(2.0, 1.0)
         with pytest.raises(ValueError):
             Interval(math.inf, math.inf)
-        assert Interval(0.0, OPEN_END).unbounded
+        # both consumers search a finite range: an open end is refused up front
+        for lo, hi in ((0.0, OPEN_END), (0.0, math.nan), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                Interval(lo, hi)

@@ -324,8 +324,7 @@ class TestSweep:
         # at fixed p_d*gbar^2/sigma2 the expected uplink SNR is the same for
         # every scheme, so throughputs must match across physical constants
         base = sweep(10.0, 12.0, 2.0, cfg=FAST)
-        other = sweep(10.0, 12.0, 2.0, cfg=FAST,
-                      params_template=SystemParams(p_d=1.0, gbar=3.0, sigma2=0.2))
+        other = sweep(10.0, 12.0, 2.0, cfg=FAST, gbar=3.0, sigma2=0.2)
         for a, b in zip(base.points, other.points):
             assert b.throughput_bits == pytest.approx(a.throughput_bits, rel=1e-9)
             assert (a.g_l is None) == (b.g_l is None)

@@ -32,7 +32,6 @@ def loop_ledger(policy, params, n, seed, causal, initial_energy):
         lo, hi = policy.band
         wit = (g >= lo) & (g < hi)
         mode = np.where(wit, 0, 1).astype(np.int8)
-        tau = np.full(n, np.nan)
         harvested = np.where(wit, 0.0, harvest_full)
         consumed = np.where(wit, pu, 0.0)
         rate = np.where(wit, np.log1p(pu * params.gbar / params.sigma2 * g) / schemes.LN2, 0.0)
@@ -44,7 +43,7 @@ def loop_ledger(policy, params, n, seed, causal, initial_energy):
             skipped += 1
         level = level + (harvested[i] - consumed[i])
         stored[i] = level
-    trace = sim.FrameTrace(gain=g, mode=mode, tau=tau, harvested=harvested,
+    trace = sim.FrameTrace(gain=g, mode=mode, harvested=harvested,
                            consumed=consumed, stored=stored, rate=rate)
     return trace, skipped
 
@@ -174,12 +173,12 @@ class TestFrameBlocks:
             if causal and not isinstance(policy, HTTPolicy):
                 assert skipped > 0
 
-    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 56.0), (IPPolicy(1.6), 52.0)],
+    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 48.0), (IPPolicy(1.6), 44.0)],
                              ids=repr)
     def test_traced_peak_of_a_million_frame_trace(self, policy, limit_mib):
-        # a count gate on bytes, not time: the seven columns take 46.7 MiB
-        # and the blocks keep the rest to a few MiB; whole-array temporaries
-        # peaked at 78.2 MiB (HTT) and 63.1 MiB (IP)
+        # a count gate on bytes, not time: the six columns take 39.1 MiB
+        # and the blocks keep the rest to a few MiB (44.2 MiB HTT, 40.2 MiB
+        # IP); whole-array temporaries peaked at 78.2 and 63.1 MiB
         numerics._load_special()  # the module objects of scipy.special are not the trace's
         tracemalloc.start()
         try:
@@ -198,7 +197,8 @@ class TestHttTrace:
         assert np.array_equal(trace.harvested, trace.consumed)
         assert summary.skipped_wit_frames == 0
         assert np.all(trace.mode == 2)
-        assert np.all((trace.tau > 0.0) & (trace.tau <= 1.0))
+        tau = schemes.htt_frame(trace.gain, P10)[0]
+        assert np.all((tau > 0.0) & (tau <= 1.0))
 
     def test_negative_zero_charge_sums_to_positive_zero(self):
         # the ledger adds each frame's net 0.0 to the charge, and
