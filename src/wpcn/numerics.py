@@ -120,6 +120,9 @@ def _load_special() -> None:
 # 1e-25 relative there.
 _E1_TAIL_FROM = 600.0
 _E1_TAIL_TERMS = 12
+# _e1_cf_scaled_scalar stops at |delta - 1| < _E1_CF_TOL, or raises after _E1_CF_MAX_ITER
+_E1_CF_TOL = 5e-16
+_E1_CF_MAX_ITER = 500
 
 
 def _e1_series_scalar(x: float) -> float:
@@ -136,7 +139,7 @@ def _e1_series_scalar(x: float) -> float:
     return -EULER_GAMMA - math.log(x) + total
 
 
-def _e1_cf_scaled_scalar(x: float, tol: float = 5e-16, max_iter: int = 500) -> float:
+def _e1_cf_scaled_scalar(x: float) -> float:
     # Modified Lentz evaluation of the continued fraction for e^x E1(x):
     #   e^x E1(x) = 1/(x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...))))
     # Converges for x > 1 (slowest near 1: roughly 90 iterations).
@@ -144,7 +147,7 @@ def _e1_cf_scaled_scalar(x: float, tol: float = 5e-16, max_iter: int = 500) -> f
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, max_iter + 1):
+    for i in range(1, _E1_CF_MAX_ITER + 1):
         a = -float(i * i)
         b += 2.0
         d = a * d + b
@@ -156,7 +159,7 @@ def _e1_cf_scaled_scalar(x: float, tol: float = 5e-16, max_iter: int = 500) -> f
         d = 1.0 / d
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _E1_CF_TOL:
             return h
     raise ConvergenceError(f"E1 continued fraction did not converge at x={x!r}")
 

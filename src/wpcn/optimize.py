@@ -3,8 +3,10 @@
 The two-interval objectives are only provably well behaved in the
 infinite-power limit, so the scalar solvers hedge: a coarse scan plus
 derivative-bisection refinement from several brackets, best candidate wins.
-The three-interval scheme has no usable structure at all and is solved by a
-grid search over the pairs g_l < g_u. It prunes with bounds that need no
+The three-interval scheme's optimum is one band [g_l, g_u) with 0 < g_l and
+g_u < inf (the energy-balanced Lagrangian admits a gain where a concave rate
+beats an affine cost), but its edges have no closed form, so it is solved by
+a grid search over the pairs g_l < g_u. It prunes with bounds that need no
 E1: a coarse sub-grid seeds the pruning threshold, a block bound
 ``schemes.band_throughput_block_bound`` drops the runs of g_u in a row g_l
 that cannot win before any pair of them is bounded, and the Jensen bound

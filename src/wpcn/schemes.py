@@ -479,90 +479,86 @@ def band_throughput(g_l, g_u, params: SystemParams):
     return _scalar_or_array(out, out.ndim == 0)
 
 
+def _band_prob_mean(gl, gu):
+    """P = e^{-g_l} - e^{-g_u} and the mean gain of the band [g_l, g_u); g_u may be inf.
+
+    The mean is the gain mass (g_l+1) e^{-g_l} - (g_u+1) e^{-g_u} over P,
+    evaluated as g_l + 1 - d/(e^d - 1), d = g_u - g_l, which does not cancel
+    on narrow bands.
+    """
+    span = gu - gl
+    tail = -np.expm1(-span)
+    mean = gl + 1.0 - _zero_at_open_end(span * np.exp(-span) / tail, np.isinf(gu))
+    return np.exp(-gl) * tail, mean
+
+
+def _log_jensen_arg(gl, gu, prob, mean, params: SystemParams):
+    """ln(gammabar mean) in log space, finite where the uplink SNR gammabar = snr H/P overflows.
+
+    snr = p_d gbar^2/sigma2, P = ``prob``, and H = e^{-g_l}(e^{g_l} - g_l - 1)
+    + (g_u+1) e^{-g_u} <= 1 is the gain mass harvested outside [g_l, g_u),
+    capped at 1 (it rounds to 1 past g_l ~ 709, where e^{g_l} overflows).
+    """
+    log_snr = math.log(params.p_d) + 2.0 * math.log(params.gbar) - math.log(params.sigma2)
+    held = _zero_at_open_end((gu + 1.0) * np.exp(gl - gu), np.isinf(gu)) + (np.expm1(gl) - gl)
+    return log_snr + np.minimum(np.log(held) - gl, 0.0) + np.log(mean) - np.log(prob)
+
+
 def band_throughput_bound(g_l, g_u, params: SystemParams):
     """Upper bound on ``band_throughput`` from Jensen's inequality, with no E1.
 
     log2(1 + gammabar g) is concave in g, so its integral against e^{-g}
-    over the band is at most P log2(1 + gammabar m/P), where
-    P = e^{-g_l} - e^{-g_u} is the band's probability and
-    m = (g_l+1) e^{-g_l} - (g_u+1) e^{-g_u} its gain mass; g_u may be inf.
-    m/P is evaluated as the band's mean gain g_l + 1 - d/(e^d - 1),
-    d = g_u - g_l, which does not cancel on narrow bands.
+    over the band is at most P log2(1 + gammabar m/P), with P the band's
+    probability and m/P its mean gain (``_band_prob_mean``); g_u may be inf.
 
-    On a band that is not ``band_eligible``, gammabar is replaced by its own
-    bound p_d gbar^2/(sigma2 P) (the harvested gain mass is at most
-    E[g] = 1) and the logarithm is taken in log space, so the bound stays
-    finite; it is 0 where P underflows to 0.
+    On a band that is not ``band_eligible`` the logarithm is taken in log
+    space, from ``_log_jensen_arg``, so the bound stays finite; it is 0
+    where P underflows to 0. Eligible bands keep gammabar = ``band_ul_power``
+    gbar / sigma2 as ``band_throughput`` computes it, which keeps the bound
+    above the closed form in floats.
     """
     gl = np.asarray(g_l, dtype=float)
     gu = np.asarray(g_u, dtype=float)
     gb = _band_gammabar(gl, gu, params)
-    span = gu - gl
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tail = -np.expm1(-span)
-        prob = np.exp(-gl) * tail
-        mean = gl + 1.0 - _zero_at_open_end(span * np.exp(-span) / tail, np.isinf(gu))
+        prob, mean = _band_prob_mean(gl, gu)
         out = prob * np.log1p(gb * mean) / LN2
         overflow = ~_fits(gb, gl, gu)
         if overflow.any():
-            loose = prob * np.logaddexp(0.0, _log_snr(params) + np.log(mean) - np.log(prob)) / LN2
-            out = np.where(overflow, np.where(prob > 0.0, loose, 0.0), out)
+            logged = prob * np.logaddexp(0.0, _log_jensen_arg(gl, gu, prob, mean, params)) / LN2
+            out = np.where(overflow, np.where(prob > 0.0, logged, 0.0), out)
     return _scalar_or_array(out, out.ndim == 0)
-
-
-def _log_snr(params: SystemParams) -> float:
-    """ln(p_d gbar^2 / sigma2), finite where the product overflows."""
-    return math.log(params.p_d) + 2.0 * math.log(params.gbar) - math.log(params.sigma2)
 
 
 # Relative pad on the logarithm of band_throughput_block_bound: it keeps the
 # bound above the pair bounds, whose argument rounds differently (by up to
 # ~7e-15 relative seen).
 _BLOCK_LOG_PAD = 1e-11
-# Floats keep full precision from e^-708 to e^709.78. A block whose uplink
-# power, and each product band_ul_power and band_eligible form on the way,
-# stays below e^_LOG_RANGE holds only eligible bands; below e^-_LOG_RANGE a
-# pair bound's logarithm rounds in subnormal floats, which the pad does not
+# Floats keep full precision down to e^-708: below e^-_LOG_FLOOR a pair
+# bound's logarithm rounds in subnormal floats, which the pad does not
 # cover, so the block bound's logarithm is taken no smaller.
-_LOG_RANGE = 700.0
+_LOG_FLOOR = 700.0
 
 
 def band_throughput_block_bound(g_l, g_lo, g_hi, params: SystemParams):
     """Upper bound on ``band_throughput_bound`` over the bands [g_l, g_u), g_lo <= g_u <= g_hi.
 
     Both forms of that bound are P log2(1 + snr H m/P), snr = p_d gbar^2/sigma2,
-    with P the band's probability, m its mean gain and
-    H = e^{-g_l}(e^{g_l} - g_l - 1) + (g_u+1) e^{-g_u} <= 1 the gain mass
-    harvested outside the band (the overflow form takes H = 1). The form
-    increases in P and in H m; P and m grow with g_u and H falls, so the P
-    and m of [g_l, g_hi) and the H of [g_l, g_lo), capped at 1, bound the
-    block, padded against rounding; 0 where P underflows. Where a band of the
-    block may not be ``band_eligible``, H = 1, and the argument snr H m/P of
-    the logarithm is taken no smaller than e^-700, below which the pair
-    bound rounds in subnormal floats. Needs g_l < g_lo <= g_hi < inf.
+    with P the band's probability, m its mean gain and H <= 1 the gain mass
+    harvested outside the band (``_band_prob_mean``, ``_log_jensen_arg``).
+    The form increases in P and in H m; P and m grow with g_u and H falls, so
+    the P and m of [g_l, g_hi) and the H of [g_l, g_lo) bound the block,
+    padded against rounding; 0 where P underflows. The argument snr H m/P of
+    the logarithm is taken no smaller than e^-700, below which the pair bound
+    rounds in subnormal floats. Needs g_l < g_lo <= g_hi < inf.
     """
     gl = np.asarray(g_l, dtype=float)
     lo = np.asarray(g_lo, dtype=float)
     hi = np.asarray(g_hi, dtype=float)
-    span = hi - gl
-    log_scale = math.log(params.p_d) + math.log(params.gbar)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tail = -np.expm1(-span)
-        prob = np.exp(-gl) * tail
-        mean = gl + 1.0 - span * np.exp(-span) / tail
-        # H e^{g_l} at g_lo, the numerator of band_ul_power; inf past g_l ~ 709
-        log_held = np.log((lo + 1.0) * np.exp(gl - lo) + (np.expm1(gl) - gl))
-        # the block's largest uplink power p_d gbar H/P is at g_lo; peak is
-        # the log of the largest product formed on the way to gammabar g_u
-        log_power = log_scale + log_held - np.log(-np.expm1(gl - lo))
-        log_gb = log_power + math.log(params.gbar) - math.log(params.sigma2)
-        peak = np.maximum(np.maximum(
-            log_scale + np.log1p(hi),                         # p_d gbar (g_u + 1)
-            log_power + max(0.0, math.log(params.gbar))),     # the power, times gbar
-            log_gb + np.maximum(0.0, np.log(hi)))             # gammabar, times g_u
-        log_h = np.where(peak < _LOG_RANGE, np.minimum(log_held - gl, 0.0), 0.0)
-        log_arg = _log_snr(params) + log_h + np.log(mean) - np.log(prob)
-        log_term = np.logaddexp(0.0, np.maximum(log_arg, -_LOG_RANGE))
+        prob, mean = _band_prob_mean(gl, hi)
+        log_arg = _log_jensen_arg(gl, lo, prob, mean, params)
+        log_term = np.logaddexp(0.0, np.maximum(log_arg, -_LOG_FLOOR))
         # in the pair bound's order: (P log) / ln 2 rounds alike where P is subnormal
         out = np.where(prob > 0.0, prob * (log_term * (1.0 + _BLOCK_LOG_PAD)) / LN2, 0.0)
     return _scalar_or_array(out, out.ndim == 0)

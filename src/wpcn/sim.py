@@ -120,9 +120,11 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         mode = np.full(n_frames, _SPLIT, dtype=np.int8)
     else:
         mode = np.empty(n_frames, dtype=np.int8)
-        pu = schemes.evaluate_policy(policy, params).ul_power
-        gammabar = pu * params.gbar / params.sigma2
         lo, hi = policy.band
+        if not schemes.band_eligible(lo, hi, params):
+            raise schemes.UplinkOverflowError(params)
+        pu = schemes.band_ul_power(lo, hi, params)
+        gammabar = pu * params.gbar / params.sigma2
     for start in range(0, n_frames, _FRAME_BLOCK):
         block = slice(start, min(start + _FRAME_BLOCK, n_frames))
         gb = g[block]

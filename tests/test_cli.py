@@ -177,6 +177,9 @@ class TestOptimize:
 # where the CSV's .12g cells could hide a moved bit
 HEADLINE_CSV_SHA256 = "1c6b0c7d9ee79322a8c41f10b6bc5422b80b533eb7bbec0885bc13df0d2e2111"
 HEADLINE_POINTS_SHA256 = "f116e85c932b36a8bb82a94573ed53c79bb4c7228824962002f7a1bd104fa987"
+# sha256 of the stdout of `wpcn sweep --start -60 --stop 90 --step 3
+# --grid-step 0.05`: the whole SNR axis, far past the headline's 0-30 dB
+AXIS_FULL_CSV_SHA256 = "58a43d2830bf02ba31485ce1ed3384e14a56f2eb616a7d0098d288a6f53631cf"
 
 
 class TestSweep:
@@ -195,6 +198,12 @@ class TestSweep:
         assert len(curve.points) == 64
         reprs = "\n".join(map(repr, curve.points)).encode()
         assert hashlib.sha256(reprs).hexdigest() == HEADLINE_POINTS_SHA256
+
+    def test_full_axis_curve_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--start", "-60", "--stop", "90", "--step", "3",
+                                 "--grid-step", "0.05")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == AXIS_FULL_CSV_SHA256
 
     def test_csv_shape_header_and_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "curve.csv"

@@ -270,6 +270,20 @@ class TestWideSearches:
         res = solve_pi(params, FAST)
         assert res.policy.g_l < 1.0 and math.isfinite(res.throughput_bits)
 
+    def test_overflowing_bands_bounded_with_their_harvested_mass(self):
+        # the IP and PIP bands that overflow here are bounded below the best
+        # eligible value (about 988 against 1008 bits) once their bound keeps
+        # the gain mass harvested outside the band, so the solves answer; the
+        # coarse PI scan finds no eligible threshold but g_l = 0, so PI fails
+        params = SystemParams(p_d=2.156272299568374e306, gbar=3.631698349604619,
+                              sigma2=14.421922606466026)
+        cfg = SolveConfig(gain_cap=772.7775264106529, grid_step=6.613863075986156)
+        for solver in (solve_ip, solve_pip):
+            res = solver(params, cfg)
+            assert math.isfinite(res.throughput_bits) and res.throughput_bits > 1008.0
+        with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
+            solve_pi(params, cfg)
+
 
 class TestHttSolver:
     def test_matches_quadrature_of_per_frame_maxima(self):

@@ -539,8 +539,9 @@ class TestThroughputBound:
         assert type(schemes.band_throughput_bound(0.5, 2.0, P10)) is float
 
     def test_finite_where_the_power_overflows(self):
-        # g_l past ~709: e^{g_l} overflows; the bound falls back to
-        # p_d gbar/(sigma2 P) for gammabar and stays tiny, as the band is
+        # g_l past ~709: e^{g_l} overflows; the bound takes its logarithm in
+        # log space, with the harvested mass H rounded to 1, and stays tiny,
+        # as the band is
         g_l = np.array([650.0, 708.0, 720.0, 800.0])
         assert list(schemes.band_eligible(g_l, OPEN_END, P10)) == [True, False, False, False]
         bound = schemes.band_throughput_bound(g_l, OPEN_END, P10)
@@ -551,16 +552,21 @@ class TestThroughputBound:
 
     def test_overflow_fallback_stays_above_the_jensen_bound(self):
         # gammabar = p_d gbar^2 H/(sigma2 P) overflows here; the fallback
-        # replaces the harvested mass H by 1 and must stay above the bound
-        # P log2(1 + gammabar m/P) evaluated in 30 digits
+        # keeps the harvested mass H in log space and must stay above the
+        # bound P log2(1 + gammabar m/P) evaluated in 30 digits, and below
+        # the looser form with H = 1 (404.8335 against 404.8872 bits)
         params = SystemParams(p_d=1e300, gbar=1e5, sigma2=1.0)
         assert not schemes.band_eligible(0.0, 0.5, params)
         with mpmath.workdps(30):
             prob = 1 - mpmath.exp(-0.5)
             mass = 1 - 1.5 * mpmath.exp(-0.5)
-            gammabar = mpmath.mpf(1e300) * mpmath.mpf(1e5) ** 2 * (1 - mass) / prob
+            snr = mpmath.mpf(1e300) * mpmath.mpf(1e5) ** 2
+            gammabar = snr * (1 - mass) / prob
             jensen = prob * mpmath.log(1 + gammabar * mass / prob, 2)
-        assert schemes.band_throughput_bound(0.0, 0.5, params) >= float(jensen)
+            harvest_one = prob * mpmath.log(1 + snr / prob * mass / prob, 2)
+        bound = schemes.band_throughput_bound(0.0, 0.5, params)
+        assert bound >= float(jensen)
+        assert bound < float(harvest_one) * (1.0 - 1e-5)
 
     def test_power_that_fits_while_power_times_gbar_overflows(self):
         # the uplink power fits a float here but power * gbar does not: the
@@ -589,7 +595,7 @@ class TestThroughputBlockBound:
     @example(snr_db=-58.195651145076305, gain_cap=835.2813063547396,
              points=835.06996098296, row=738.5 / 835, start=0.0, width=1.0)
     # row 705 of 1001: e^{g_l} overflows on the bands past g_u ~ 709, which
-    # are not eligible, and the bound takes H = 1 on the block
+    # are not eligible, and H rounds to 1 on the block
     @example(snr_db=90.0, gain_cap=1000.0, points=1000.0, row=0.705, start=0.0,
              width=0.1)
     @settings(max_examples=300, deadline=None)
@@ -609,7 +615,7 @@ class TestThroughputBlockBound:
 
     def test_is_the_pair_bound_on_a_single_band(self):
         # g_lo = g_hi: H, P and m are the band's own, and the two agree to the
-        # padding; at p_d = 1e300 the band overflows and both take H = 1
+        # padding; at p_d = 1e300 the band overflows and both take the log form
         overflowing = SystemParams(p_d=1e300, gbar=1e5, sigma2=1.0)
         assert not schemes.band_eligible(0.0, 0.5, overflowing)
         for params in (P10, overflowing):

@@ -275,3 +275,20 @@ class TestValidation:
         # p_d gbar g overflows for g > 1.8; RuntimeWarning is an error under pytest
         with pytest.raises(ValueError, match="p_d"):
             sim.run_policy_trace(policy, SystemParams(p_d=1e308), 1000, seed=1)
+
+    @pytest.mark.parametrize("policy", [IPPolicy(1.0), PIPolicy(0.8), PIPPolicy(0.3, 2.0)])
+    def test_overflowing_uplink_snr_raises(self, policy):
+        # every harvest fits a float, but gammabar g on the band does not
+        with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
+            sim.run_policy_trace(policy, SystemParams(p_d=1e300, sigma2=1e-10), 1000, seed=1)
+
+
+class TestTraceWork:
+    def test_threshold_traces_evaluate_no_closed_form(self, monkeypatch):
+        # a trace needs the band's uplink power, not the closed-form
+        # throughput and its E1
+        calls, real = [], schemes.exp_scaled_e1
+        monkeypatch.setattr(schemes, "exp_scaled_e1", lambda x: calls.append(x) or real(x))
+        for policy in (IPPolicy(1.0), PIPolicy(0.8), PIPPolicy(0.3, 2.0)):
+            sim.run_policy_trace(policy, P10, 1000, seed=1)
+        assert calls == []
