@@ -51,8 +51,9 @@ def main() -> int:
     for tag, res in results.items():
         closed = res.throughput_bits
         for causal in (False, True):
-            _, s = sim.run_policy_trace(res.policy, params, args.long_frames,
-                                        args.seed, causal=causal)
+            # only the summary is read: the frames stream past, no column is kept
+            _, s = sim.run_policy_trace(res.policy, params, args.long_frames, args.seed,
+                                        causal=causal, on_block=lambda start, block: None)
             mode = "causal " if causal else "free   "
             print(f"  {tag:>4} {mode} rate {s.mean_rate_bits:.4f} "
                   f"(closed {closed:.4f})  min_stored {s.min_stored:10.1f}  "

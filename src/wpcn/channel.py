@@ -27,9 +27,11 @@ import numpy as np
 _SM64_INCREMENT = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
-# frames per block: the sampler and the frame traces of ``sim`` and ``cli``
-# work on this many at a time, so their temporaries stay a few MB
+# frames per block: the sampler and the frame traces of ``sim`` work on at
+# most this many at a time, so their temporaries stay a few MB
 _FRAME_BLOCK = 1 << 16
+# no draw exceeds this: the largest, at u = 1 - 2^-53, is 53 ln 2 = 36.7368...
+G_MAX = 36.75
 
 
 @dataclass(frozen=True)
@@ -104,19 +106,23 @@ def uniform01(seed: int, count: int) -> np.ndarray:
     return _uniform01_block(seed, 0, count)
 
 
-def sample(count: int, seed: int) -> GainSampleBatch:
+def sample(count: int, seed: int, start: int = 0) -> GainSampleBatch:
     """Draw ``count`` normalized gains by inverse CDF: g = -ln(1 - u).
 
-    Identical (count, seed) pairs reproduce identical sequences bit for bit.
+    The draws are [start, start + count) of the seed's stream: identical
+    (count, seed, start) reproduce identical sequences bit for bit, and
+    ``sample(k, seed, start)`` is ``sample(start + k, seed).values[start:]``.
     The generator is counter-based, so the draws are made ``_FRAME_BLOCK``
     at a time into one output array: no full-length temporary.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if start < 0:
+        raise ValueError("start must be >= 0")
     values = np.empty(count)
-    for start in range(0, count, _FRAME_BLOCK):
-        block = values[start:start + _FRAME_BLOCK]
-        u = _uniform01_block(seed, start, start + len(block))
+    for lo in range(0, count, _FRAME_BLOCK):
+        block = values[lo:lo + _FRAME_BLOCK]
+        u = _uniform01_block(seed, start + lo, start + lo + len(block))
         np.negative(u, out=u)
         np.log1p(u, out=block)
         np.negative(block, out=block)

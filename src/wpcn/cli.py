@@ -7,6 +7,7 @@ results) on stdout, or CSV/JSON files for sweeps. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -254,20 +255,27 @@ def cmd_sweep(args) -> int:
 _FRAME_ROW = "%d,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n"
 
 
-def _dump_frames(path: str, trace) -> None:
-    # one block of rows at a time: the Python objects of a whole 1e6-frame
-    # trace would take about 170 MB
-    n = trace.gain.size
-    with open(path, "w") as fh:
-        fh.write("index,gain,mode,harvested_j,consumed_j,stored_j,rate_bits\n")
-        for start in range(0, n, sim._FRAME_BLOCK):
-            block = slice(start, min(start + sim._FRAME_BLOCK, n))
-            # no name holds a block's lists, so they are freed before the next
-            fh.writelines(_FRAME_ROW % row for row in zip(
-                range(start, block.stop), trace.gain[block].tolist(),
-                (sim.MODE_NAMES[code] for code in trace.mode[block].tolist()),
-                trace.harvested[block].tolist(), trace.consumed[block].tolist(),
-                trace.stored[block].tolist(), trace.rate[block].tolist()))
+def _frame_writer(path: str, files: contextlib.ExitStack):
+    """An ``on_block`` sink that writes each block of frames as CSV rows to ``path``.
+
+    The file is opened at the first block, after every check of the trace,
+    so a failing command leaves no file; ``files`` closes it.
+    """
+    fh = None
+
+    def write(start, block):
+        nonlocal fh
+        if fh is None:
+            fh = files.enter_context(open(path, "w"))
+            fh.write("index,gain,mode,harvested_j,consumed_j,stored_j,rate_bits\n")
+        # no name holds a block's lists, so they are freed before the next
+        fh.writelines(_FRAME_ROW % row for row in zip(
+            range(start, start + len(block.gain)), block.gain.tolist(),
+            (sim.MODE_NAMES[code] for code in block.mode.tolist()),
+            block.harvested.tolist(), block.consumed.tolist(),
+            block.stored.tolist(), block.rate.tolist()))
+
+    return write
 
 
 def cmd_simulate(args) -> int:
@@ -279,10 +287,14 @@ def cmd_simulate(args) -> int:
         policy = res.policy
     else:
         policy = _policy(args)
-    trace, summary = sim.run_policy_trace(
-        policy, params, n_frames=args.samples, seed=args.seed,
-        causal=args.causal, initial_energy=args.initial_energy,
-    )
+    with contextlib.ExitStack() as files:
+        # the trace is streamed: its blocks go to the dump or are dropped
+        sink = (_frame_writer(args.dump_frames, files) if args.dump_frames
+                else lambda start, block: None)
+        _, summary = sim.run_policy_trace(
+            policy, params, n_frames=args.samples, seed=args.seed,
+            causal=args.causal, initial_energy=args.initial_energy, on_block=sink,
+        )
     row = {
         "scheme": args.scheme,
         "g_l": getattr(policy, "g_l", None),
@@ -295,8 +307,6 @@ def cmd_simulate(args) -> int:
         "min_stored_j": summary.min_stored,
         "skipped_wit_frames": summary.skipped_wit_frames,
     }
-    if args.dump_frames:
-        _dump_frames(args.dump_frames, trace)
     _emit(row)
     return 0
 

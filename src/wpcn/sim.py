@@ -12,17 +12,20 @@ stored-energy ledger as one running sum of the frames' net energy. Two modes:
   package's choice, not part of the analytical model. The running sum
   restarts at each demoted frame from the exact level before it.
 
-Memory: the six ``FrameTrace`` columns are the only full-length arrays,
-41 bytes a frame (about 39 MiB for 1e6 frames). They are allocated once
-and filled ``_FRAME_BLOCK`` frames at a time (gains by ``channel.sample``,
-modes, energies and rates here), and the ledger sums the frames' net
-energy in windows of ``_LEDGER_BLOCK`` frames. Every entry is that of one
-whole-array expression, bit for bit; the means and the minimum of the
-summary run on whole columns, since per-block sums would change the bits
-of numpy's pairwise summation.
+Memory: the frames are walked in blocks, the leaves of numpy's
+pairwise-summation tree (``_pairwise``; at most ``_FRAME_BLOCK`` frames
+each). A block draws its gains by ``channel.sample``, computes its modes,
+energies and rates, and runs the ledger in windows of ``_LEDGER_BLOCK``
+frames, the exact level carried from block to block. Each block then goes
+to an ``on_block`` sink, so a streamed trace holds no full-length array;
+without a sink the blocks fill the six ``FrameTrace`` columns, 41 bytes a
+frame. The summary adds the blocks' sums along the same tree, so its means
+are those of ``np.mean`` on whole columns bit for bit, as is every entry
+that of one whole-array expression.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -44,6 +47,7 @@ _LEDGER_BLOCK = 4096  # frames per ledger window: a demotion re-sums at most thi
 class FrameTrace:
     """Columnar per-frame ledger: one array per quantity, one entry per frame.
 
+    It holds a whole trace, or one block of it passed to ``on_block``.
     ``mode`` holds int codes; ``MODE_NAMES[code]`` is the mode's name. The
     HTT split is not stored: ``schemes.htt_frame(gain, params)[0]`` gives it.
     """
@@ -87,63 +91,71 @@ def mc_throughput(policy: Policy, params: SystemParams, n: int, seed: int) -> Mc
     )
 
 
-def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: int,
-                     causal: bool = False,
-                     initial_energy: float = 0.0) -> tuple[FrameTrace, TraceSummary]:
-    """Simulate the per-frame energy ledger of a policy.
+def _pairwise(start: int, stop: int, leaf):
+    """numpy's pairwise sum over frames [start, stop), with ``leaf(start, stop)`` a leaf's sum.
 
-    Transmit frames consume the policy's uplink energy, harvest frames add
-    p_d gbar g, and split (HTT) frames net to zero by construction. In
-    causal mode a transmit frame with insufficient stored energy is demoted
-    to harvesting and counted in ``skipped_wit_frames``. ``initial_energy``
-    is the ledger's starting charge and must be finite and >= 0. The ledger
-    is one running sum, restarted at each demotion, so ``stored`` is bitwise
-    the recurrence ``stored[k] = stored[k-1] + (harvested[k] - consumed[k])``.
+    ``np.add.reduce`` on n > 128 floats adds the sum of the first
+    ``n//2 - (n//2) % 8`` to that of the rest; here a node of at most
+    ``_FRAME_BLOCK`` frames is a leaf, summed by ``np.sum``, so the result
+    has the bits of ``np.sum`` on the whole column. Leaves are called left
+    to right.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    if not 0.0 <= initial_energy < math.inf:
-        raise ValueError("initial_energy must be finite and >= 0")
-    htt = isinstance(policy, HTTPolicy)
-    if htt:  # bind W0 first: scipy loaded above the frame arrays stops the heap shrinking
-        numerics._load_special()
-    g = channel.sample(n_frames, seed).values
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        pd_gbar = params.p_d * params.gbar
+    n = stop - start
+    if n <= _FRAME_BLOCK:
+        return leaf(start, stop)
+    half = n // 2 - (n // 2) % 8
+    left = _pairwise(start, start + half, leaf)
+    right = _pairwise(start + half, stop, leaf)
+    with np.errstate(over="ignore"):  # an overflowing sum is taken again, scaled
+        return left + right
+
+
+def _block_sums(columns, scale: float) -> np.ndarray:
+    """The columns' sums, then their sums with every entry scaled by ``scale``.
+
+    ``scale`` is a power of 2, so a finite sum times ``scale`` is the sum
+    of the scaled entries (bar subnormal ones); only an overflowing sum is
+    taken again over the scaled entries.
+    """
+    with np.errstate(over="ignore"):
+        plain = np.array([np.sum(c) for c in columns])
+        scaled = plain * scale
+        for k in np.flatnonzero(np.isinf(plain)):
+            scaled[k] = np.sum(columns[k] * scale)
+    return np.concatenate((plain, scaled))
+
+
+def _largest_draw(n_frames: int, seed: int) -> float:
+    """The largest of the seed's first ``n_frames`` draws, sampled a block at a time."""
+    return max(float(np.max(channel.sample(min(_FRAME_BLOCK, n_frames - start), seed,
+                                           start).values))
+               for start in range(0, n_frames, _FRAME_BLOCK))
+
+
+def _check_draws(gmax: float, pd_gbar: float, params: SystemParams, htt: bool) -> None:
+    """Raise as frames with draws up to ``gmax`` would: the harvest, then HTT's frame SNR."""
+    with np.errstate(over="ignore", invalid="ignore"):
         # p_d gbar g rises with g, so the largest draw decides for every frame
-        top = pd_gbar * np.max(g)
+        top = pd_gbar * gmax
     if not np.isfinite(top):
         raise ValueError(f"full-frame harvest p_d gbar g overflows at p_d={params.p_d}")
-
-    harvested, consumed, stored, rate = (np.empty(n_frames) for _ in range(4))
     if htt:
-        mode = np.full(n_frames, _SPLIT, dtype=np.int8)
-    else:
-        mode = np.empty(n_frames, dtype=np.int8)
-        lo, hi = policy.band
-        if not schemes.band_eligible(lo, hi, params):
-            raise schemes.UplinkOverflowError(params)
-        pu = schemes.band_ul_power(lo, hi, params)
-        gammabar = pu * params.gbar / params.sigma2
-    for start in range(0, n_frames, _FRAME_BLOCK):
-        block = slice(start, min(start + _FRAME_BLOCK, n_frames))
-        gb = g[block]
-        if htt:
-            tau, rate[block], _ = schemes.htt_frame(gb, params)
-            np.multiply(tau, pd_gbar * gb, out=harvested[block])
-            consumed[block] = harvested[block]  # per-frame balance, exact by construction
-        else:
-            wit = (gb >= lo) & (gb < hi)  # half-open band: ties go to the upper side
-            mode[block] = np.where(wit, _WIT, _WPT)
-            harvested[block] = np.where(wit, 0.0, pd_gbar * gb)
-            consumed[block] = np.where(wit, pu, 0.0)
-            rate[block] = np.where(wit, np.log1p(gammabar * gb) / schemes.LN2, 0.0)
+        schemes.htt_instant_snr(gmax, params)
 
+
+def _run_ledger(level: float, g, mode, harvested, consumed, stored, rate,
+                pd_gbar: float, causal: bool) -> tuple[float, int]:
+    """Fill ``stored`` with the running sum of the block's net energy from ``level``.
+
+    In causal mode a transmit frame the level cannot cover is demoted to
+    harvesting in place. Returns the level after the block and the number
+    of demoted frames.
+    """
     # net is exact (one of harvested/consumed is 0, or the two are equal in
     # HTT), and np.cumsum adds in sequence: each level is stored[k-1] + net[k]
-    level, skipped, i = float(initial_energy), 0, 0
-    while i < n_frames:
-        j = min(i + _LEDGER_BLOCK, n_frames)
+    n, skipped, i = len(g), 0, 0
+    while i < n:
+        j = min(i + _LEDGER_BLOCK, n)
         net = harvested[i:j] - consumed[i:j]
         run = np.cumsum(np.concatenate(([level], net)))  # run[k]: level before frame i+k
         broke = np.flatnonzero((mode[i:j] == _WIT) & (run[:-1] < consumed[i:j])) if causal else []
@@ -157,17 +169,97 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
             skipped += 1
         stored[i:j] = run[1:j - i + 1]
         level, i = run[j - i], j
+    return level, skipped
 
-    trace = FrameTrace(
-        gain=g, mode=mode, harvested=harvested, consumed=consumed, stored=stored, rate=rate,
-    )
+
+def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: int,
+                     causal: bool = False, initial_energy: float = 0.0,
+                     on_block=None) -> tuple[FrameTrace | None, TraceSummary]:
+    """Simulate the per-frame energy ledger of a policy.
+
+    Transmit frames consume the policy's uplink energy, harvest frames add
+    p_d gbar g, and split (HTT) frames net to zero by construction. In
+    causal mode a transmit frame with insufficient stored energy is demoted
+    to harvesting and counted in ``skipped_wit_frames``. ``initial_energy``
+    is the ledger's starting charge and must be finite and >= 0. The ledger
+    is one running sum, restarted at each demotion, so ``stored`` is bitwise
+    the recurrence ``stored[k] = stored[k-1] + (harvested[k] - consumed[k])``.
+
+    With ``on_block``, each block of frames is passed as
+    ``on_block(start, block)``, ``block`` a ``FrameTrace`` of the frames
+    from ``start`` on that is valid only during the call; no full-length
+    array is allocated and the trace returned is None. Without it the
+    blocks fill the returned trace's columns. Every error is raised before
+    the first block. A mean whose sum overflows although every frame fits
+    is the mean of the entries scaled by 2^-m (m = ``n_frames.bit_length()``),
+    times 2^m.
+    """
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
+    if not 0.0 <= initial_energy < math.inf:
+        raise ValueError("initial_energy must be finite and >= 0")
+    htt = isinstance(policy, HTTPolicy)
+    if htt:  # bind W0 first: scipy loaded above the frame arrays stops the heap shrinking
+        numerics._load_special()
+    pd_gbar = params.p_d * params.gbar
+    try:  # no draw exceeds G_MAX; only where that bound fails is the largest draw needed
+        _check_draws(channel.G_MAX, pd_gbar, params, htt)
+    except ValueError:
+        _check_draws(_largest_draw(n_frames, seed), pd_gbar, params, htt)
+    if not htt:
+        lo, hi = policy.band
+        if not schemes.band_eligible(lo, hi, params):
+            raise schemes.UplinkOverflowError(params)
+        pu = schemes.band_ul_power(lo, hi, params)
+        gammabar = pu * params.gbar / params.sigma2
+
+    trace = None
+    if on_block is None:
+        trace = FrameTrace(np.empty(n_frames), np.empty(n_frames, dtype=np.int8),
+                           *(np.empty(n_frames) for _ in range(4)))
+
+        def on_block(start, block):
+            for field in dataclasses.fields(block):
+                column = getattr(trace, field.name)
+                column[start:start + len(block.gain)] = getattr(block, field.name)
+
+    level, skipped, low = float(initial_energy), 0, math.inf
+    scale = 2.0 ** -n_frames.bit_length()
+
+    def leaf(start: int, stop: int) -> np.ndarray:
+        nonlocal level, skipped, low
+        g = channel.sample(stop - start, seed, start).values
+        if htt:
+            tau, rate, _ = schemes.htt_frame(g, params)
+            mode = np.full(len(g), _SPLIT, dtype=np.int8)
+            harvested = tau * (pd_gbar * g)
+            consumed = harvested  # per-frame balance, exact by construction
+        else:
+            wit = (g >= lo) & (g < hi)  # half-open band: ties go to the upper side
+            mode = np.where(wit, _WIT, _WPT).astype(np.int8)
+            harvested = np.where(wit, 0.0, pd_gbar * g)
+            consumed = np.where(wit, pu, 0.0)
+            rate = np.where(wit, np.log1p(gammabar * g) / schemes.LN2, 0.0)
+        stored = np.empty(len(g))
+        level, demoted = _run_ledger(level, g, mode, harvested, consumed, stored, rate,
+                                     pd_gbar, causal)
+        skipped += demoted
+        low = np.minimum(low, np.min(stored))
+        on_block(start, FrameTrace(gain=g, mode=mode, harvested=harvested, consumed=consumed,
+                                   stored=stored, rate=rate))
+        return _block_sums((rate, harvested, consumed), scale)
+
+    sums = _pairwise(0, n_frames, leaf)
+    # np.mean divides np.sum by n; an overflowing sum falls back to the scaled one
+    plain, scaled = sums[:3], sums[3:]
+    rate_mean, harvested_mean, consumed_mean = np.where(
+        np.isfinite(plain), plain / n_frames, scaled / n_frames / scale).tolist()
     summary = TraceSummary(
         n_frames=n_frames,
-        mean_rate_bits=float(np.mean(rate)),
-        mean_harvested=float(np.mean(harvested)),
-        mean_consumed=float(np.mean(consumed)),
-        min_stored=float(np.min(stored)),
+        mean_rate_bits=rate_mean,
+        mean_harvested=harvested_mean,
+        mean_consumed=consumed_mean,
+        min_stored=float(low),
         skipped_wit_frames=skipped,
     )
     return trace, summary
-

@@ -77,6 +77,21 @@ class TestSampler:
             values = channel.sample(n, seed).values
             assert values.tobytes() == (-np.log1p(-channel.uniform01(seed, n))).tobytes(), n
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_a_started_sample_is_a_stretch_of_the_whole_one(self, seed):
+        # offsets and lengths on and across the edges of the sampler's blocks
+        block = channel._FRAME_BLOCK
+        whole = channel.sample(3 * block + 7, seed).values
+        for start in (0, 1, block - 1, block, block + 3):
+            for count in (1, block - 1, block, block + 1, 2 * block + 2):
+                got = channel.sample(count, seed, start).values
+                assert got.tobytes() == whole[start:start + count].tobytes(), (start, count)
+
+    def test_no_draw_exceeds_g_max(self):
+        # the largest uniform is 1 - 2^-53, so the largest draw is -ln 2^-53
+        top = -np.log1p(np.full(4, -(1.0 - 2.0**-53)))
+        assert np.all(top <= channel.G_MAX) and 53 * math.log(2.0) <= channel.G_MAX
+
     def test_a_block_is_a_stretch_of_the_counter_stream(self):
         raw = channel.splitmix64(7, 3000)
         assert channel._splitmix64_block(7, 1000, 2500).tobytes() == raw[1000:2500].tobytes()
@@ -116,6 +131,8 @@ class TestSampler:
     def test_batch_validation(self):
         with pytest.raises(ValueError):
             channel.sample(0, seed=1)
+        with pytest.raises(ValueError, match="start"):
+            channel.sample(3, seed=1, start=-1)
         with pytest.raises(ValueError):
             channel.GainSampleBatch(values=np.array([1.0, -2.0]))
         with pytest.raises(ValueError):

@@ -1,23 +1,35 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wpcn import cli, optimize, schemes, sim
-from wpcn.schemes import IPPolicy, PIPPolicy, SystemParams
+from wpcn.schemes import HTTPolicy, IPPolicy, PIPPolicy, SystemParams
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_main(*argv):
+    """Exit code and tracemalloc peak (bytes) of one command."""
+    tracemalloc.start()
+    try:
+        code = cli.main(list(argv))
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_json(capsys, *argv):
@@ -429,18 +441,57 @@ class TestSimulate:
         assert out == stdout + "\n"
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
-    def test_dump_holds_one_block_of_rows_at_a_time(self, tmp_path):
-        # a count gate on bytes, not time: the Python floats of one block take
-        # about 10 MiB, those of all 300k frames about 48 MiB
-        trace, _ = sim.run_policy_trace(IPPolicy(1.6), SystemParams.from_snr_db(10.0),
-                                        300_000, seed=1, causal=True)
-        tracemalloc.start()
-        try:
-            cli._dump_frames(str(tmp_path / "frames.csv"), trace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_dump_holds_one_block_of_rows_at_a_time(self, capsys, tmp_path):
+        # a count gate on bytes, not time: the command streams the trace and
+        # holds one block of rows (7.6 MiB measured); the Python floats of
+        # all 300k frames take about 48 MiB
+        code, peak = traced_main("simulate", "--scheme", "ip", "--g-u", "1.6", "--snr-db", "10",
+                                 "--samples", "300000", "--seed", "1", "--causal",
+                                 "--dump-frames", str(tmp_path / "frames.csv"))
+        assert code == 0
         assert peak <= 16 * 2**20
+
+    def test_summary_alone_holds_no_column(self, capsys):
+        # without a dump the trace goes to no sink: 2.7 MiB measured, where
+        # one float column of the 1e6 frames takes 7.6 MiB
+        code, peak = traced_main("simulate", "--scheme", "ip", "--g-u", "1.6", "--snr-db", "10",
+                                 "--samples", "1000000", "--seed", "1", "--causal")
+        assert code == 0
+        assert peak <= 6 * 2**20
+
+    @pytest.mark.parametrize("flags,message", [
+        (("ip", "--g-u", "1.0", "--p-d", "1e308"),
+         "error: full-frame harvest p_d gbar g overflows at p_d=1e+308"),
+        (("htt", "--p-d", "1e308"),
+         "error: full-frame harvest p_d gbar g overflows at p_d=1e+308"),
+        (("ip", "--g-u", "1.0", "--p-d", "1e300", "--sigma2", "1e-10"),
+         "error: uplink SNR band_ul_power gbar / sigma2 overflows on this band at "
+         "p_d=1e+300, gbar=1.0, sigma2=1e-10"),
+        (("htt", "--p-d", "1e300", "--sigma2", "1e-10"),
+         "error: frame SNR p_d gbar^2 g^2 / sigma2 overflows at "
+         "p_d=1e+300, gbar=1.0, sigma2=1e-10"),
+    ], ids=["ip-harvest", "htt-harvest", "ip-uplink-snr", "htt-frame-snr"])
+    def test_failing_dump_leaves_no_file(self, capsys, tmp_path, flags, message):
+        # every check runs before the first block reaches the dump, in the
+        # order and with the messages of the whole-column trace
+        dump = tmp_path / "frames.csv"
+        code, out, err = run_cli(capsys, "simulate", "--scheme", *flags, "--samples", "1000",
+                                 "--dump-frames", str(dump))
+        assert (code, out, err) == (1, "", message + "\n")
+        assert not dump.exists()
+
+    def test_overflowing_means_of_fitting_frames_are_finite(self, capsys):
+        # each frame harvests at most 3.7e307, but the 200k-frame sum overflows;
+        # RuntimeWarning is an error under pytest
+        row = run_json(capsys, "simulate", "--scheme", "htt", "--p-d", "1e306",
+                       "--samples", "200000", "--seed", "1")
+        trace, _ = sim.run_policy_trace(HTTPolicy(), SystemParams(p_d=1e306), 200_000, 1)
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(trace.harvested)) and np.isinf(np.sum(trace.harvested))
+        scale = 2.0 ** -(200_000).bit_length()
+        want = math.fsum(trace.harvested * scale) / 200_000 / scale
+        for key in ("mean_harvested_j", "mean_consumed_j"):
+            assert math.isfinite(row[key]) and row[key] == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("energy", ["nan", "inf"])
     def test_non_finite_initial_energy_is_a_usage_error(self, capsys, energy):

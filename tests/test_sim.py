@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpcn import channel, numerics, schemes, sim
@@ -177,16 +177,67 @@ class TestFrameBlocks:
                              ids=repr)
     def test_traced_peak_of_a_million_frame_trace(self, policy, limit_mib):
         # a count gate on bytes, not time: the six columns take 39.1 MiB
-        # and the blocks keep the rest to a few MiB (44.2 MiB HTT, 40.2 MiB
+        # and the blocks keep the rest to a few MiB (43.5 MiB HTT, 41.8 MiB
         # IP); whole-array temporaries peaked at 78.2 and 63.1 MiB
-        numerics._load_special()  # the module objects of scipy.special are not the trace's
-        tracemalloc.start()
-        try:
-            sim.run_policy_trace(policy, P10, 1_000_000, seed=1, causal=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= limit_mib * 2**20
+        assert traced_peak(lambda: sim.run_policy_trace(policy, P10, 1_000_000, seed=1,
+                                                        causal=True)) <= limit_mib * 2**20
+
+    @pytest.mark.parametrize("n", [1_000_000, 4_000_000])
+    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 10.0), (IPPolicy(1.6), 6.0)],
+                             ids=repr)
+    def test_traced_peak_of_a_streamed_trace(self, policy, limit_mib, n):
+        # a count gate on bytes, not time: a streamed trace holds one block
+        # whatever the length (4.4 MiB HTT, 2.7 MiB IP at 1e6 and 4e6
+        # frames); one column of 1e6 frames takes 7.6 MiB
+        assert traced_peak(lambda: sim.run_policy_trace(
+            policy, P10, n, seed=1, causal=True, on_block=lambda start, block: None,
+        )) <= limit_mib * 2**20
+
+
+def traced_peak(run) -> int:
+    numerics._load_special()  # the module objects of scipy.special are not the trace's
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# lengths whose leaves of the summing tree end on and across _FRAME_BLOCK:
+# 1e6 frames give leaves of 62,496 and 62,504; 131,079 gives 65,536, 32,768, 32,775
+LEAF_EDGES = (62_496, 62_504, 65_536, 65_537, 131_079)
+
+
+class TestStreamedTrace:
+    @pytest.mark.parametrize("policy", [
+        IPPolicy(1.6), PIPolicy(0.5), PIPPolicy(0.3, 2.0), HTTPolicy(),
+    ], ids=repr)
+    @pytest.mark.parametrize("causal", [False, True])
+    @given(n=st.integers(min_value=1, max_value=300_000))
+    @example(n=LEAF_EDGES[0])
+    @example(n=LEAF_EDGES[1])
+    @example(n=LEAF_EDGES[2])
+    @example(n=LEAF_EDGES[3])
+    @example(n=LEAF_EDGES[4])
+    @settings(max_examples=6, deadline=None)
+    def test_summary_matches_the_whole_columns(self, policy, causal, n):
+        blocks = []
+        _, summary = sim.run_policy_trace(
+            policy, P10, n, seed=5, causal=causal, initial_energy=1.5,
+            on_block=lambda start, block: blocks.append((start, len(block.gain))))
+        starts, sizes = zip(*blocks)
+        assert max(sizes) <= sim._FRAME_BLOCK and sum(sizes) == n
+        assert list(starts) == [sum(sizes[:k]) for k in range(len(sizes))]
+        trace, whole = sim.run_policy_trace(policy, P10, n, seed=5, causal=causal,
+                                            initial_energy=1.5)
+        expect = sim.TraceSummary(
+            n_frames=n, mean_rate_bits=float(np.mean(trace.rate)),
+            mean_harvested=float(np.mean(trace.harvested)),
+            mean_consumed=float(np.mean(trace.consumed)),
+            min_stored=float(np.min(trace.stored)),
+            skipped_wit_frames=whole.skipped_wit_frames)
+        assert repr(summary) == repr(expect) == repr(whole)
 
 
 class TestHttTrace:
