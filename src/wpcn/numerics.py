@@ -2,10 +2,10 @@
 
 Contains the two special functions the closed-form throughput expressions
 are built from (the exponential integral E1 and the principal Lambert-W
-branch), one adaptive quadrature routine (``integrate``, on
-``scipy.integrate.quad_vec``, imported on first use: float or vector
-integrands, so one pass can integrate several quantities on shared nodes)
-that is the ground-truth oracle for every closed form, and the maximizers
+branch), one adaptive quadrature routine (``integrate``, scipy's
+``quad_vec`` ported step for step: its integrand takes an interval's 21
+nodes as one array, and returns one or several quantities on them) that
+is the ground-truth oracle for every closed form, and the maximizers
 for the threshold searches: derivative bisection on an interval and a
 search over the pairs x < y of a grid, seeded from a coarse sub-grid and
 walked once by rows, that drops a block of a row by its block bound and
@@ -17,20 +17,20 @@ above x = 600, where e^x overflows, and its float path, a power series and
 a continued fraction whose exact rounding the threshold solvers depend on.
 W0 is clamped to -1 at the branch point, where ``lambertw`` returns NaN.
 Importing the package loads numpy and no scipy module: ``scipy.special``
-is imported on the first call that needs it (the array paths of E1, either
-path of W0), and ``scipy.integrate`` on the first ``integrate``.
+is imported on the first call that needs it (the array paths of E1, W0),
+and ``scipy.integrate`` never.
 
 The special functions accept floats or numpy arrays and preserve shape.
-``exp_scaled_e1`` and ``lambert_w0`` give a float its own entry, with no
-array round trip, since the scalar solvers and the HTT quadrature call them
-one float at a time; W0's float path calls ``lambertw`` on the float and
-matches the array path bit for bit.
-Everything is pure; the only module state is the binding of those two
-scipy imports.
+``exp_scaled_e1`` gives a float its own entry, with no array round trip,
+since the scalar solvers call it one float at a time.
+Everything is pure; the only module state is the binding of the two
+scipy.special ufuncs.
 """
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -101,8 +101,8 @@ def _load_special() -> None:
 
     scipy.special takes about 0.3 s to import, more than numpy and the rest
     of the package together, and only the array E1 and W0 need it. Once
-    bound, a call pays no import machinery: the one-float W0 of the HTT
-    quadrature calls the ufunc directly.
+    bound, a call pays no import machinery: W0 on the 21 nodes of a
+    quadrature interval calls the ufunc directly.
     """
     global _exp1, _lambertw
     from scipy.special import exp1, lambertw
@@ -254,17 +254,8 @@ def lambert_w0(x):
     Defined for x >= -1/e (inputs up to 1e-15 below it are accepted);
     evaluated by ``scipy.special.lambertw(x).real``. The float -exp(-1.0)
     lies 1.2e-17 below the true -1/e and ``lambertw`` returns NaN there, so
-    every input at or below it returns exactly -1. A float takes a float
-    path with the same checks and the same result.
+    every input at or below it returns exactly -1.
     """
-    if isinstance(x, float):
-        # The HTT quadrature reaches this one float per node; a float skips
-        # the array round trip and gives the bits of the array path.
-        if math.isnan(x):
-            raise ValueError("x contains NaN")
-        if x < _NEG_INV_E - 1e-15:
-            raise ValueError(_W0_DOMAIN)
-        return -1.0 if x <= _NEG_INV_E else float(_lambertw(x).real)
     arr, scalar = _as_array(x, "x")
     if np.any(arr < _NEG_INV_E - 1e-15):
         raise ValueError(_W0_DOMAIN)
@@ -275,25 +266,122 @@ def lambert_w0(x):
 # Adaptive quadrature
 # ---------------------------------------------------------------------------
 
-def integrate(f: Callable[[float], float | np.ndarray], a: float, b: float) -> float | np.ndarray:
+# The Gauss-Kronrod 21-point rule on [-1, 1] of scipy's quad_vec, in the
+# shortest reprs of its doubles: the Kronrod nodes from 1 down to 0 with
+# their weights, and the Gauss weights of the odd-indexed nodes from the
+# outermost in. The rule is symmetric and negation is exact: each half is
+# mirrored.
+_GK21_X = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+           0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+           0.2943928627014602, 0.14887433898163122, 0.0)
+_GK21_V = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+           0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+           0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_GK21_W = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+           0.29552422471475287)
+_GK21_X = np.array(_GK21_X + tuple(-x for x in _GK21_X[-2::-1]))
+_GK21_V = np.array(_GK21_V + _GK21_V[-2::-1])
+_GK21_W = np.array(_GK21_W + _GK21_W[::-1])
+_QUAD_TOL = 1e-12  # absolute and relative tolerance of integrate
+_QUAD_LIMIT = 400  # subintervals integrate splits [a, b] into at most
+_QUAD_BATCH = 128  # intervals split per round at most
+
+
+def exp_neg(g: np.ndarray) -> np.ndarray:
+    """e^{-g} node by node with ``math.exp``: ``np.exp`` on an array differs
+    from it in the last bit at some points, and the quadrature's bits follow."""
+    return np.array([math.exp(-x) for x in g.tolist()])
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray):
+    # sum over k of weights[k] * values[k], added one term after another
+    # from 0.0, as quad_vec's loops add (np.sum adds pairwise and moves bits)
+    terms = (weights * values.T).T
+    return np.cumsum(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)), axis=0)[-1]
+
+
+def _gk21(f, a: float, b: float, norm) -> tuple:
+    """quad_vec's Gauss-Kronrod 21 rule on [a, b]: (integral, error, rounding error).
+
+    f is called once, on the array of the 21 nodes, and every sum adds in
+    quad_vec's order, so the results have its bits.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fv = np.asarray(f(c + h * _GK21_X), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats
+        s_k = _weighted_sum(_GK21_V, fv)
+        s_k_abs = _weighted_sum(_GK21_V, np.abs(fv))
+        s_g = _weighted_sum(_GK21_W, fv[1::2])
+        s_k_dabs = _weighted_sum(_GK21_V, np.abs(fv - s_k / 2.0))
+        err = float(norm((s_k - s_g) * h))
+        dabs = float(norm(s_k_dabs * h))
+        round_err = float(norm(50 * sys.float_info.epsilon * h * s_k_abs))
+        integral = h * s_k
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    if round_err > sys.float_info.min:
+        err = max(err, round_err)
+    return integral, err, round_err
+
+
+def _quad_vec(f, a: float, b: float) -> tuple:
+    """``scipy.integrate.quad_vec(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=400)``
+    on a finite [a, b], step for step: (integral, error estimate).
+
+    The interval of largest error is split first, a batch of them a round,
+    until the error is below an eighth of the tolerance or below the rounding
+    error. quad_vec's interval cache never evicts at 400 intervals: a dict.
+    """
+    total, error, rounding = _gk21(f, a, b, np.linalg.norm)
+    norm = abs if np.ndim(total) == 0 else np.linalg.norm
+    cache, heap = {(a, b): total}, [(-error, a, b)]
+    while heap and len(heap) < _QUAD_LIMIT:
+        tol = max(_QUAD_TOL, _QUAD_TOL * norm(total))
+        batch, err_sum = [], 0.0
+        while heap and len(batch) < _QUAD_BATCH and not (batch and err_sum > error - tol / 8):
+            neg_err, lo, hi = heapq.heappop(heap)
+            batch.append((-neg_err, lo, hi, cache.pop((lo, hi), None)))
+            err_sum += -neg_err
+        for old_err, lo, hi, old in batch:
+            mid = 0.5 * (lo + hi)
+            s1, err1, round1 = _gk21(f, lo, mid, norm)
+            s2, err2, round2 = _gk21(f, mid, hi, norm)
+            if old is None:  # quad_vec's cache misses where two intervals had the same ends
+                old = _gk21(f, lo, hi, norm)[0]
+            total = total + (s1 + s2 - old)
+            error += err1 + err2 - old_err
+            rounding += round1 + round2
+            cache[lo, mid], cache[mid, hi] = s1, s2
+            heapq.heappush(heap, (-err1, lo, mid))
+            heapq.heappush(heap, (-err2, mid, hi))
+        if len(heap) >= 2:
+            tol = max(_QUAD_TOL, _QUAD_TOL * norm(total))
+            if error < tol / 8 or error < rounding:
+                break
+        if not (math.isfinite(error) and math.isfinite(rounding)):
+            break
+    return total, error + rounding
+
+
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float | np.ndarray:
     """Adaptive quadrature of f over [a, b]; b may be OPEN_END (infinity).
 
-    f returns a float or a 1-D array (integrated on shared subintervals) and
-    the result has the same form. Open upper bounds are truncated at a + 40
-    (see _TAIL_LENGTH). Raises ConvergenceError when the error estimate, the
-    2-norm over the components, exceeds _INTEGRATE_GATE.
+    f takes the array of an interval's 21 Gauss-Kronrod nodes and returns
+    shape (21,) for a float integral or (21, k) for k integrals on shared
+    subintervals; the result is a float or an array of k. The steps and
+    the bits are those of ``scipy.integrate.quad_vec`` with its 21-point
+    rule, epsabs = epsrel = 1e-12 and 400 subintervals (``_quad_vec``).
+    Open upper bounds are truncated at a + 40 (see _TAIL_LENGTH). Raises
+    ConvergenceError when the error estimate, the 2-norm over the
+    components, exceeds _INTEGRATE_GATE.
     """
     if math.isnan(a) or math.isnan(b):
         raise ValueError("integration bounds must not be NaN")
     hi = a + _TAIL_LENGTH if math.isinf(b) else b
     if hi < a:
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
-    # imported here, as scipy.special is by _load_special: scipy.integrate
-    # adds about a quarter second and 26 MB to an import, and most commands
-    # never integrate
-    from scipy.integrate import quad_vec
-
-    value, err_estimate = quad_vec(f, a, hi, epsabs=1e-12, epsrel=1e-12, limit=400)
+    value, err_estimate = _quad_vec(f, float(a), float(hi))
     if err_estimate > _INTEGRATE_GATE:
         raise ConvergenceError(
             f"quadrature on [{a}, {hi}] did not converge: error estimate "

@@ -34,6 +34,7 @@ from . import channel
 from .numerics import (
     OPEN_END,
     _scalar_or_array,
+    exp_neg,
     exp_scaled_e1,
     integrate,
     lambert_w0,
@@ -225,33 +226,6 @@ def htt_optimal_tau(gamma):
     return _scalar_or_array(np.clip(tau, 0.0, _TAU_MAX), arr.ndim == 0)
 
 
-def _htt_frame_float(g: float, params: SystemParams,
-                     scale: float) -> tuple[float, float, float]:
-    # the steps of htt_instant_snr and htt_optimal_tau on one float, with
-    # their checks and their bits; W0 runs at every frame, as on the array
-    # path. ``scale`` is _frame_snr_scale(params), computed once per caller.
-    if not g >= 0.0:
-        raise ValueError("gain must be >= 0")
-    gamma = scale * (g * g) / params.sigma2
-    if not math.isfinite(gamma):
-        raise _frame_snr_overflow(params)
-    if gamma == 0.0:
-        return 1.0, 0.0, 0.0
-    w = lambert_w0((gamma - 1.0) / math.e)
-    denom = (w + 1.0) * (gamma - 1.0)
-    if abs(gamma - 1.0) < 1e-9:
-        tau = _TAU_AT_UNIT_SNR
-    elif denom == 0.0:
-        tau = 1.0 - math.sqrt(gamma / 2.0)
-    elif denom == math.inf:
-        tau = _split_of_huge_snr(gamma, w)
-    else:
-        tau = (gamma - 1.0 - w) / denom
-    tau = min(max(0.0, tau), _TAU_MAX)  # as np.clip, which gives 0.0 for -0.0
-    power = tau / (1.0 - tau) * params.p_d * params.gbar * g
-    return tau, float(_split_rate(gamma, tau)), power
-
-
 def htt_frame(g, params: SystemParams):
     """Split, rate (bits) and uplink power (W) of HTT frames at normalized gain g.
 
@@ -262,40 +236,38 @@ def htt_frame(g, params: SystemParams):
     energy spent over the rest of the frame, tau/(1 - tau) p_d gbar g; both
     are 0 where tau = 1. Returns the tuple (tau, rate, power).
 
-    Two paths with the same checks and the same bits: a float (or any
-    0-d input) gives floats, one call per node of the HTT quadrature; an
-    array gives arrays of its shape, as for the HTT frames of
-    ``sim.run_policy_trace``.
+    A float, or any 0-d input, runs as one frame and gives floats with the
+    bits of an array; an array gives arrays of its shape, as for the nodes
+    of the HTT quadrature and the HTT frames of ``sim.run_policy_trace``.
     """
-    if isinstance(g, float) or np.ndim(g) == 0:
-        return _htt_frame_float(float(g), params, _frame_snr_scale(params))
     g_arr = np.asarray(g, dtype=float)
-    gamma = htt_instant_snr(g_arr, params)
+    frames = np.atleast_1d(g_arr)
+    gamma = htt_instant_snr(frames, params)
     tau = np.ones_like(gamma)
     live = gamma > 0.0
     if live.any():
         tau[live] = htt_optimal_tau(gamma[live])
     split = np.where(live, tau, 0.0)  # a zero split: rate and power are exactly 0
-    power = split / (1.0 - split) * params.p_d * params.gbar * g_arr
-    return tau, _split_rate(gamma, split), power
+    power = split / (1.0 - split) * params.p_d * params.gbar * frames
+    out = (tau, _split_rate(gamma, split), power)
+    return tuple(float(x[0]) for x in out) if g_arr.ndim == 0 else out
 
 
 def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:
     """Fading-averaged rate, uplink power and mean split of HTT, in one pass.
 
-    One quadrature integrates [rate, power, tau] e^{-g}, calling the float
-    path of ``htt_frame`` once per node; the frame SNR scale p_d gbar^2 is
-    computed once. The frame power is integrated in units of max(1, p_d gbar)
-    W: quad_vec's rounding estimate grows with the integral, and thousands of
-    watts (above 38 dB) would fail the absolute gate of ``integrate``.
-    Monte-Carlo counterpart: ``sim.mc_throughput(HTTPolicy(), ...)``.
+    One quadrature integrates [rate, power, tau] e^{-g}, calling the array
+    path of ``htt_frame`` once on each interval's 21 nodes, so W0 runs once
+    per interval. The frame power is integrated in units of max(1, p_d gbar)
+    W: the quadrature's rounding estimate grows with the integral, and
+    thousands of watts (above 38 dB) would fail the absolute gate of
+    ``integrate``. Monte-Carlo counterpart: ``sim.mc_throughput(HTTPolicy(), ...)``.
     """
     unit = max(1.0, params.p_d * params.gbar)
-    scale = _frame_snr_scale(params)
 
-    def frame(g: float) -> np.ndarray:
-        tau, rate, power = _htt_frame_float(float(g), params, scale)
-        return np.array([rate, power / unit, tau]) * math.exp(-g)
+    def frame(g: np.ndarray) -> np.ndarray:
+        tau, rate, power = htt_frame(g, params)
+        return np.stack((rate, power / unit, tau), axis=1) * exp_neg(g)[:, None]
 
     integral = integrate(frame, 0.0, OPEN_END) * [1.0, unit, 1.0]
     rate_bits, mean_pu, tau_mean = integral.tolist()
@@ -591,7 +563,7 @@ def quad_throughput_oracle(g_l: float, g_u: float, ul_power: float,
     if ul_power == 0.0:
         return 0.0
     gammabar = ul_power * params.gbar / params.sigma2
-    return integrate(lambda g: np.log1p(gammabar * g) / LN2 * math.exp(-g), g_l, g_u)
+    return integrate(lambda g: np.log1p(gammabar * g) / LN2 * exp_neg(g), g_l, g_u)
 
 
 def evaluate_policy(policy: Policy, params: SystemParams) -> SchemeEvaluation:

@@ -80,11 +80,17 @@ def mc_throughput(policy: Policy, params: SystemParams, n: int, seed: int) -> Mc
     """Sample-mean throughput over n seeded gain draws, with standard error.
 
     The rates are those of the non-causal ``run_policy_trace`` on the same
-    draws, so its mean rate equals this estimate's mean exactly.
+    draws, so its mean rate equals this estimate's mean exactly. The trace
+    is streamed: of its columns only the rates are kept.
     """
     if n < 2:
         raise ValueError("mc_throughput needs n >= 2 for a standard error")
-    rates = run_policy_trace(policy, params, n, seed)[0].rate
+    rates = np.empty(n)
+
+    def keep_rates(start: int, block: FrameTrace) -> None:
+        rates[start:start + len(block.rate)] = block.rate
+
+    run_policy_trace(policy, params, n, seed, on_block=keep_rates)
     return McEstimate(
         mean=float(np.mean(rates)),
         std_error=float(np.std(rates, ddof=1) / math.sqrt(n)),

@@ -82,9 +82,9 @@ def test_criterion_2_energy_balance():
     for _ in range(50):
         g_l, g_u = _random_band(rng)
         pu = schemes.band_ul_power(g_l, g_u, params)
-        consumed = pu * integrate(lambda g: math.exp(-g), g_l, g_u)
+        consumed = pu * integrate(lambda g: np.exp(-g), g_l, g_u)
         harvested = params.p_d * params.gbar * sum(
-            integrate(lambda g: g * math.exp(-g), lo, hi)
+            integrate(lambda g: g * np.exp(-g), lo, hi)
             for lo, hi in ((0.0, g_l), (g_u, OPEN_END)) if lo < hi
         )
         worst = max(worst, abs(consumed - harvested))
@@ -234,7 +234,7 @@ def test_criterion_8_special_functions():
     worst_e1 = 0.0
     e1_xs = np.logspace(-3.0, math.log10(50.0), 60)
     for x in e1_xs:
-        ref = integrate(lambda t: math.exp(-t) / t, float(x), OPEN_END)
+        ref = integrate(lambda t: np.exp(-t) / t, float(x), OPEN_END)
         worst_e1 = max(worst_e1, abs(exp_integral_e1(float(x)) - ref))
 
     xs = np.concatenate([

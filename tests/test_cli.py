@@ -578,17 +578,22 @@ class TestConfigFile:
         assert err.strip()
 
 
-def test_commands_that_never_integrate_leave_scipy_integrate_unloaded(tmp_path):
+def test_no_command_loads_scipy_integrate(tmp_path):
     # scipy.integrate costs about a quarter second and 26 MB to import;
-    # only the quadrature in numerics.integrate loads it, on first use
+    # numerics.integrate has its own quadrature, so even the commands that
+    # integrate (sweep, optimize and evaluate --verify) leave it unloaded
     script = (
         "import sys\n"
         "import wpcn.cli\n"
         "assert 'scipy.integrate' not in sys.modules, 'import'\n"
-        "code = wpcn.cli.main(['simulate', '--scheme', 'ip', '--g-u', '1.6', '--snr-db', '10',\n"
-        "                      '--samples', '1000'])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy.integrate' not in sys.modules, 'simulate'\n"
+        "point = ['--snr-db', '10', '--samples', '1000']\n"
+        "for argv in (['simulate', '--scheme', 'ip', '--g-u', '1.6'] + point,\n"
+        "             ['sweep', '--start', '0', '--stop', '4', '--grid-step', '0.05'],\n"
+        "             ['optimize', '--scheme', 'htt', '--snr-db', '10'],\n"
+        "             ['evaluate', '--scheme', 'ip', '--g-u', '1.6', '--verify'] + point,\n"
+        "             ['evaluate', '--scheme', 'htt', '--verify'] + point):\n"
+        "    assert wpcn.cli.main(argv) == 0, argv\n"
+        "    assert 'scipy.integrate' not in sys.modules, argv\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcn import numerics
+from wpcn import numerics, schemes
 from wpcn.numerics import (
     ConvergenceError,
     Interval,
@@ -49,7 +49,7 @@ class TestExpIntegral:
 
     def test_matches_quadrature_across_domain(self):
         for x in np.logspace(-3, math.log10(50.0), 40):
-            ref = integrate(lambda t: math.exp(-t) / t, x, OPEN_END)
+            ref = integrate(lambda t: np.exp(-t) / t, x, OPEN_END)
             assert abs(exp_integral_e1(x) - ref) <= 1e-10
 
     def test_scaled_form_consistent(self):
@@ -229,23 +229,23 @@ def test_first_call_binds_scipy_special_and_matches_later_calls(expr):
 
 class TestIntegrate:
     def test_unit_exponential_normalization(self):
-        assert integrate(lambda g: math.exp(-g), 0.0, OPEN_END) == pytest.approx(1.0, abs=1e-12)
+        assert integrate(lambda g: np.exp(-g), 0.0, OPEN_END) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_exponential_mean(self):
-        assert integrate(lambda g: g * math.exp(-g), 0.0, OPEN_END) == pytest.approx(1.0, abs=1e-12)
+        assert integrate(lambda g: g * np.exp(-g), 0.0, OPEN_END) == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_moment(self):
         # closed antiderivative (g+1)e^{-g} evaluated at 1 gives 2/e
-        assert integrate(lambda g: g * math.exp(-g), 1.0, OPEN_END) == pytest.approx(
+        assert integrate(lambda g: g * np.exp(-g), 1.0, OPEN_END) == pytest.approx(
             2.0 * math.exp(-1.0), abs=1e-12
         )
 
     def test_empty_interval(self):
-        assert integrate(math.exp, 2.0, 2.0) == 0.0
+        assert integrate(np.exp, 2.0, 2.0) == 0.0
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            integrate(math.exp, 1.0, 0.0)
+            integrate(np.exp, 1.0, 0.0)
 
     def test_nonconvergence_reported(self):
         with pytest.raises(ConvergenceError, match="error estimate"):
@@ -254,11 +254,11 @@ class TestIntegrate:
     @pytest.mark.parametrize("a,b", [(0.0, OPEN_END), (0.5, 3.0)])
     def test_vector_integrand_matches_its_components(self, a, b):
         parts = (
-            lambda t: math.exp(-t),
-            lambda t: t * t * math.exp(-t),
-            lambda t: math.log1p(50.0 * t) * math.exp(-t),
+            lambda t: np.exp(-t),
+            lambda t: t * t * np.exp(-t),
+            lambda t: np.log1p(50.0 * t) * np.exp(-t),
         )
-        got = integrate(lambda t: np.array([f(t) for f in parts]), a, b)
+        got = integrate(lambda t: np.stack([f(t) for f in parts], axis=1), a, b)
         assert got.shape == (3,)
         for value, f in zip(got, parts):
             assert value == pytest.approx(integrate(f, a, b), rel=1e-12, abs=1e-12)
@@ -266,16 +266,76 @@ class TestIntegrate:
     def test_float_integrand_returns_float(self):
         # a numpy scalar integrand must not leak a numpy scalar into results
         assert type(integrate(lambda t: np.exp(-t), 0.0, 1.0)) is float
-        assert type(integrate(math.exp, 2.0, 2.0)) is float
+        assert type(integrate(np.exp, 2.0, 2.0)) is float
 
     @pytest.mark.parametrize("singular", [0, 1])
     def test_one_singular_component_fails_the_gate(self, singular):
         def f(t):
-            out = [math.exp(-t), math.exp(-t)]
+            out = [np.exp(-t), np.exp(-t)]
             out[singular] = 1.0 / t
-            return np.array(out)
+            return np.stack(out, axis=1)
         with pytest.raises(ConvergenceError, match="error estimate"):
             integrate(f, 0.0, 1.0)
+
+
+def _quad_vec_pin(scalar_f, array_f, a, b):
+    """``integrate``'s quadrature against scipy's quad_vec, value and error estimate.
+
+    quad_vec calls ``scalar_f`` one node at a time; the port calls
+    ``array_f`` on an interval's 21 nodes at once.
+    """
+    from scipy.integrate import quad_vec  # the reference only: no command loads it
+
+    value, err = quad_vec(scalar_f, a, b, epsabs=1e-12, epsrel=1e-12, limit=400)
+    got_value, got_err = numerics._quad_vec(array_f, a, b)
+    assert repr(np.asarray(got_value).tolist()) == repr(np.asarray(value).tolist())
+    assert repr(float(got_err)) == repr(float(err))
+    return got_value, got_err
+
+
+class TestIntegrateMatchesQuadVec:
+    @pytest.mark.parametrize("snr_db", np.arange(-60.0, 91.0, 3.0))
+    def test_htt_integrand(self, snr_db):
+        # the integrand of schemes.htt_ergodic_throughput, one frame at a
+        # time for quad_vec: htt_frame gives the bits of the array path
+        params = schemes.SystemParams.from_snr_db(float(snr_db))
+        unit = max(1.0, params.p_d * params.gbar)
+
+        def one(g):
+            tau, rate, power = schemes.htt_frame(g, params)
+            return np.array([rate, power / unit, tau]) * math.exp(-g)
+
+        def nodes(g):
+            tau, rate, power = schemes.htt_frame(g, params)
+            return np.stack((rate, power / unit, tau), axis=1) * numerics.exp_neg(g)[:, None]
+
+        value, _ = _quad_vec_pin(one, nodes, 0.0, 40.0)
+        ev = schemes.htt_ergodic_throughput(params)
+        got = [ev.throughput_bits, ev.ul_power, ev.tau_mean]
+        assert got == (value * [1.0, unit, 1.0]).tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_bands(self, seed):
+        # the integrand of schemes.quad_throughput_oracle on random bands
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            lo = float(rng.uniform(0.0, 5.0))
+            hi = lo + float(rng.choice([rng.uniform(0.01, 10.0), 40.0]))
+            gammabar = float(10.0 ** rng.uniform(-3.0, 4.0))
+            _quad_vec_pin(lambda g: np.log1p(gammabar * g) / math.log(2.0) * math.exp(-g),
+                          lambda g: np.log1p(gammabar * g) / math.log(2.0) * numerics.exp_neg(g),
+                          lo, hi)
+
+    def test_float_integrand(self):
+        value, _ = _quad_vec_pin(lambda g: g * math.exp(-g), lambda g: g * numerics.exp_neg(g),
+                                 1.0, 41.0)
+        assert integrate(lambda g: g * numerics.exp_neg(g), 1.0, OPEN_END) == value
+
+    def test_failing_gate(self):
+        _, err = _quad_vec_pin(lambda t: np.array([1.0 / t, math.exp(-t)]),
+                               lambda t: np.stack((1.0 / t, numerics.exp_neg(t)), axis=1),
+                               0.0, 1.0)
+        assert err > numerics._INTEGRATE_GATE
 
 
 class TestMaximizeScalar:

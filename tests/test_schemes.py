@@ -278,24 +278,23 @@ class TestHttFrame:
         assert "frame SNR" in str(one.value) and "p_d" in str(one.value)
 
     def test_quadrature_node_count_at_ten_db(self, monkeypatch):
-        # a count gate, not a timing: quad_vec calls the integrand once per
-        # node, and each node with a nonzero frame SNR calls W0 once
-        import scipy.integrate
-
+        # a count gate, not a timing: the quadrature calls the integrand once
+        # per interval, on its 21 nodes, and each call runs W0 once
         nodes, w_calls = [], []
-        real_quad, real_w0 = scipy.integrate.quad_vec, schemes.lambert_w0
+        real_integrate, real_w0 = schemes.integrate, schemes.lambert_w0
 
-        def counting_quad(f, *args, **kwargs):
-            return real_quad(lambda x: nodes.append(x) or f(x), *args, **kwargs)
+        def counting_integrate(f, a, b):
+            return real_integrate(lambda g: nodes.append(len(g)) or f(g), a, b)
 
         def counting_w0(x):
             w_calls.append(x)
             return real_w0(x)
 
-        monkeypatch.setattr(scipy.integrate, "quad_vec", counting_quad)
+        monkeypatch.setattr(schemes, "integrate", counting_integrate)
         monkeypatch.setattr(schemes, "lambert_w0", counting_w0)
         schemes.htt_ergodic_throughput(P10)
-        assert 0 < len(nodes) <= 273
+        assert set(nodes) == {21}
+        assert 0 < sum(nodes) <= 273
         assert len(w_calls) == len(nodes)
 
 
@@ -786,7 +785,7 @@ class TestAsymptotics:
         # log2(1 + gammabar g) - log2(gammabar) -> log2(g), whatever gbar is
         p = SystemParams(p_d=1e12, gbar=gbar)
         gap = exact(p) - schemes.band_asymptotic_throughput(*band, p)
-        limit = integrate(lambda g: math.log2(g) * math.exp(-g), *band)
+        limit = integrate(lambda g: np.log2(g) * np.exp(-g), *band)
         assert gap == pytest.approx(limit, abs=1e-6)
 
     def test_ip_concavity_on_grid(self):

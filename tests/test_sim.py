@@ -78,6 +78,21 @@ class TestMcThroughput:
         with pytest.raises(ValueError):
             sim.mc_throughput(PIPolicy(0.8), P10, 1, seed=3)
 
+    @pytest.mark.parametrize("policy", [IPPolicy(1.6), HTTPolicy()], ids=repr)
+    @pytest.mark.parametrize("n", [2, 62_504, 123_457])
+    def test_streamed_estimate_is_the_column_estimate(self, policy, n):
+        rates = sim.run_policy_trace(policy, P10, n, seed=4)[0].rate
+        expect = sim.McEstimate(mean=float(np.mean(rates)),
+                                std_error=float(np.std(rates, ddof=1) / math.sqrt(n)))
+        assert repr(sim.mc_throughput(policy, P10, n, seed=4)) == repr(expect)
+
+    @pytest.mark.parametrize("policy", [IPPolicy(1.6), HTTPolicy()], ids=repr)
+    def test_traced_peak_of_a_million_draws(self, policy):
+        # the rate column (7.6 MiB) and np.std's deviations (7.6 MiB); with all
+        # six columns the peak was 43.5 MiB (HTT) and 41.8 MiB (IP)
+        n = 1_000_000
+        assert traced_peak(lambda: sim.mc_throughput(policy, P10, n, seed=1)) <= 20 * 2**20
+
 
 # lengths on and across the edges of the ledger's summing windows
 WINDOW_LENGTHS = (1, sim._LEDGER_BLOCK - 1, sim._LEDGER_BLOCK, sim._LEDGER_BLOCK + 1, 10_000)
