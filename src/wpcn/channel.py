@@ -28,8 +28,9 @@ _SM64_INCREMENT = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 # frames per block: the sampler and the frame traces of ``sim`` work on at
-# most this many at a time, so their temporaries stay a few MB
-_FRAME_BLOCK = 1 << 16
+# most this many at a time, 64 KiB per float64 column, which fits in L2
+# cache; a streamed trace holds under 1 MiB
+_FRAME_BLOCK = 1 << 13
 # no draw exceeds this: the largest, at u = 1 - 2^-53, is 53 ln 2 = 36.7368...
 G_MAX = 36.75
 

@@ -374,7 +374,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
     rule, epsabs = epsrel = 1e-12 and 400 subintervals (``_quad_vec``).
     Open upper bounds are truncated at a + 40 (see _TAIL_LENGTH). Raises
     ConvergenceError when the error estimate, the 2-norm over the
-    components, exceeds _INTEGRATE_GATE.
+    components, exceeds _INTEGRATE_GATE or is NaN.
     """
     if math.isnan(a) or math.isnan(b):
         raise ValueError("integration bounds must not be NaN")
@@ -382,10 +382,11 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
     if hi < a:
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
     value, err_estimate = _quad_vec(f, float(a), float(hi))
-    if err_estimate > _INTEGRATE_GATE:
+    if not err_estimate <= _INTEGRATE_GATE:  # NaN fails too: an integrand value was not finite
+        why = ("comes from a non-finite integrand value" if math.isnan(err_estimate)
+               else f"exceeds {_INTEGRATE_GATE:.3g}")
         raise ConvergenceError(
-            f"quadrature on [{a}, {hi}] did not converge: error estimate "
-            f"{err_estimate:.3g} exceeds {_INTEGRATE_GATE:.3g}"
+            f"quadrature on [{a}, {hi}] did not converge: error estimate {err_estimate:.3g} {why}"
         )
     return value if np.ndim(value) else float(value)
 

@@ -13,11 +13,12 @@ stored-energy ledger as one running sum of the frames' net energy. Two modes:
   restarts at each demoted frame from the exact level before it.
 
 Memory: the frames are walked in blocks, the leaves of numpy's
-pairwise-summation tree (``_pairwise``; at most ``_FRAME_BLOCK`` frames
-each). A block draws its gains by ``channel.sample``, computes its modes,
-energies and rates, and runs the ledger in windows of ``_LEDGER_BLOCK``
-frames, the exact level carried from block to block. Each block then goes
-to an ``on_block`` sink, so a streamed trace holds no full-length array;
+pairwise-summation tree (``_pairwise``; at most ``_FRAME_BLOCK`` = 8,192
+frames each, 64 KiB a float column). A block draws its gains by
+``channel.sample``, computes its modes, energies and rates, and runs the
+ledger in windows of ``_LEDGER_BLOCK`` frames, the exact level carried
+from block to block. Each block then goes to an ``on_block`` sink, so a
+streamed trace holds one block, under 1 MiB, and no full-length array;
 without a sink the blocks fill the six ``FrameTrace`` columns, 41 bytes a
 frame. The summary adds the blocks' sums along the same tree, so its means
 are those of ``np.mean`` on whole columns bit for bit, as is every entry

@@ -349,6 +349,20 @@ PINNED_SIMULATE = [
      "fb26c117ef7eb18bec1049cc3eaa76e508ff6705f25350f1cbc75207081be884"),
 ]
 
+# `simulate --snr-db 10 --samples 1000000 --causal`: the summary line, pinned
+# with leaves of 65,536 frames; 1e6 frames are 128 leaves of 8,192 or less
+PINNED_MILLION = [
+    (("ip", "--g-u", "1.6", "--seed", "3"),
+     '{"scheme": "ip", "g_l": null, "g_u": 1.6, "causal": true, "n_frames": 1000000, '
+     '"mean_rate_bits": 1.6100965284079662, "mean_harvested_j": 5.255230092127116, '
+     '"mean_consumed_j": 5.244768009504115, "min_stored_j": 0.0035795598004213502, '
+     '"skipped_wit_frames": 781}'),
+    (("htt", "--seed", "6"),
+     '{"scheme": "htt", "g_l": null, "g_u": null, "causal": true, "n_frames": 1000000, '
+     '"mean_rate_bits": 1.4877942239185338, "mean_harvested_j": 3.6982005449026283, '
+     '"mean_consumed_j": 3.6982005449026283, "min_stored_j": 0.0, "skipped_wit_frames": 0}'),
+]
+
 
 class TestSimulate:
     def test_htt_constant_storage(self, capsys, tmp_path):
@@ -441,23 +455,30 @@ class TestSimulate:
         assert out == stdout + "\n"
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("flags,stdout", PINNED_MILLION, ids=["ip", "htt"])
+    def test_stdout_across_many_leaves_is_pinned(self, capsys, flags, stdout):
+        code, out, err = run_cli(capsys, "simulate", "--scheme", *flags, "--snr-db", "10",
+                                 "--samples", "1000000", "--causal")
+        assert code == 0, err
+        assert out == stdout + "\n"
+
     def test_dump_holds_one_block_of_rows_at_a_time(self, capsys, tmp_path):
         # a count gate on bytes, not time: the command streams the trace and
-        # holds one block of rows (7.6 MiB measured); the Python floats of
+        # holds one block of rows (1.02 MiB measured); the Python floats of
         # all 300k frames take about 48 MiB
         code, peak = traced_main("simulate", "--scheme", "ip", "--g-u", "1.6", "--snr-db", "10",
                                  "--samples", "300000", "--seed", "1", "--causal",
                                  "--dump-frames", str(tmp_path / "frames.csv"))
         assert code == 0
-        assert peak <= 16 * 2**20
+        assert peak <= 2.5 * 2**20
 
     def test_summary_alone_holds_no_column(self, capsys):
-        # without a dump the trace goes to no sink: 2.7 MiB measured, where
+        # without a dump the trace goes to no sink: 0.52 MiB measured, where
         # one float column of the 1e6 frames takes 7.6 MiB
         code, peak = traced_main("simulate", "--scheme", "ip", "--g-u", "1.6", "--snr-db", "10",
                                  "--samples", "1000000", "--seed", "1", "--causal")
         assert code == 0
-        assert peak <= 6 * 2**20
+        assert peak <= 1 * 2**20
 
     @pytest.mark.parametrize("flags,message", [
         (("ip", "--g-u", "1.0", "--p-d", "1e308"),

@@ -268,6 +268,12 @@ class TestIntegrate:
         assert type(integrate(lambda t: np.exp(-t), 0.0, 1.0)) is float
         assert type(integrate(np.exp, 2.0, 2.0)) is float
 
+    def test_nan_error_estimate_fails_the_gate(self):
+        # a node lands on the pole at 1/3: the integrand is inf there and
+        # the error estimate NaN, which no comparison with the gate passes
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
+            integrate(lambda t: 1 / np.sqrt(np.abs(t - 1 / 3)), 0.0, 1.0)
+
     @pytest.mark.parametrize("singular", [0, 1])
     def test_one_singular_component_fails_the_gate(self, singular):
         def f(t):

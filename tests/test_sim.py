@@ -192,17 +192,17 @@ class TestFrameBlocks:
                              ids=repr)
     def test_traced_peak_of_a_million_frame_trace(self, policy, limit_mib):
         # a count gate on bytes, not time: the six columns take 39.1 MiB
-        # and the blocks keep the rest to a few MiB (43.5 MiB HTT, 41.8 MiB
-        # IP); whole-array temporaries peaked at 78.2 and 63.1 MiB
+        # and one block adds under 1 MiB (39.7 MiB HTT, 39.6 MiB IP);
+        # whole-array temporaries peaked at 78.2 and 63.1 MiB
         assert traced_peak(lambda: sim.run_policy_trace(policy, P10, 1_000_000, seed=1,
                                                         causal=True)) <= limit_mib * 2**20
 
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000])
-    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 10.0), (IPPolicy(1.6), 6.0)],
+    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 1.5), (IPPolicy(1.6), 1.0)],
                              ids=repr)
     def test_traced_peak_of_a_streamed_trace(self, policy, limit_mib, n):
         # a count gate on bytes, not time: a streamed trace holds one block
-        # whatever the length (4.4 MiB HTT, 2.7 MiB IP at 1e6 and 4e6
+        # whatever the length (0.58 MiB HTT, 0.47 MiB IP at 1e6 and 4e6
         # frames); one column of 1e6 frames takes 7.6 MiB
         assert traced_peak(lambda: sim.run_policy_trace(
             policy, P10, n, seed=1, causal=True, on_block=lambda start, block: None,
@@ -219,9 +219,20 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def leaf_sizes(n: int) -> list[int]:
+    """The leaves of numpy's pairwise-summation tree over n frames, left to right."""
+    if n <= sim._FRAME_BLOCK:
+        return [n]
+    half = n // 2 - (n // 2) % 8
+    return leaf_sizes(half) + leaf_sizes(n - half)
+
+
 # lengths whose leaves of the summing tree end on and across _FRAME_BLOCK:
-# 1e6 frames give leaves of 62,496 and 62,504; 131,079 gives 65,536, 32,768, 32,775
-LEAF_EDGES = (62_496, 62_504, 65_536, 65_537, 131_079)
+# the two leaf sizes of 1e6 frames (7,808 and 7,816 for blocks of 8,192),
+# one block and one frame more, and 16 blocks and 7 frames, whose last
+# leaves split below a block (fifteen of 8,192, then 4,096 and 4,103)
+LEAF_EDGES = (*sorted(set(leaf_sizes(1_000_000))), sim._FRAME_BLOCK, sim._FRAME_BLOCK + 1,
+              16 * sim._FRAME_BLOCK + 7)
 
 
 class TestStreamedTrace:
@@ -243,6 +254,7 @@ class TestStreamedTrace:
             on_block=lambda start, block: blocks.append((start, len(block.gain))))
         starts, sizes = zip(*blocks)
         assert max(sizes) <= sim._FRAME_BLOCK and sum(sizes) == n
+        assert list(sizes) == leaf_sizes(n)
         assert list(starts) == [sum(sizes[:k]) for k in range(len(sizes))]
         trace, whole = sim.run_policy_trace(policy, P10, n, seed=5, causal=causal,
                                             initial_energy=1.5)
