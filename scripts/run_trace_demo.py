@@ -28,10 +28,10 @@ def main() -> int:
 
     print(f"optimized policies at {args.snr_db:g} dB:")
     for tag, res in results.items():
-        pol = res.policy
         thr = ", ".join(
-            f"{name}={getattr(pol, name):.3f}"
-            for name in ("g_l", "g_u") if hasattr(pol, name)
+            f"{name}={value:.3f}"
+            for name, value in zip(("g_l", "g_u"), optimize.thresholds(tag, res.policy))
+            if value is not None
         ) or "per-frame split"
         print(f"  {tag:>4}: {thr:<24} throughput {res.throughput_bits:.4f} bits/frame")
 

@@ -12,27 +12,17 @@ Library layout:
 from .channel import GainSampleBatch, sample
 from .numerics import ConvergenceError, Interval, OPEN_END
 from .optimize import SolveConfig, SolveResult, ThroughputCurve, sweep
-from .schemes import (
-    HTTPolicy,
-    IPPolicy,
-    PIPolicy,
-    PIPPolicy,
-    Policy,
-    SchemeEvaluation,
-    SystemParams,
-)
+from .schemes import BandPolicy, HTTPolicy, Policy, SchemeEvaluation, SystemParams
 from .sim import FrameTrace, TraceSummary, mc_throughput, run_policy_trace
 
 __all__ = [
+    "BandPolicy",
     "ConvergenceError",
     "FrameTrace",
     "GainSampleBatch",
     "HTTPolicy",
-    "IPPolicy",
     "Interval",
     "OPEN_END",
-    "PIPolicy",
-    "PIPPolicy",
     "Policy",
     "SchemeEvaluation",
     "SolveConfig",

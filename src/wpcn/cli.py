@@ -13,8 +13,8 @@ import sys
 
 from . import optimize, schemes, sim
 from .numerics import ConvergenceError
-from .optimize import SCHEME_TAGS, SolveConfig
-from .schemes import HTTPolicy, IPPolicy, PIPolicy, PIPPolicy, SystemParams
+from .optimize import SCHEME_TAGS, THRESHOLDS, SolveConfig, thresholds
+from .schemes import BandPolicy, HTTPolicy, SystemParams
 
 SWEEP_COLUMNS = ("snr_db", "scheme", "g_l", "g_u", "tau_mean", "ul_power_w", "throughput_bits")
 
@@ -137,22 +137,13 @@ def _params(args) -> SystemParams:
     return SystemParams(p_d=args.p_d, gbar=args.gbar, sigma2=args.sigma2)
 
 
-# scheme tag -> (policy class, the threshold flags it takes, in argument order)
-_POLICIES = {
-    "htt": (HTTPolicy, ()),
-    "ip": (IPPolicy, ("g_u",)),
-    "pi": (PIPolicy, ("g_l",)),
-    "pip": (PIPPolicy, ("g_l", "g_u")),
-}
-
-
 def _policy(args):
-    cls, names = _POLICIES[args.scheme]
+    names = THRESHOLDS[args.scheme]
     given = tuple(n for n in ("g_l", "g_u") if getattr(args, n) is not None)
     if given != names:
         wants = " and ".join("--" + n.replace("_", "-") for n in names) or "no thresholds"
         raise _UsageError(f"scheme {args.scheme} takes {wants}")
-    return cls(*(getattr(args, n) for n in names))
+    return BandPolicy(**{n: getattr(args, n) for n in names}) if names else HTTPolicy()
 
 
 def _cfg(args) -> SolveConfig:
@@ -187,11 +178,11 @@ def cmd_evaluate(args) -> int:
 
 
 def _result_row(res):
-    policy = res.policy
+    g_l, g_u = thresholds(res.scheme, res.policy)
     return {
         "scheme": res.scheme,
-        "g_l": getattr(policy, "g_l", None),
-        "g_u": getattr(policy, "g_u", None),
+        "g_l": g_l,
+        "g_u": g_u,
         "tau_mean": res.tau_mean,
         "ul_power_w": res.ul_power,
         "throughput_bits": res.throughput_bits,
@@ -295,10 +286,11 @@ def cmd_simulate(args) -> int:
             policy, params, n_frames=args.samples, seed=args.seed,
             causal=args.causal, initial_energy=args.initial_energy, on_block=sink,
         )
+    g_l, g_u = thresholds(args.scheme, policy)
     row = {
         "scheme": args.scheme,
-        "g_l": getattr(policy, "g_l", None),
-        "g_u": getattr(policy, "g_u", None),
+        "g_l": g_l,
+        "g_u": g_u,
         "causal": args.causal,
         "n_frames": summary.n_frames,
         "mean_rate_bits": summary.mean_rate_bits,

@@ -34,16 +34,20 @@ from .numerics import (
     integrate,  # not called; test_wrapping_rebinds_every_copy_and_restores_them rebinds it
     maximize_scalar,
 )
-from .schemes import (
-    HTTPolicy,
-    IPPolicy,
-    PIPolicy,
-    PIPPolicy,
-    Policy,
-    SystemParams,
-)
+from .schemes import BandPolicy, HTTPolicy, Policy, SystemParams
 
-SCHEME_TAGS = ("htt", "ip", "pi", "pip")
+# scheme tag -> the edges of its BandPolicy that the scheme searches; the
+# others keep BandPolicy's defaults (g_l = 0, g_u = inf), and HTT has none
+THRESHOLDS = {"htt": (), "ip": ("g_u",), "pi": ("g_l",), "pip": ("g_l", "g_u")}
+SCHEME_TAGS = tuple(THRESHOLDS)
+
+
+def thresholds(scheme: str, policy: Policy) -> tuple[float | None, float | None]:
+    """(g_l, g_u) of a scheme's policy, None for an edge the scheme does not search."""
+    searched = THRESHOLDS[scheme]
+    return (policy.g_l if "g_l" in searched else None,
+            policy.g_u if "g_u" in searched else None)
+
 
 # Two-interval thresholds are searched down to this floor instead of 0 (or
 # to half the gain cap if that is lower): the IP power expression is 0/0 at
@@ -149,10 +153,10 @@ class _Eligible:
             raise schemes.UplinkOverflowError(self.params)
 
 
-def _solve_threshold(scheme: str, throughput, band, policy_type, lo: float,
+def _solve_threshold(scheme: str, throughput, band, lo: float,
                      params: SystemParams, cfg: SolveConfig) -> SolveResult:
     """Best threshold x in [lo, gain_cap] of the scheme whose closed form is
-    ``throughput(x, params)``, transmit band ``band(x)`` and policy ``policy_type(x)``."""
+    ``throughput(x, params)`` and transmit band ``band(x)``."""
     f = _Eligible(lambda x: throughput(x, params), band, params)
     cap = cfg.gain_cap
     xs = np.linspace(lo, cap, _COARSE_POINTS)
@@ -172,7 +176,7 @@ def _solve_threshold(scheme: str, throughput, band, policy_type, lo: float,
         if v > best_v:
             best_x, best_v = float(x), float(v)
     f.check(best_v)
-    policy = policy_type(best_x)
+    policy = BandPolicy(*band(best_x))
     return SolveResult(
         scheme=scheme, policy=policy, throughput_bits=best_v,
         ul_power=schemes.band_ul_power(*policy.band, params),
@@ -183,14 +187,14 @@ def _solve_threshold(scheme: str, throughput, band, policy_type, lo: float,
 def solve_ip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best transmit-below threshold g_u in (0, gain_cap]."""
     cfg = cfg or SolveConfig()
-    return _solve_threshold("ip", schemes.ip_throughput, lambda x: (0.0, x), IPPolicy,
+    return _solve_threshold("ip", schemes.ip_throughput, lambda x: (0.0, x),
                             min(_THRESHOLD_FLOOR, 0.5 * cfg.gain_cap), params, cfg)
 
 
 def solve_pi(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best transmit-above threshold g_l in [0, gain_cap]."""
     cfg = cfg or SolveConfig()
-    return _solve_threshold("pi", schemes.pi_throughput, lambda x: (x, math.inf), PIPolicy,
+    return _solve_threshold("pi", schemes.pi_throughput, lambda x: (x, math.inf),
                             0.0, params, cfg)
 
 
@@ -218,7 +222,7 @@ def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
         block_bound=lambda gl, lo, hi: schemes.band_throughput_block_bound(gl, lo, hi, params),
     )
     objective.check(value)
-    policy = PIPPolicy(g_l=g_l, g_u=g_u)
+    policy = BandPolicy(g_l, g_u)
     return SolveResult(
         scheme="pip", policy=policy, throughput_bits=value,
         ul_power=schemes.band_ul_power(*policy.band, params),
@@ -248,9 +252,7 @@ _SOLVERS = {
 
 
 def _sweep_point(snr_db: float, result: SolveResult) -> SweepPoint:
-    policy = result.policy
-    g_l = getattr(policy, "g_l", None)
-    g_u = getattr(policy, "g_u", None)
+    g_l, g_u = thresholds(result.scheme, result.policy)
     return SweepPoint(
         snr_db=snr_db, scheme=result.scheme, g_l=g_l, g_u=g_u,
         tau_mean=result.tau_mean, ul_power=result.ul_power,

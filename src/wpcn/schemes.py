@@ -9,12 +9,13 @@ Four transmit strategies for a single-antenna wireless-powered link:
 * PI    -- transmit on the band [g_l, inf), harvest below.
 * PIP   -- transmit on the middle band [g_l, g_u), harvest on both tails.
 
-The three threshold schemes are one rule: transmit while the normalized gain
-lies in a band [lo, hi) (each policy's ``band``), harvest outside it. Their
-uplink power is the constant that balances expected harvested and expected
-consumed energy (``band_ul_power``); the ergodic throughput then has a closed
-form in the exponential integral (``band_throughput``), with the high-power
-limit ``band_asymptotic_throughput``. ``ip_throughput`` passes g_l = 0,
+The three threshold schemes are one policy, ``BandPolicy``: transmit while
+the normalized gain lies in a band [g_l, g_u) (its ``band``), harvest
+outside it. IP leaves g_l at 0 and PI g_u at inf. The uplink power is the
+constant that balances expected harvested and expected consumed energy
+(``band_ul_power``); the ergodic throughput then has a closed form in the
+exponential integral (``band_throughput``), with the high-power limit
+``band_asymptotic_throughput``. ``ip_throughput`` passes g_l = 0,
 ``pi_throughput`` g_u = inf. The test suite checks the closed forms against
 two references over the band: ``balance_ul_power`` (the channel's interval
 moments) and ``quad_throughput_oracle`` (quadrature of the rate integral).
@@ -101,43 +102,21 @@ class HTTPolicy:
 
 
 @dataclass(frozen=True)
-class IPPolicy:
-    g_u: float
+class BandPolicy:
+    """Whole-frame policy: transmit while the normalized gain lies in [g_l, g_u), harvest outside.
+
+    IP is ``BandPolicy(g_u=x)``, PI ``BandPolicy(g_l=x)`` and PIP
+    ``BandPolicy(g_l, g_u)``; ``optimize.THRESHOLDS`` names the edges each
+    scheme searches.
+    """
+
+    g_l: float = 0.0
+    g_u: float = OPEN_END
 
     def __post_init__(self) -> None:
-        if not self.g_u > 0.0:
-            raise ValueError("IP policy requires g_u > 0")
-
-    @property
-    def band(self) -> tuple[float, float]:
-        """Transmit band [lo, hi) of the normalized gain."""
-        return (0.0, self.g_u)
-
-
-@dataclass(frozen=True)
-class PIPolicy:
-    g_l: float
-
-    def __post_init__(self) -> None:
-        if self.g_l < 0.0 or math.isnan(self.g_l):
-            raise ValueError("PI policy requires g_l >= 0")
-
-    @property
-    def band(self) -> tuple[float, float]:
-        """Transmit band [lo, hi) of the normalized gain."""
-        return (self.g_l, OPEN_END)
-
-
-@dataclass(frozen=True)
-class PIPPolicy:
-    g_l: float
-    g_u: float
-
-    def __post_init__(self) -> None:
-        if self.g_l < 0.0 or math.isnan(self.g_l):
-            raise ValueError("PIP policy requires g_l >= 0")
-        if not self.g_u > self.g_l:
-            raise ValueError("PIP policy requires g_l < g_u")
+        if not 0.0 <= self.g_l < self.g_u:  # NaN fails too
+            raise ValueError(
+                f"band policy requires 0 <= g_l < g_u, got g_l={self.g_l}, g_u={self.g_u}")
 
     @property
     def band(self) -> tuple[float, float]:
@@ -145,7 +124,7 @@ class PIPPolicy:
         return (self.g_l, self.g_u)
 
 
-Policy = Union[HTTPolicy, IPPolicy, PIPolicy, PIPPolicy]
+Policy = Union[HTTPolicy, BandPolicy]
 
 
 @dataclass(frozen=True)

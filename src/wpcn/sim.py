@@ -82,7 +82,8 @@ def mc_throughput(policy: Policy, params: SystemParams, n: int, seed: int) -> Mc
 
     The rates are those of the non-causal ``run_policy_trace`` on the same
     draws, so its mean rate equals this estimate's mean exactly. The trace
-    is streamed: of its columns only the rates are kept.
+    is streamed: of its columns only the rates are kept, and the squared
+    deviations of ``np.std(rates, ddof=1)`` overwrite them, with its bits.
     """
     if n < 2:
         raise ValueError("mc_throughput needs n >= 2 for a standard error")
@@ -92,10 +93,11 @@ def mc_throughput(policy: Policy, params: SystemParams, n: int, seed: int) -> Mc
         rates[start:start + len(block.rate)] = block.rate
 
     run_policy_trace(policy, params, n, seed, on_block=keep_rates)
-    return McEstimate(
-        mean=float(np.mean(rates)),
-        std_error=float(np.std(rates, ddof=1) / math.sqrt(n)),
-    )
+    mean = np.mean(rates)
+    rates -= mean
+    np.multiply(rates, rates, out=rates)
+    return McEstimate(mean=float(mean),
+                      std_error=float(np.sqrt(np.sum(rates) / (n - 1)) / math.sqrt(n)))
 
 
 def _pairwise(start: int, stop: int, leaf):

@@ -17,13 +17,7 @@ from wpcn.numerics import (
     lambert_w0,
 )
 from wpcn.optimize import SolveConfig
-from wpcn.schemes import (
-    HTTPolicy,
-    IPPolicy,
-    PIPolicy,
-    PIPPolicy,
-    SystemParams,
-)
+from wpcn.schemes import BandPolicy, HTTPolicy, SystemParams
 
 MC_SEED = 2025
 LN2 = math.log(2.0)
@@ -42,12 +36,12 @@ def test_criterion_1_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     evaluators = {
-        "ip": (schemes.ip_throughput, IPPolicy),
-        "pi": (schemes.pi_throughput, PIPolicy),
-        "pip": (schemes.pip_throughput, PIPPolicy),
+        "ip": schemes.ip_throughput,
+        "pi": schemes.pi_throughput,
+        "pip": schemes.pip_throughput,
     }
     worst = 0.0
-    for scheme, (throughput_fn, policy_cls) in evaluators.items():
+    for scheme, throughput_fn in evaluators.items():
         for _ in range(50):
             gammabar = 10.0 ** rng.uniform(-3.0, 4.0)
             if scheme == "pip":
@@ -55,7 +49,7 @@ def test_criterion_1_oracle_equivalence():
                 thresholds = (g_l, g_l + rng.uniform(0.1, 10.0 - g_l))
             else:
                 thresholds = (rng.uniform(0.05, 10.0),)
-            band = policy_cls(*thresholds).band
+            band = BandPolicy(**dict(zip(optimize.THRESHOLDS[scheme], thresholds))).band
             params = _params_with_gammabar(band, gammabar)
             closed = throughput_fn(*thresholds, params)
             pu = schemes.balance_ul_power(*band, params)
@@ -283,7 +277,7 @@ def test_criterion_8_special_functions():
 def test_criterion_9_simulation():
     t0 = time.perf_counter()
     params = SystemParams.from_snr_db(10.0)
-    policy = PIPPolicy(0.3, 2.0)
+    policy = BandPolicy(0.3, 2.0)
     closed = schemes.pip_throughput(0.3, 2.0, params)
 
     _, free = sim.run_policy_trace(policy, params, 100_000, seed=MC_SEED)

@@ -28,6 +28,9 @@ class TestIntervalProb:
             channel.interval_prob(2.0, 1.0)
         with pytest.raises(ValueError):
             channel.interval_prob(-1.0, 1.0)
+        for a, b in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                channel.interval_prob(a, b)
 
 
 class TestIntervalGainMean:

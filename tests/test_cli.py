@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wpcn import cli, optimize, schemes, sim
-from wpcn.schemes import HTTPolicy, IPPolicy, PIPPolicy, SystemParams
+from wpcn import cli, numerics, optimize, schemes, sim
+from wpcn.schemes import BandPolicy, HTTPolicy, SystemParams
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +63,29 @@ class TestEvaluate:
         row = run_json(capsys, "evaluate", "--scheme", "htt", "--snr-db", "10")
         ref = schemes.htt_ergodic_throughput(SystemParams.from_snr_db(10.0))
         assert row["throughput_bits"] == pytest.approx(ref.throughput_bits, rel=1e-12)
+
+    def test_htt_verify_is_the_monte_carlo_delta(self, capsys):
+        row = run_json(capsys, "evaluate", "--scheme", "htt", "--snr-db", "10", "--verify",
+                       "--samples", "1000", "--seed", "3")
+        mc = sim.mc_throughput(HTTPolicy(), SystemParams.from_snr_db(10.0), 1000, 3)
+        assert row["verify_delta_bits"] == row["throughput_bits"] - mc.mean
+        assert row["verify_delta_bits"] == 0.00291202199960483
+
+    @pytest.mark.parametrize("error", [numerics.ConvergenceError, ArithmeticError])
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch, error):
+        def fail(params):
+            raise error("synthetic failure")
+        monkeypatch.setattr(schemes, "htt_ergodic_throughput", fail)
+        code, out, err = run_cli(capsys, "evaluate", "--scheme", "htt", "--snr-db", "10")
+        assert (code, out, err) == (2, "", "numerical failure: synthetic failure\n")
+
+    def test_invalid_threshold_is_one_usage_error(self, capsys):
+        # every scheme's threshold goes through BandPolicy's one check
+        for flags in (("ip", "--g-u", "0"), ("pi", "--g-l", "inf"), ("pi", "--g-l", "nan"),
+                      ("pip", "--g-l", "2", "--g-u", "1")):
+            code, out, err = run_cli(capsys, "evaluate", "--scheme", *flags, "--snr-db", "10")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: band policy requires 0 <= g_l < g_u, got g_l=")
 
     def test_explicit_physical_constants(self, capsys):
         row = run_json(capsys, "evaluate", "--scheme", "ip", "--g-u", "1.0",
@@ -382,7 +405,7 @@ class TestSimulate:
                        "--snr-db", "10", "--samples", "100000", "--seed", "2025")
         params = SystemParams.from_snr_db(10.0)
         closed = schemes.pip_throughput(0.3, 2.0, params)
-        est = sim.mc_throughput(PIPPolicy(0.3, 2.0), params, 100_000, 2025)
+        est = sim.mc_throughput(BandPolicy(0.3, 2.0), params, 100_000, 2025)
         assert abs(row["mean_rate_bits"] - closed) <= 3.0 * est.std_error
 
     def test_causal_counts_skips_and_stays_below(self, capsys):
@@ -409,7 +432,7 @@ class TestSimulate:
         dump = tmp_path / "frames.csv"
         run_json(capsys, "simulate", "--scheme", "ip", "--g-u", "1.0", "--snr-db", "10",
                  "--samples", "500", "--seed", "2", "--dump-frames", str(dump))
-        trace, _ = sim.run_policy_trace(IPPolicy(1.0), SystemParams.from_snr_db(10.0), 500, 2)
+        trace, _ = sim.run_policy_trace(BandPolicy(g_u=1.0), SystemParams.from_snr_db(10.0), 500, 2)
         rows = [line.split(",") for line in dump.read_text().splitlines()[1:]]
         assert [row[0] for row in rows] == [str(i) for i in range(500)]
         modes = [row[2] for row in rows]
@@ -433,7 +456,7 @@ class TestSimulate:
         run_json(capsys, "simulate", "--scheme", "pip", "--g-l", "0.3", "--g-u", "2.0",
                  "--snr-db", "0", "--samples", "3000", "--seed", "6", "--causal",
                  "--dump-frames", str(dump))
-        trace, summary = sim.run_policy_trace(PIPPolicy(0.3, 2.0), SystemParams.from_snr_db(0.0),
+        trace, summary = sim.run_policy_trace(BandPolicy(0.3, 2.0), SystemParams.from_snr_db(0.0),
                                               3000, 6, causal=True)
         assert summary.skipped_wit_frames > 0
         columns = (trace.gain, trace.harvested, trace.consumed, trace.stored, trace.rate)

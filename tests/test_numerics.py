@@ -246,6 +246,9 @@ class TestIntegrate:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate(np.exp, 1.0, 0.0)
+        for a, b in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                integrate(np.exp, a, b)
 
     def test_nonconvergence_reported(self):
         with pytest.raises(ConvergenceError, match="error estimate"):
@@ -378,6 +381,11 @@ class TestMaximizeScalar:
         # end slopes point away from the peak, so no bisection runs; the
         # ends score 2.25 and 6.25
         assert maximize_scalar(lambda x: (x - 1.5) ** 2, Interval(0.0, 4.0)) == (4.0, 6.25)
+
+    def test_one_point_interval_scores_its_point_once(self):
+        calls = []
+        assert maximize_scalar(lambda x: calls.append(x) or -x, Interval(1.5, 1.5)) == (1.5, -1.5)
+        assert calls == [1.5]
 
     def test_constant_picks_exactly_the_lower_end(self):
         # the upper end replaces the lower one only if strictly greater

@@ -42,7 +42,7 @@ class TestTwoIntervalSolvers:
                 grid = np.arange(lo, 10.0 + 1e-12, 1e-4)
                 vals = vec_obj(grid)
                 k = int(np.argmax(vals))
-                thr = getattr(res.policy, "g_u", None) or res.policy.g_l
+                thr = res.policy.g_u if res.scheme == "ip" else res.policy.g_l
                 assert abs(thr - grid[k]) <= 1e-3
                 assert abs(res.throughput_bits - vals[k]) <= 1e-6
 

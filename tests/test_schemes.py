@@ -7,15 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wpcn import channel, numerics, schemes, sim
+from wpcn import channel, numerics, optimize, schemes, sim
 from wpcn.numerics import OPEN_END, integrate
-from wpcn.schemes import (
-    HTTPolicy,
-    IPPolicy,
-    PIPolicy,
-    PIPPolicy,
-    SystemParams,
-)
+from wpcn.schemes import BandPolicy, HTTPolicy, SystemParams
 
 P10 = SystemParams.from_snr_db(10.0)
 
@@ -367,7 +361,7 @@ class TestHttErgodic:
         assert ev.ul_power == pytest.approx(power, rel=1e-13)
 
     def test_threshold_policies_have_no_mean_split(self):
-        assert schemes.evaluate_policy(IPPolicy(1.0), P10).tau_mean is None
+        assert schemes.evaluate_policy(BandPolicy(g_u=1.0), P10).tau_mean is None
 
     def test_vanishing_power(self):
         tiny = schemes.htt_ergodic_throughput(SystemParams(p_d=1e-30)).throughput_bits
@@ -410,7 +404,7 @@ class TestUlPowers:
 
     @pytest.mark.parametrize("g_u", [0.1, 1.0, 5.0])
     def test_ip_matches_balance(self, g_u):
-        ref = schemes.balance_ul_power(*IPPolicy(g_u).band, P10)
+        ref = schemes.balance_ul_power(*BandPolicy(g_u=g_u).band, P10)
         assert schemes.band_ul_power(0.0, g_u, P10) == pytest.approx(ref, rel=1e-12)
 
     def test_pi_zero_threshold(self):
@@ -422,7 +416,7 @@ class TestUlPowers:
 
     @pytest.mark.parametrize("g_l", [0.1, 1.0, 5.0])
     def test_pi_matches_balance(self, g_l):
-        ref = schemes.balance_ul_power(*PIPolicy(g_l).band, P10)
+        ref = schemes.balance_ul_power(*BandPolicy(g_l).band, P10)
         assert schemes.band_ul_power(g_l, OPEN_END, P10) == pytest.approx(ref, rel=1e-12)
 
     def test_pip_reduces_to_ip(self):
@@ -438,7 +432,7 @@ class TestUlPowers:
 
     @pytest.mark.parametrize("gl,gu", [(0.2, 1.0), (1.0, 3.0), (0.05, 9.0)])
     def test_pip_matches_balance(self, gl, gu):
-        ref = schemes.balance_ul_power(*PIPPolicy(gl, gu).band, P10)
+        ref = schemes.balance_ul_power(*BandPolicy(gl, gu).band, P10)
         assert schemes.band_ul_power(gl, gu, P10) == pytest.approx(ref, rel=1e-12)
 
     def test_domain_errors(self):
@@ -471,7 +465,7 @@ class TestThroughputs:
     def test_matches_quadrature(self, scheme, thresholds):
         fn = {"ip": schemes.ip_throughput, "pi": schemes.pi_throughput,
               "pip": schemes.pip_throughput}[scheme]
-        band = {"ip": IPPolicy, "pi": PIPolicy, "pip": PIPPolicy}[scheme](*thresholds).band
+        band = BandPolicy(**dict(zip(optimize.THRESHOLDS[scheme], thresholds))).band
         pu = schemes.balance_ul_power(*band, P10)
         assert fn(*thresholds, P10) == pytest.approx(
             schemes.quad_throughput_oracle(*band, pu, P10), abs=1e-8
@@ -485,9 +479,9 @@ class TestThroughputs:
             g_l = rng.uniform(0.0, 7.0)
             g_hi = g_l + rng.uniform(0.1, 5.0)
             cases = [
-                ("ip", (g_u,), schemes.ip_throughput, IPPolicy(g_u)),
-                ("pi", (max(g_l, 0.05),), schemes.pi_throughput, PIPolicy(max(g_l, 0.05))),
-                ("pip", (g_l, g_hi), schemes.pip_throughput, PIPPolicy(g_l, g_hi)),
+                ("ip", (g_u,), schemes.ip_throughput, BandPolicy(g_u=g_u)),
+                ("pi", (max(g_l, 0.05),), schemes.pi_throughput, BandPolicy(max(g_l, 0.05))),
+                ("pip", (g_l, g_hi), schemes.pip_throughput, BandPolicy(g_l, g_hi)),
             ]
             for scheme, thr, fn, policy in cases:
                 params = _params_with_gammabar(policy.band, gammabar)
@@ -498,6 +492,10 @@ class TestThroughputs:
     def test_oracle_degenerate_cases(self):
         assert schemes.quad_throughput_oracle(1.0, 1.0, 5.0, P10) == 0.0
         assert schemes.quad_throughput_oracle(0.0, OPEN_END, 0.0, P10) == 0.0
+
+    def test_oracle_rejects_a_negative_power(self):
+        with pytest.raises(ValueError, match="ul_power must be >= 0"):
+            schemes.quad_throughput_oracle(0.0, 1.0, -1.0, P10)
 
 
 class TestNarrowBands:
@@ -731,9 +729,9 @@ class TestInvariants:
         rng = np.random.default_rng(31)
         for _ in range(20):
             policy = [
-                IPPolicy(rng.uniform(0.1, 9.0)),
-                PIPolicy(rng.uniform(0.1, 9.0)),
-                PIPPolicy(*np.sort(rng.uniform(0.05, 9.0, size=2))),
+                BandPolicy(g_u=rng.uniform(0.1, 9.0)),
+                BandPolicy(rng.uniform(0.1, 9.0)),
+                BandPolicy(*np.sort(rng.uniform(0.05, 9.0, size=2))),
             ][rng.integers(0, 3)]
             lo, hi = policy.band
             pu = schemes.band_ul_power(lo, hi, P10)
@@ -818,16 +816,16 @@ class TestAsymptotics:
 
 class TestPolicies:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            IPPolicy(0.0)
-        with pytest.raises(ValueError):
-            PIPolicy(-1.0)
-        with pytest.raises(ValueError):
-            PIPPolicy(2.0, 1.0)
+        # one check, 0 <= g_l < g_u, with one message; NaN fails it
+        for g_l, g_u in ((0.0, 0.0), (-1.0, OPEN_END), (2.0, 1.0), (1.0, 1.0),
+                         (OPEN_END, OPEN_END), (math.nan, 1.0), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="band policy requires 0 <= g_l < g_u"):
+                BandPolicy(g_l, g_u)
 
     def test_partitions_cover(self):
-        for policy, band in ((IPPolicy(1.0), (0.0, 1.0)), (PIPolicy(0.0), (0.0, OPEN_END)),
-                             (PIPolicy(2.0), (2.0, OPEN_END)), (PIPPolicy(0.5, 3.0), (0.5, 3.0))):
+        for policy, band in ((BandPolicy(g_u=1.0), (0.0, 1.0)), (BandPolicy(0.0), (0.0, OPEN_END)),
+                             (BandPolicy(2.0), (2.0, OPEN_END)), (BandPolicy(0.5, 3.0), (0.5, 3.0)),
+                             (BandPolicy(), (0.0, OPEN_END))):
             assert policy.band == band
             lo, hi = band
             total = sum(channel.interval_prob(a, b)
@@ -835,7 +833,7 @@ class TestPolicies:
             assert total == pytest.approx(1.0, abs=1e-14)
 
     def test_evaluate_policy_consistency(self):
-        ev = schemes.evaluate_policy(IPPolicy(1.5), P10)
+        ev = schemes.evaluate_policy(BandPolicy(g_u=1.5), P10)
         assert ev.throughput_bits == pytest.approx(schemes.ip_throughput(1.5, P10), rel=1e-14)
         assert ev.ul_power == pytest.approx(schemes.band_ul_power(0.0, 1.5, P10), rel=1e-14)
         assert ev.expected_ul_snr_gammabar == pytest.approx(

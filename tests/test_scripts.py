@@ -26,3 +26,12 @@ def run_script(name, *argv, cwd):
 def test_script_exits_cleanly(tmp_path, name, argv):
     done = run_script(name, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_trace_demo_prints_only_the_searched_thresholds(tmp_path):
+    done = run_script("run_trace_demo.py", "--long-frames", "2000", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimized policies at 10 dB:"
+    assert [line.split("throughput")[0].strip() for line in lines[1:5]] == [
+        "htt: per-frame split", "ip: g_u=1.626", "pi: g_l=1.026", "pip: g_l=0.250, g_u=1.800"]

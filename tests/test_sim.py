@@ -1,16 +1,35 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wpcn import channel, numerics, schemes, sim
-from wpcn.schemes import HTTPolicy, IPPolicy, PIPolicy, PIPPolicy, SystemParams
+from wpcn import channel, numerics, optimize, schemes, sim
+from wpcn.schemes import BandPolicy, HTTPolicy, SystemParams
 
 P10 = SystemParams.from_snr_db(10.0)
+
+
+def param_id(value) -> str:
+    """A parameter's test id: its repr, but a policy names its scheme.
+
+    A policy reads as the scheme's tag in capitals, ``Policy`` and the
+    edges that the scheme searches (``optimize.thresholds``): ``HTTPolicy()``
+    for HTT, and the IP band [0, 1.6) as ``IP``, ``Policy`` and ``(g_u=1.6)``.
+    """
+    if isinstance(value, HTTPolicy):
+        scheme = "htt"
+    elif isinstance(value, BandPolicy):
+        scheme = "ip" if value.g_l == 0.0 else "pi" if value.g_u == math.inf else "pip"
+    else:
+        return repr(value)
+    edges = ", ".join(f"{name}={x!r}" for name, x in
+                      zip(("g_l", "g_u"), optimize.thresholds(scheme, value)) if x is not None)
+    return f"{scheme.upper()}Policy({edges})"
 
 
 def loop_ledger(policy, params, n, seed, causal, initial_energy):
@@ -57,28 +76,28 @@ def assert_same_trace(trace, ref, label):
 class TestMcThroughput:
     def test_within_three_se_of_closed_form(self):
         cases = [
-            (IPPolicy(1.6), schemes.ip_throughput(1.6, P10)),
-            (PIPolicy(1.0), schemes.pi_throughput(1.0, P10)),
-            (PIPPolicy(0.3, 2.0), schemes.pip_throughput(0.3, 2.0, P10)),
+            (BandPolicy(g_u=1.6), schemes.ip_throughput(1.6, P10)),
+            (BandPolicy(1.0), schemes.pi_throughput(1.0, P10)),
+            (BandPolicy(0.3, 2.0), schemes.pip_throughput(0.3, 2.0, P10)),
         ]
         for policy, closed in cases:
             est = sim.mc_throughput(policy, P10, 100_000, seed=2025)
             assert abs(est.mean - closed) <= 3.0 * est.std_error
 
     def test_degenerate_information_set(self):
-        est = sim.mc_throughput(IPPolicy(1e-12), P10, 10_000, seed=1)
+        est = sim.mc_throughput(BandPolicy(g_u=1e-12), P10, 10_000, seed=1)
         assert est.mean == 0.0
 
     def test_determinism(self):
-        a = sim.mc_throughput(PIPolicy(0.8), P10, 50_000, seed=3)
-        b = sim.mc_throughput(PIPolicy(0.8), P10, 50_000, seed=3)
+        a = sim.mc_throughput(BandPolicy(0.8), P10, 50_000, seed=3)
+        b = sim.mc_throughput(BandPolicy(0.8), P10, 50_000, seed=3)
         assert a == b
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            sim.mc_throughput(PIPolicy(0.8), P10, 1, seed=3)
+            sim.mc_throughput(BandPolicy(0.8), P10, 1, seed=3)
 
-    @pytest.mark.parametrize("policy", [IPPolicy(1.6), HTTPolicy()], ids=repr)
+    @pytest.mark.parametrize("policy", [BandPolicy(g_u=1.6), HTTPolicy()], ids=param_id)
     @pytest.mark.parametrize("n", [2, 62_504, 123_457])
     def test_streamed_estimate_is_the_column_estimate(self, policy, n):
         rates = sim.run_policy_trace(policy, P10, n, seed=4)[0].rate
@@ -86,12 +105,12 @@ class TestMcThroughput:
                                 std_error=float(np.std(rates, ddof=1) / math.sqrt(n)))
         assert repr(sim.mc_throughput(policy, P10, n, seed=4)) == repr(expect)
 
-    @pytest.mark.parametrize("policy", [IPPolicy(1.6), HTTPolicy()], ids=repr)
+    @pytest.mark.parametrize("policy", [BandPolicy(g_u=1.6), HTTPolicy()], ids=param_id)
     def test_traced_peak_of_a_million_draws(self, policy):
-        # the rate column (7.6 MiB) and np.std's deviations (7.6 MiB); with all
-        # six columns the peak was 43.5 MiB (HTT) and 41.8 MiB (IP)
+        # the rate column (7.6 MiB), which its squared deviations overwrite:
+        # 8.1 MiB in all, and a second full-length array would add 7.6
         n = 1_000_000
-        assert traced_peak(lambda: sim.mc_throughput(policy, P10, n, seed=1)) <= 20 * 2**20
+        assert traced_peak(lambda: sim.mc_throughput(policy, P10, n, seed=1)) <= 10 * 2**20
 
 
 # lengths on and across the edges of the ledger's summing windows
@@ -103,15 +122,15 @@ class TestTraceLedger:
            st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_conservation_bitwise(self, seed, n, causal):
-        trace, _ = sim.run_policy_trace(PIPPolicy(0.3, 2.0), P10, n, seed,
+        trace, _ = sim.run_policy_trace(BandPolicy(0.3, 2.0), P10, n, seed,
                                         causal=causal, initial_energy=1.5)
         net = trace.harvested - trace.consumed
         assert trace.stored[0] == 1.5 + net[0]
         assert np.array_equal(trace.stored[1:], trace.stored[:-1] + net[1:])
 
     @pytest.mark.parametrize("policy", [
-        IPPolicy(1.6), IPPolicy(0.05), PIPolicy(0.5), PIPPolicy(0.3, 2.0), PIPPolicy(2.0, 2.5),
-    ], ids=repr)
+        BandPolicy(g_u=1.6), BandPolicy(g_u=0.05), BandPolicy(0.5), BandPolicy(0.3, 2.0), BandPolicy(2.0, 2.5),
+    ], ids=param_id)
     @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("initial_energy", [0.0, 1.5, 50.0])
     @given(seed=st.integers(min_value=0, max_value=2**32))
@@ -128,9 +147,9 @@ class TestTraceLedger:
     def test_demotions_after_the_first_window(self):
         # the comparison above restarts the sum past a window edge only if
         # a demotion lands there: pin that these draws make some
-        trace, summary = sim.run_policy_trace(IPPolicy(0.05), P10, 10_000, seed=1,
+        trace, summary = sim.run_policy_trace(BandPolicy(g_u=0.05), P10, 10_000, seed=1,
                                               causal=True)
-        ref, skipped = loop_ledger(IPPolicy(0.05), P10, 10_000, 1, True, 0.0)
+        ref, skipped = loop_ledger(BandPolicy(g_u=0.05), P10, 10_000, 1, True, 0.0)
         wit = trace.gain < 0.05
         late = np.flatnonzero(wit & (trace.mode == 1))
         assert late[-1] >= sim._LEDGER_BLOCK
@@ -139,17 +158,17 @@ class TestTraceLedger:
 
     def test_mode_threshold_consistency(self):
         g_l, g_u = 0.4, 1.9
-        trace, _ = sim.run_policy_trace(PIPPolicy(g_l, g_u), P10, 5000, seed=8)
+        trace, _ = sim.run_policy_trace(BandPolicy(g_l, g_u), P10, 5000, seed=8)
         wit = trace.mode == 0
         expect = (trace.gain >= g_l) & (trace.gain < g_u)
         assert np.array_equal(wit, expect)
-        trace_ip, _ = sim.run_policy_trace(IPPolicy(g_u), P10, 5000, seed=8)
+        trace_ip, _ = sim.run_policy_trace(BandPolicy(g_u=g_u), P10, 5000, seed=8)
         assert np.array_equal(trace_ip.mode == 0, trace_ip.gain < g_u)
-        trace_pi, _ = sim.run_policy_trace(PIPolicy(g_l), P10, 5000, seed=8)
+        trace_pi, _ = sim.run_policy_trace(BandPolicy(g_l), P10, 5000, seed=8)
         assert np.array_equal(trace_pi.mode == 0, trace_pi.gain >= g_l)
 
     def test_wit_and_wpt_frame_shape(self):
-        trace, _ = sim.run_policy_trace(IPPolicy(1.0), P10, 2000, seed=2)
+        trace, _ = sim.run_policy_trace(BandPolicy(g_u=1.0), P10, 2000, seed=2)
         wit = trace.mode == 0
         assert np.all(trace.harvested[wit] == 0.0)
         assert np.all(trace.consumed[~wit] == 0.0)
@@ -157,7 +176,7 @@ class TestTraceLedger:
         assert np.all(trace.rate[wit] > 0.0)
 
     def test_zero_drift_noncausal(self):
-        trace, summary = sim.run_policy_trace(PIPPolicy(0.3, 2.0), P10, 1_000_000, seed=9)
+        trace, summary = sim.run_policy_trace(BandPolicy(0.3, 2.0), P10, 1_000_000, seed=9)
         net = trace.harvested - trace.consumed
         se = float(np.std(net, ddof=1)) / math.sqrt(len(net))
         assert abs(summary.mean_harvested - summary.mean_consumed) <= 3.0 * se
@@ -170,8 +189,8 @@ BLOCK_LENGTHS = (sim._FRAME_BLOCK - 1, sim._FRAME_BLOCK, sim._FRAME_BLOCK + 1,
 
 class TestFrameBlocks:
     @pytest.mark.parametrize("policy", [
-        IPPolicy(1.6), PIPolicy(0.5), PIPPolicy(0.3, 2.0), HTTPolicy(),
-    ], ids=repr)
+        BandPolicy(g_u=1.6), BandPolicy(0.5), BandPolicy(0.3, 2.0), HTTPolicy(),
+    ], ids=param_id)
     @pytest.mark.parametrize("causal", [False, True])
     def test_blocks_match_the_whole_array_trace(self, policy, causal):
         for n in BLOCK_LENGTHS:
@@ -188,8 +207,8 @@ class TestFrameBlocks:
             if causal and not isinstance(policy, HTTPolicy):
                 assert skipped > 0
 
-    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 48.0), (IPPolicy(1.6), 44.0)],
-                             ids=repr)
+    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 48.0), (BandPolicy(g_u=1.6), 44.0)],
+                             ids=param_id)
     def test_traced_peak_of_a_million_frame_trace(self, policy, limit_mib):
         # a count gate on bytes, not time: the six columns take 39.1 MiB
         # and one block adds under 1 MiB (39.7 MiB HTT, 39.6 MiB IP);
@@ -198,8 +217,8 @@ class TestFrameBlocks:
                                                         causal=True)) <= limit_mib * 2**20
 
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000])
-    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 1.5), (IPPolicy(1.6), 1.0)],
-                             ids=repr)
+    @pytest.mark.parametrize("policy,limit_mib", [(HTTPolicy(), 1.5), (BandPolicy(g_u=1.6), 1.0)],
+                             ids=param_id)
     def test_traced_peak_of_a_streamed_trace(self, policy, limit_mib, n):
         # a count gate on bytes, not time: a streamed trace holds one block
         # whatever the length (0.58 MiB HTT, 0.47 MiB IP at 1e6 and 4e6
@@ -237,8 +256,8 @@ LEAF_EDGES = (*sorted(set(leaf_sizes(1_000_000))), sim._FRAME_BLOCK, sim._FRAME_
 
 class TestStreamedTrace:
     @pytest.mark.parametrize("policy", [
-        IPPolicy(1.6), PIPolicy(0.5), PIPPolicy(0.3, 2.0), HTTPolicy(),
-    ], ids=repr)
+        BandPolicy(g_u=1.6), BandPolicy(0.5), BandPolicy(0.3, 2.0), HTTPolicy(),
+    ], ids=param_id)
     @pytest.mark.parametrize("causal", [False, True])
     @given(n=st.integers(min_value=1, max_value=300_000))
     @example(n=LEAF_EDGES[0])
@@ -266,6 +285,24 @@ class TestStreamedTrace:
             skipped_wit_frames=whole.skipped_wit_frames)
         assert repr(summary) == repr(expect) == repr(whole)
 
+    def test_overflowing_leaves_are_summed_again_scaled(self):
+        # at p_d = 1e306 each frame fits, but the sum of every 5,000-frame
+        # leaf of harvested and consumed overflows: each leaf is summed
+        # again over its entries scaled by 2^-15, with no warning
+        n, scale = 20_000, 2.0 ** -15
+        assert leaf_sizes(n) == [5000] * 4 and scale == 2.0 ** -n.bit_length()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace, summary = sim.run_policy_trace(BandPolicy(0.5), SystemParams(p_d=1e306), n,
+                                                  seed=1)
+        for column, mean in ((trace.harvested, summary.mean_harvested),
+                             (trace.consumed, summary.mean_consumed)):
+            with np.errstate(over="ignore"):
+                assert all(np.isinf(np.sum(column[k:k + 5000])) for k in range(0, n, 5000))
+            assert mean == np.sum(column * scale) / n / scale
+        assert (summary.mean_harvested, summary.mean_consumed) == (
+            9.239143607232386e+304, 8.881634286211654e+304)
+
 
 class TestHttTrace:
     def test_storage_identically_constant(self):
@@ -291,7 +328,7 @@ class TestCausalMode:
     def test_first_broke_wit_frame_is_demoted(self):
         # seed 3's first draw is ~0.12 < g_u, a transmit frame, with an
         # empty ledger: it must flip to harvesting
-        policy = IPPolicy(0.5)
+        policy = BandPolicy(g_u=0.5)
         trace, summary = sim.run_policy_trace(policy, P10, 200, seed=3,
                                               causal=True, initial_energy=0.0)
         assert trace.gain[0] < 0.5
@@ -299,25 +336,25 @@ class TestCausalMode:
         assert summary.skipped_wit_frames >= 1
 
     def test_ledger_never_negative(self):
-        _, summary = sim.run_policy_trace(PIPPolicy(0.3, 2.0), P10, 20_000, seed=6,
+        _, summary = sim.run_policy_trace(BandPolicy(0.3, 2.0), P10, 20_000, seed=6,
                                           causal=True, initial_energy=0.0)
         assert summary.min_stored >= 0.0
 
     def test_rate_dominated_by_noncausal(self):
-        _, free = sim.run_policy_trace(PIPPolicy(0.3, 2.0), P10, 50_000, seed=6)
-        _, capped = sim.run_policy_trace(PIPPolicy(0.3, 2.0), P10, 50_000, seed=6,
+        _, free = sim.run_policy_trace(BandPolicy(0.3, 2.0), P10, 50_000, seed=6)
+        _, capped = sim.run_policy_trace(BandPolicy(0.3, 2.0), P10, 50_000, seed=6,
                                          causal=True, initial_energy=0.0)
         assert capped.mean_rate_bits <= free.mean_rate_bits
         assert capped.skipped_wit_frames > 0
 
     def test_noncausal_counts_no_skips(self):
-        _, summary = sim.run_policy_trace(PIPolicy(0.7), P10, 1000, seed=6)
+        _, summary = sim.run_policy_trace(BandPolicy(0.7), P10, 1000, seed=6)
         assert summary.skipped_wit_frames == 0
 
     def test_degenerate_policy_gives_zero_rate(self):
         # no draw lands in [0, 1e-12): every frame harvests, rate stays 0
         for causal in (False, True):
-            _, summary = sim.run_policy_trace(IPPolicy(1e-12), P10, 10_000, seed=12,
+            _, summary = sim.run_policy_trace(BandPolicy(g_u=1e-12), P10, 10_000, seed=12,
                                               causal=causal)
             assert summary.mean_rate_bits == 0.0
 
@@ -326,7 +363,7 @@ class TestTraceMatchesMc:
     def test_same_draws_same_mean(self):
         # the trace and the MC estimator share the sampler, so the
         # non-causal mean rate must agree exactly
-        policy = PIPolicy(0.9)
+        policy = BandPolicy(0.9)
         _, summary = sim.run_policy_trace(policy, P10, 30_000, seed=21)
         est = sim.mc_throughput(policy, P10, 30_000, seed=21)
         assert summary.mean_rate_bits == est.mean
@@ -335,26 +372,26 @@ class TestTraceMatchesMc:
 class TestValidation:
     def test_bad_frames(self):
         with pytest.raises(ValueError):
-            sim.run_policy_trace(PIPolicy(0.8), P10, 0, seed=1)
+            sim.run_policy_trace(BandPolicy(0.8), P10, 0, seed=1)
 
     def test_bad_initial_energy(self):
         with pytest.raises(ValueError):
-            sim.run_policy_trace(PIPolicy(0.8), P10, 10, seed=1, initial_energy=-1.0)
+            sim.run_policy_trace(BandPolicy(0.8), P10, 10, seed=1, initial_energy=-1.0)
 
     @pytest.mark.parametrize("energy", [math.nan, math.inf])
     def test_non_finite_initial_energy(self, energy):
         # a NaN charge would never demote a frame, voiding the causal ledger
         with pytest.raises(ValueError, match="initial_energy"):
-            sim.run_policy_trace(IPPolicy(1.0), P10, 10, seed=1, causal=True,
+            sim.run_policy_trace(BandPolicy(g_u=1.0), P10, 10, seed=1, causal=True,
                                  initial_energy=energy)
 
-    @pytest.mark.parametrize("policy", [HTTPolicy(), IPPolicy(1.0), PIPPolicy(0.3, 2.0)])
+    @pytest.mark.parametrize("policy", [HTTPolicy(), BandPolicy(g_u=1.0), BandPolicy(0.3, 2.0)])
     def test_overflowing_harvest_names_the_downlink_power(self, policy):
         # p_d gbar g overflows for g > 1.8; RuntimeWarning is an error under pytest
         with pytest.raises(ValueError, match="p_d"):
             sim.run_policy_trace(policy, SystemParams(p_d=1e308), 1000, seed=1)
 
-    @pytest.mark.parametrize("policy", [IPPolicy(1.0), PIPolicy(0.8), PIPPolicy(0.3, 2.0)])
+    @pytest.mark.parametrize("policy", [BandPolicy(g_u=1.0), BandPolicy(0.8), BandPolicy(0.3, 2.0)])
     def test_overflowing_uplink_snr_raises(self, policy):
         # every harvest fits a float, but gammabar g on the band does not
         with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
@@ -367,6 +404,6 @@ class TestTraceWork:
         # throughput and its E1
         calls, real = [], schemes.exp_scaled_e1
         monkeypatch.setattr(schemes, "exp_scaled_e1", lambda x: calls.append(x) or real(x))
-        for policy in (IPPolicy(1.0), PIPolicy(0.8), PIPPolicy(0.3, 2.0)):
+        for policy in (BandPolicy(g_u=1.0), BandPolicy(0.8), BandPolicy(0.3, 2.0)):
             sim.run_policy_trace(policy, P10, 1000, seed=1)
         assert calls == []
