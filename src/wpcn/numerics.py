@@ -11,20 +11,22 @@ search over the pairs x < y of a grid, seeded from a coarse sub-grid and
 walked once by rows, that drops a block of a row by its block bound and
 scores a pair only where its bound can still win.
 
-E1 and W0 come from ``scipy.special`` (``exp1`` and ``lambertw``). Two
+E1 and W0 are scipy's ufuncs ``exp1`` and ``_lambertw`` (the one behind
+``scipy.special.lambertw``), bound from their extension module. Two
 pieces of E1 stay local: the asymptotic tail of the scaled form e^x E1(x)
 above x = 600, where e^x overflows, and its float path, a power series and
 a continued fraction whose exact rounding the threshold solvers depend on.
 W0 is clamped to -1 at the branch point, where ``lambertw`` returns NaN.
-Importing the package loads numpy and no scipy module: ``scipy.special``
-is imported on the first call that needs it (the array paths of E1, W0),
-and ``scipy.integrate`` never.
+Importing the package loads numpy and no scipy module. The first call that
+needs the ufuncs (the array paths of E1, W0) loads their extension module
+alone; neither the ``scipy.special`` package nor ``scipy.integrate`` is
+ever imported.
 
 The special functions accept floats or numpy arrays and preserve shape.
 ``exp_scaled_e1`` gives a float its own entry, with no array round trip,
 since the scalar solvers call it one float at a time.
 Everything is pure; the only module state is the binding of the two
-scipy.special ufuncs.
+scipy ufuncs.
 """
 from __future__ import annotations
 
@@ -81,33 +83,64 @@ def _scalar_or_array(out: np.ndarray, scalar: bool):
 
 
 # ---------------------------------------------------------------------------
-# scipy.special, bound on first use
+# scipy's E1 and W0 ufuncs, bound on first use
 # ---------------------------------------------------------------------------
 
+# The extension module that holds both ufuncs (scipy 1.17.1 has it; older
+# layouts may not): the scipy.special package imports it, but it loads alone
+_SPECIAL_UFUNCS = "scipy.special._special_ufuncs"
+# scipy.special.lambertw's defaults: the principal branch, and its tolerance
+_W0_BRANCH, _W0_TOL = 0, 1e-8
+
+
 def _exp1(x):
-    # stands in for scipy.special.exp1 until its first call binds it
+    # stands in for scipy's exp1 until its first call binds it
     _load_special()
     return _exp1(x)
 
 
-def _lambertw(x):
-    # stands in for scipy.special.lambertw until its first call binds it
+def _lambertw(x, k, tol):
+    # stands in for scipy's Lambert W until its first call binds it
     _load_special()
-    return _lambertw(x)
+    return _lambertw(x, k, tol)
 
 
 def _load_special() -> None:
-    """Bind ``_exp1`` and ``_lambertw`` to scipy.special's, importing it if need be.
+    """Bind ``_exp1`` and ``_lambertw`` to scipy's ufuncs, loading them if need be.
 
-    scipy.special takes about 0.3 s to import, more than numpy and the rest
-    of the package together, and only the array E1 and W0 need it. Once
-    bound, a call pays no import machinery: W0 on the 21 nodes of a
-    quadrature interval calls the ufunc directly.
+    Both live in the extension module ``scipy.special._special_ufuncs``,
+    which is loaded on its own: running ``scipy/special/__init__.py`` would
+    cost 24 MB of RSS and 0.3 s of imports (its array-API support pulls in
+    300 modules), the extension about 1 MB and 1-2 ms. ``_lambertw(x, k,
+    tol)`` is the ufunc that ``scipy.special.lambertw`` calls, so W0 has
+    its bits. If scipy.special is already imported, its module is reused.
+    A fresh load leaves no ``sys.modules`` entry, so a later ``import
+    scipy.special`` loads the module as usual and gets the same ufunc
+    objects. Where scipy has no such module, or it lacks either ufunc
+    (older layouts), both come from ``scipy.special``. Once bound, a call
+    pays no import machinery.
     """
     global _exp1, _lambertw
-    from scipy.special import exp1, lambertw
+    ufuncs = sys.modules.get(_SPECIAL_UFUNCS)
+    if ufuncs is None:
+        import importlib.machinery
+        import importlib.util
+        import os
 
-    _exp1, _lambertw = exp1, lambertw
+        scipy = importlib.util.find_spec("scipy")  # locates scipy without importing it
+        spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+            _SPECIAL_UFUNCS,
+            [os.path.join(path, "special") for path in scipy.submodule_search_locations])
+        if spec is not None:
+            ufuncs = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(ufuncs)
+            sys.modules.pop(_SPECIAL_UFUNCS, None)
+    if hasattr(ufuncs, "exp1") and hasattr(ufuncs, "_lambertw"):
+        _exp1, _lambertw = ufuncs.exp1, ufuncs._lambertw
+    else:
+        from scipy.special import exp1, lambertw
+
+        _exp1, _lambertw = exp1, lambertw
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +292,8 @@ def lambert_w0(x):
     arr, scalar = _as_array(x, "x")
     if np.any(arr < _NEG_INV_E - 1e-15):
         raise ValueError(_W0_DOMAIN)
-    return _scalar_or_array(np.where(arr <= _NEG_INV_E, -1.0, _lambertw(arr).real), scalar)
+    w = _lambertw(arr, _W0_BRANCH, _W0_TOL).real
+    return _scalar_or_array(np.where(arr <= _NEG_INV_E, -1.0, w), scalar)
 
 
 # ---------------------------------------------------------------------------

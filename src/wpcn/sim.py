@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, numerics, schemes
+from . import channel, schemes
 from .schemes import HTTPolicy, Policy, SystemParams
 
 MODE_WIT = "WIT"
@@ -199,17 +199,16 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
     from ``start`` on that is valid only during the call; no full-length
     array is allocated and the trace returned is None. Without it the
     blocks fill the returned trace's columns. Every error is raised before
-    the first block. A mean whose sum overflows although every frame fits
-    is the mean of the entries scaled by 2^-m (m = ``n_frames.bit_length()``),
-    times 2^m.
+    the first block, a ledger level out of float range too (ValueError;
+    where the level's bound overflows, a dry run of the ledger decides). A
+    mean whose sum overflows although every frame fits is the mean of the
+    entries scaled by 2^-m (m = ``n_frames.bit_length()``), times 2^m.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     if not 0.0 <= initial_energy < math.inf:
         raise ValueError("initial_energy must be finite and >= 0")
     htt = isinstance(policy, HTTPolicy)
-    if htt:  # bind W0 first: scipy loaded above the frame arrays stops the heap shrinking
-        numerics._load_special()
     pd_gbar = params.p_d * params.gbar
     try:  # no draw exceeds G_MAX; only where that bound fails is the largest draw needed
         _check_draws(channel.G_MAX, pd_gbar, params, htt)
@@ -222,6 +221,49 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         pu = schemes.band_ul_power(lo, hi, params)
         gammabar = pu * params.gbar / params.sigma2
 
+    scale = 2.0 ** -n_frames.bit_length()
+
+    def walk(sink) -> tuple[np.ndarray, int, float]:
+        """Run the frames through the ledger, block by block into ``sink``:
+        the blocks' sums along the pairwise tree, the demotions, the lowest level."""
+        level, skipped, low = float(initial_energy), 0, math.inf
+
+        def leaf(start: int, stop: int) -> np.ndarray:
+            nonlocal level, skipped, low
+            g = channel.sample(stop - start, seed, start).values
+            if htt:
+                tau, rate, _ = schemes.htt_frame(g, params)
+                mode = np.full(len(g), _SPLIT, dtype=np.int8)
+                harvested = tau * (pd_gbar * g)
+                consumed = harvested  # per-frame balance, exact by construction
+            else:
+                wit = (g >= lo) & (g < hi)  # half-open band: ties go to the upper side
+                mode = np.where(wit, _WIT, _WPT).astype(np.int8)
+                harvested = np.where(wit, 0.0, pd_gbar * g)
+                consumed = np.where(wit, pu, 0.0)
+                rate = np.where(wit, np.log1p(gammabar * g) / schemes.LN2, 0.0)
+            stored = np.empty(len(g))
+            level, demoted = _run_ledger(level, g, mode, harvested, consumed, stored, rate,
+                                         pd_gbar, causal)
+            skipped += demoted
+            low = np.minimum(low, np.min(stored))
+            sink(start, FrameTrace(gain=g, mode=mode, harvested=harvested, consumed=consumed,
+                                   stored=stored, rate=rate))
+            return _block_sums((rate, harvested, consumed), scale)
+
+        return _pairwise(0, n_frames, leaf), skipped, low
+
+    # |level| <= initial_energy + n_frames * max(harvest, consumption) frame by
+    # frame (HTT frames net to 0); only where twice that bound, room for the
+    # sums' rounding, overflows does a dry run of the ledger decide
+    if not htt and not math.isfinite(
+            2.0 * (initial_energy + n_frames * max(pd_gbar * channel.G_MAX, pu))):
+        def refuse_overflow(start: int, block: FrameTrace) -> None:
+            if not np.isfinite(block.stored).all():
+                raise ValueError(f"stored energy overflows the float range at p_d={params.p_d}")
+
+        with np.errstate(over="ignore"):
+            walk(refuse_overflow)
     trace = None
     if on_block is None:
         trace = FrameTrace(np.empty(n_frames), np.empty(n_frames, dtype=np.int8),
@@ -232,33 +274,7 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
                 column = getattr(trace, field.name)
                 column[start:start + len(block.gain)] = getattr(block, field.name)
 
-    level, skipped, low = float(initial_energy), 0, math.inf
-    scale = 2.0 ** -n_frames.bit_length()
-
-    def leaf(start: int, stop: int) -> np.ndarray:
-        nonlocal level, skipped, low
-        g = channel.sample(stop - start, seed, start).values
-        if htt:
-            tau, rate, _ = schemes.htt_frame(g, params)
-            mode = np.full(len(g), _SPLIT, dtype=np.int8)
-            harvested = tau * (pd_gbar * g)
-            consumed = harvested  # per-frame balance, exact by construction
-        else:
-            wit = (g >= lo) & (g < hi)  # half-open band: ties go to the upper side
-            mode = np.where(wit, _WIT, _WPT).astype(np.int8)
-            harvested = np.where(wit, 0.0, pd_gbar * g)
-            consumed = np.where(wit, pu, 0.0)
-            rate = np.where(wit, np.log1p(gammabar * g) / schemes.LN2, 0.0)
-        stored = np.empty(len(g))
-        level, demoted = _run_ledger(level, g, mode, harvested, consumed, stored, rate,
-                                     pd_gbar, causal)
-        skipped += demoted
-        low = np.minimum(low, np.min(stored))
-        on_block(start, FrameTrace(gain=g, mode=mode, harvested=harvested, consumed=consumed,
-                                   stored=stored, rate=rate))
-        return _block_sums((rate, harvested, consumed), scale)
-
-    sums = _pairwise(0, n_frames, leaf)
+    sums, skipped, low = walk(on_block)
     # np.mean divides np.sum by n; an overflowing sum falls back to the scaled one
     plain, scaled = sums[:3], sums[3:]
     rate_mean, harvested_mean, consumed_mean = np.where(

@@ -537,6 +537,46 @@ class TestSimulate:
         for key in ("mean_harvested_j", "mean_consumed_j"):
             assert math.isfinite(row[key]) and row[key] == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("dump", [False, True], ids=["summary", "dump"])
+    @pytest.mark.parametrize("causal", [False, True], ids=["noncausal", "causal"])
+    def test_overflowing_ledger_level_is_refused(self, capsys, tmp_path, dump, causal):
+        # every frame fits, but the 1e5-frame level leaves the float range
+        # (-inf without causality, +inf with it): refused before the first
+        # block, with no RuntimeWarning (an error under pytest) and no file
+        path = tmp_path / "frames.csv"
+        code, out, err = run_cli(capsys, "simulate", "--scheme", "ip", "--g-u", "2.516",
+                                 "--p-d", "1e306", "--samples", "100000", "--seed", "3",
+                                 *(("--causal",) if causal else ()),
+                                 *(("--dump-frames", str(path)) if dump else ()))
+        assert (code, out, err) == (
+            1, "", "error: stored energy overflows the float range at p_d=1e+306\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("causal,stdout,digest", [
+        (False,
+         '{"scheme": "ip", "g_l": null, "g_u": 2.516, "causal": false, "n_frames": 1000, '
+         '"mean_rate_bits": 925.552212080849, "mean_harvested_j": 3.0982016294592678e+305, '
+         '"mean_consumed_j": 2.8210855069352968e+305, "min_stored_j": -2.4755976846805794e+307, '
+         '"skipped_wit_frames": 0}',
+         "c7cf227446d59bce495ebbe2cf6cb57f5232a7ce2da64ce4f8c526c582775bfc"),
+        (True,
+         '{"scheme": "ip", "g_l": null, "g_u": 2.516, "causal": true, "n_frames": 1000, '
+         '"mean_rate_bits": 902.2348113732958, "mean_harvested_j": 3.286285449809938e+305, '
+         '"mean_consumed_j": 2.7500176354571897e+305, "min_stored_j": 3.074791555940497e+304, '
+         '"skipped_wit_frames": 23}',
+         "f5d789c2856b41997b2fdd210646115e3fa68134e9f328a739802454b74d2b84"),
+    ], ids=["noncausal", "causal"])
+    def test_fitting_ledger_level_past_its_bound_is_unchanged(self, capsys, tmp_path, causal,
+                                                               stdout, digest):
+        # 1000 frames times the largest harvest overflows, so a dry run
+        # decides; the level fits, and stdout and dump keep their bytes
+        dump = tmp_path / "frames.csv"
+        code, out, err = run_cli(capsys, "simulate", "--scheme", "ip", "--g-u", "2.516",
+                                 "--p-d", "1e306", "--samples", "1000", "--seed", "3",
+                                 *(("--causal",) if causal else ()), "--dump-frames", str(dump))
+        assert (code, out, err) == (0, stdout + "\n", "")
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("energy", ["nan", "inf"])
     def test_non_finite_initial_energy_is_a_usage_error(self, capsys, energy):
         code, out, err = run_cli(capsys, "simulate", "--scheme", "ip", "--g-u", "1.0",
@@ -647,15 +687,25 @@ def test_no_command_loads_scipy_integrate(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+_SCIPY_PROBES = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from wpcn import numerics\n"
+    "def scipy_loaded():\n"
+    "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+    "def bound():\n"
+    "    return [type(f) is np.ufunc for f in (numerics._exp1, numerics._lambertw)]\n"
+    "import wpcn.cli\n"
+    "assert not scipy_loaded(), ('import', scipy_loaded())\n"
+)
+
+
 def test_threshold_commands_load_no_scipy_and_htt_loads_scipy_special(tmp_path):
-    # importing the package loads numpy only; scipy.special, about 0.3 s of
-    # import, is loaded by the first call of the array E1 or of W0
-    script = (
-        "import sys\n"
-        "def scipy_loaded():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "import wpcn.cli\n"
-        "assert not scipy_loaded(), ('import', scipy_loaded())\n"
+    # importing the package loads numpy only; the first call of the array E1
+    # or of W0 binds scipy's ufuncs from their extension module alone, which
+    # leaves no scipy module in sys.modules: neither scipy nor the
+    # scipy.special package (24 MB and 0.3 s of imports) is loaded
+    threshold = _SCIPY_PROBES + (
         "try:\n"
         "    wpcn.cli.main(['--help'])\n"
         "except SystemExit as done:\n"
@@ -669,13 +719,23 @@ def test_threshold_commands_load_no_scipy_and_htt_loads_scipy_special(tmp_path):
         "        argv = command + ['--scheme', scheme] + band + point\n"
         "        assert wpcn.cli.main(argv) == 0, argv\n"
         "        assert not scipy_loaded(), (argv, scipy_loaded())\n"
-        "argv = ['simulate', '--scheme', 'htt', '--samples', '1000'] + point\n"
-        "assert wpcn.cli.main(argv) == 0, argv\n"
-        "assert 'scipy.special' in sys.modules, argv\n"
+        "        assert bound() == [False, False], (argv, bound())\n"
     )
+    binding = [  # each in a fresh process, so that each binds
+        ["simulate", "--scheme", "htt", "--samples", "1000", "--snr-db", "10"],
+        ["optimize", "--snr-db", "10"],
+        ["sweep", "--start", "0", "--stop", "4", "--grid-step", "0.05"],
+    ]
+    scripts = [threshold] + [_SCIPY_PROBES + (
+        "assert bound() == [False, False], bound()\n"
+        f"assert wpcn.cli.main({argv!r}) == 0\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
+        "assert bound() == [True, True], bound()\n"
+    ) for argv in binding]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    for script in scripts:
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

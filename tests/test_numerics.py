@@ -196,7 +196,7 @@ class TestLambertW:
             assert lambert_w0(float(x)) == -1.0
 
 
-# Each scipy-backed entry, as the first call that binds scipy.special; an
+# Each scipy-backed entry, as the first call that binds scipy's ufuncs; an
 # expression in ``numerics`` and ``np``, with arrays as lists so repr keeps
 # every digit.
 FIRST_CALLS = [
@@ -205,26 +205,88 @@ FIRST_CALLS = [
     "numerics.exp_scaled_e1(np.array([1e-3, 0.7, 45.0, 750.0])).tolist()",
     "numerics.exp_integral_e1(np.array([1e-3, 0.7, 45.0])).tolist()",
 ]
+_PRELUDE = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from wpcn import numerics\n"
+    "def scipy_loaded():\n"
+    "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+    "assert not scipy_loaded(), scipy_loaded()\n"
+)
 
 
-@pytest.mark.parametrize("expr", FIRST_CALLS)
-def test_first_call_binds_scipy_special_and_matches_later_calls(expr):
-    script = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from wpcn import numerics\n"
-        "assert 'scipy.special' not in sys.modules\n"
-        f"print(repr({expr}))\n"
-        "assert 'scipy.special' in sys.modules\n"
-    )
+def run_python(script: str) -> str:
+    """Stdout of ``script`` in a fresh interpreter that imports wpcn from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("expr", FIRST_CALLS)
+def test_first_call_binds_scipy_special_and_matches_later_calls(expr):
+    # the first call binds both ufuncs from scipy.special's extension module
+    # alone: it leaves no scipy module loaded, scipy.special least of all
+    out = run_python(_PRELUDE + (
+        "assert type(numerics._exp1) is not np.ufunc\n"
+        f"print(repr({expr}))\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
+        "assert type(numerics._exp1) is np.ufunc and type(numerics._lambertw) is np.ufunc\n"
+    ))
     numerics._load_special()  # here the call is never the first
-    assert done.stdout.strip() == repr(eval(expr, {"numerics": numerics, "np": np}))
+    assert out.strip() == repr(eval(expr, {"numerics": numerics, "np": np}))
+
+
+def test_binding_first_leaves_scipy_special_whole_and_w0_its_bits():
+    # a later import of scipy.special gets the same ufunc objects and its
+    # _special_ufuncs attribute; W0 is lambertw(x).real bit for bit, but for
+    # the clamp to -1 at the rounded branch point
+    run_python(_PRELUDE + (
+        "import math\n"
+        "x = np.concatenate((np.linspace(-math.exp(-1.0), 1.0, 200_001),\n"
+        "                    np.logspace(0.0, 300.0, 200_001)))\n"
+        "w = numerics.lambert_w0(x)\n"
+        "e = numerics.exp_integral_e1(np.logspace(-300.0, 2.8, 100_001))\n"
+        "assert not scipy_loaded(), scipy_loaded()\n"
+        "import scipy.special\n"
+        "assert numerics._exp1 is scipy.special.exp1\n"
+        "assert numerics._lambertw is scipy.special._special_ufuncs._lambertw\n"
+        "assert scipy.special._special_ufuncs.exp1 is scipy.special.exp1\n"
+        "want = np.where(x <= -math.exp(-1.0), -1.0, scipy.special.lambertw(x).real)\n"
+        "assert np.array_equal(w, want) and not np.isnan(w).any()\n"
+        "assert np.array_equal(e, scipy.special.exp1(np.logspace(-300.0, 2.8, 100_001)))\n"
+    ))
+
+
+def test_binding_after_scipy_special_reuses_its_ufuncs():
+    run_python(_PRELUDE + (
+        "import scipy.special\n"
+        "module = sys.modules['scipy.special._special_ufuncs']\n"
+        "numerics.lambert_w0(np.array([0.7]))\n"
+        "assert numerics._exp1 is scipy.special.exp1\n"
+        "assert numerics._lambertw is scipy.special._special_ufuncs._lambertw\n"
+        "assert sys.modules['scipy.special._special_ufuncs'] is module\n"
+    ))
+
+
+@pytest.mark.parametrize("module", ["scipy.special._no_such_module", "scipy.special._comb"],
+                         ids=["missing", "without-the-ufuncs"])
+def test_fallback_binds_scipy_special_where_the_extension_is_not_found(module):
+    # a scipy whose layout has no such extension, or one without the two
+    # ufuncs: both come from scipy.special's public functions, to the bit
+    out = run_python(_PRELUDE + (
+        f"numerics._SPECIAL_UFUNCS = {module!r}\n"
+        f"print(repr([{', '.join(FIRST_CALLS)}]))\n"
+        "import scipy.special\n"
+        "assert numerics._exp1 is scipy.special.exp1\n"
+        "assert numerics._lambertw is scipy.special.lambertw\n"
+    ))
+    numerics._load_special()
+    assert out.strip() == repr([eval(expr, {"numerics": numerics, "np": np})
+                                for expr in FIRST_CALLS])
 
 
 class TestIntegrate:

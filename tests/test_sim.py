@@ -229,7 +229,7 @@ class TestFrameBlocks:
 
 
 def traced_peak(run) -> int:
-    numerics._load_special()  # the module objects of scipy.special are not the trace's
+    numerics._load_special()  # the objects of scipy's ufunc module are not the trace's
     tracemalloc.start()
     try:
         run()
@@ -407,3 +407,26 @@ class TestTraceWork:
         for policy in (BandPolicy(g_u=1.0), BandPolicy(0.8), BandPolicy(0.3, 2.0)):
             sim.run_policy_trace(policy, P10, 1000, seed=1)
         assert calls == []
+
+    @pytest.mark.parametrize("policy,params,n,walks", [
+        (BandPolicy(g_u=1.6), P10, 100_000, 1),
+        (BandPolicy(g_u=2.516), SystemParams(p_d=1e306), 1000, 2),
+        (HTTPolicy(), SystemParams(p_d=1e305), 10_000, 1),
+    ], ids=["bound-fits", "bound-overflows", "htt-nets-zero"])
+    def test_a_dry_run_only_where_the_level_bound_overflows(self, monkeypatch, policy, params,
+                                                           n, walks):
+        # initial energy + n_frames * max(largest harvest, uplink energy) bounds
+        # every level; the ledger runs twice only where twice that overflows,
+        # and an HTT level never moves
+        draws, real = [], channel.sample
+        monkeypatch.setattr(channel, "sample",
+                            lambda k, seed, start=0: draws.append(k) or real(k, seed, start))
+        sim.run_policy_trace(policy, params, n, seed=3, causal=True)
+        assert sum(draws) == walks * n
+
+    def test_overflowing_level_is_refused_before_the_first_block(self):
+        blocks = []
+        with pytest.raises(ValueError, match="stored energy overflows the float range"):
+            sim.run_policy_trace(BandPolicy(g_u=2.516), SystemParams(p_d=1e306), 100_000,
+                                 seed=3, on_block=lambda start, block: blocks.append(start))
+        assert blocks == []
