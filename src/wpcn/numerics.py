@@ -481,10 +481,21 @@ def maximize_scalar(f: Callable[[float], float], domain: Interval,
     return best_x, best_f
 
 
+def step_count(lo: float, hi: float, step: float, name: str) -> int:
+    """Number of points lo, lo + step, ... up to hi (a 1e-9 step short counts as reaching it).
+
+    Raises ValueError, naming the range and the step ``name``, where the
+    count overflows a float.
+    """
+    steps = (hi - lo) / step + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"the number of {name}={step} steps from {lo} to {hi} overflows a float")
+    return int(math.floor(steps)) + 1
+
+
 def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     # accumulation can overshoot hi by an ulp; keep points inside the domain
-    return np.minimum(lo + step * np.arange(n), hi)
+    return np.minimum(lo + step * np.arange(step_count(lo, hi, step, "step")), hi)
 
 
 # The pair triangle is walked this many rows at a time: no call of the

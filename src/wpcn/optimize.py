@@ -33,6 +33,7 @@ from .numerics import (
     grid_argmax_2d,
     integrate,  # not called; test_wrapping_rebinds_every_copy_and_restores_them rebinds it
     maximize_scalar,
+    step_count,
 )
 from .schemes import BandPolicy, HTTPolicy, Policy, SystemParams
 
@@ -284,9 +285,8 @@ def sweep(start_db: float, stop_db: float, step_db: float,
     if unknown:
         raise ValueError(f"unknown scheme tags: {unknown}")
 
-    n_points = int(math.floor((stop_db - start_db) / step_db + 1e-9)) + 1
     points: list[SweepPoint] = []
-    for k in range(n_points):
+    for k in range(step_count(start_db, stop_db, step_db, "step_db")):
         snr_db = start_db + k * step_db
         params = SystemParams.from_snr_db(snr_db, gbar=gbar, sigma2=sigma2)
         for tag in tags:

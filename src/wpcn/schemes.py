@@ -13,12 +13,17 @@ The three threshold schemes are one policy, ``BandPolicy``: transmit while
 the normalized gain lies in a band [g_l, g_u) (its ``band``), harvest
 outside it. IP leaves g_l at 0 and PI g_u at inf. The uplink power is the
 constant that balances expected harvested and expected consumed energy
-(``band_ul_power``); the ergodic throughput then has a closed form in the
-exponential integral (``band_throughput``), with the high-power limit
-``band_asymptotic_throughput``. ``ip_throughput`` passes g_l = 0,
-``pi_throughput`` g_u = inf. The test suite checks the closed forms against
-two references over the band: ``balance_ul_power`` (the channel's interval
-moments) and ``quad_throughput_oracle`` (quadrature of the rate integral).
+(``band_ul_power``). ``band_uplink`` gives it together with the expected
+uplink SNR gammabar = p_u gbar / sigma2 and whether gammabar g fits a float
+on the band (``band_eligible``); every reader of a band's gammabar (the
+closed forms, the pair bound, ``evaluate_policy`` and the frame traces of
+``sim``) takes it from there. The ergodic throughput then has a closed
+form in the exponential integral (``band_throughput``), with the
+high-power limit ``band_asymptotic_throughput``. ``ip_throughput`` passes
+g_l = 0, ``pi_throughput`` g_u = inf. The test suite checks the closed
+forms against two references over the band: ``balance_ul_power`` (the
+channel's interval moments) and ``quad_throughput_oracle`` (quadrature of
+the rate integral).
 
 All throughputs are in bits per unit frame (equal to bits/s/Hz here since
 frame length and bandwidth are fixed at one).
@@ -141,29 +146,18 @@ class SchemeEvaluation:
 # HTT
 # ---------------------------------------------------------------------------
 
-def _frame_snr_scale(params: SystemParams) -> float:
-    """p_d gbar^2 as a float; inf where it overflows, which the frame SNR rejects."""
-    # np.float64, since Python's gbar**2 raises OverflowError
-    with np.errstate(over="ignore"):
-        return float(params.p_d * np.float64(params.gbar) ** 2)
-
-
-def _frame_snr_overflow(params: SystemParams) -> ValueError:
-    return ValueError(
-        "frame SNR p_d gbar^2 g^2 / sigma2 overflows at "
-        f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
-
-
 def htt_instant_snr(g, params: SystemParams):
     """Per-frame SNR p_d gbar^2 g^2 / sigma^2 at normalized gain g."""
     arr = np.asarray(g, dtype=float)
     if np.any(arr < 0.0) or np.isnan(arr).any():
         raise ValueError("gain must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        # the scale is a float, so numpy still reuses the array temporaries
-        out = _frame_snr_scale(params) * np.square(arr) / params.sigma2
+        # the scale p_d gbar^2 is a float, so numpy still reuses the array
+        # temporaries; np.float64, since Python's gbar**2 raises OverflowError
+        out = float(params.p_d * np.float64(params.gbar) ** 2) * np.square(arr) / params.sigma2
     if not np.all(np.isfinite(out)):
-        raise _frame_snr_overflow(params)
+        raise ValueError("frame SNR p_d gbar^2 g^2 / sigma2 overflows at "
+                         f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
     return _scalar_or_array(out, arr.ndim == 0)
 
 
@@ -287,9 +281,9 @@ def _zero_at_open_end(term, open_end):
 
 
 def _band_ul_power_float(gl: float, gu: float, params: SystemParams) -> float:
-    # the steps of band_ul_power on two floats, for band_throughput's float
-    # path, with its checks and its bits: the ufuncs of the array path on
-    # floats, Python arithmetic elsewhere
+    # the steps of band_ul_power on two floats, for band_uplink's float path,
+    # with its checks and its bits: the ufuncs of the array path on floats,
+    # Python arithmetic elsewhere
     if not gl >= 0.0:
         raise ValueError("band_ul_power requires g_l >= 0")
     if not gu > gl:
@@ -297,7 +291,7 @@ def _band_ul_power_float(gl: float, gu: float, params: SystemParams) -> float:
     scale = params.p_d * params.gbar
     denom = -float(np.expm1(gl - gu))
     above = 0.0 if gu == math.inf else scale * (gu + 1.0) * float(np.exp(gl - gu)) / denom
-    with np.errstate(over="ignore"):  # band_throughput rejects the infinite power
+    with np.errstate(over="ignore"):  # band_uplink finds the infinite power ineligible
         grown = float(np.expm1(gl))
     return above + scale * (grown - gl) / denom
 
@@ -353,41 +347,46 @@ class UplinkOverflowError(ValueError):
             f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
 
 
-def _band_gammabar(gl, gu, params: SystemParams):
-    """Expected uplink SNR gammabar = ``band_ul_power`` gbar / sigma2; inf or NaN on overflow."""
-    # the power may fit though power * gbar does not; _fits rejects the inf
-    with np.errstate(over="ignore"):
-        return band_ul_power(gl, gu, params) * params.gbar / params.sigma2
+def band_uplink(g_l, g_u, params: SystemParams):
+    """Uplink power, expected uplink SNR and eligibility of the band [g_l, g_u).
 
+    Returns (power, gammabar, eligible): the power is ``band_ul_power``,
+    gammabar = power gbar / sigma2, and the band is eligible where gammabar g
+    at its largest finite edge fits a float. The power may fit though
+    gammabar does not, and inf * 0 is NaN, so an infinite gammabar is not
+    eligible at g_l = 0 either. Every reader of a band's gammabar takes it
+    from here.
 
-def _fits(gammabar, gl, gu):
-    # gammabar g at the band's largest finite edge; inf * 0 is NaN, so an
-    # infinite gammabar fails at g_l = 0 too
+    Two floats take a float path with the bits of the array path: the
+    float steps of ``band_ul_power``, then Python arithmetic.
+    """
+    if isinstance(g_l, float) and isinstance(g_u, float):
+        gl, gu = float(g_l), float(g_u)  # an np.float64 would warn where a float overflows
+        power = _band_ul_power_float(gl, gu, params)
+        gammabar = power * params.gbar / params.sigma2
+        return power, gammabar, math.isfinite(gammabar * (gl if gu == math.inf else gu))
+    power = band_ul_power(g_l, g_u, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.isfinite(gammabar * np.where(np.isinf(gu), gl, gu))
+        gammabar = power * params.gbar / params.sigma2
+        return power, gammabar, np.isfinite(gammabar * np.where(np.isinf(g_u), g_l, g_u))
 
 
 def band_eligible(g_l, g_u, params: SystemParams):
-    """Where ``band_throughput`` can be evaluated on [g_l, g_u).
+    """Where ``band_throughput`` can be evaluated on [g_l, g_u) (see ``band_uplink``).
 
-    True where the uplink SNR gammabar g at the band's largest finite edge
-    fits a float; ``band_throughput`` raises ``UplinkOverflowError`` on any
-    other band.
+    ``band_throughput`` raises ``UplinkOverflowError`` on any other band.
     """
-    gl = np.asarray(g_l, dtype=float)
-    gu = np.asarray(g_u, dtype=float)
-    return _fits(_band_gammabar(gl, gu, params), gl, gu)
+    return band_uplink(g_l, g_u, params)[2]
 
 
 def _band_throughput_float(gl: float, gu: float, params: SystemParams) -> float:
     # the steps of band_throughput on two floats, with its checks and its bits
-    gb = _band_ul_power_float(gl, gu, params) * params.gbar / params.sigma2
-    open_end = gu == math.inf
-    if not math.isfinite(gb * (gl if open_end else gu)):
+    _, gb, eligible = band_uplink(gl, gu, params)
+    if not eligible:
         raise UplinkOverflowError(params)
     if gb <= 1e-280:
         return 0.0
-    mass = float(_rate_mass(gb, gl)) - (0.0 if open_end else float(_rate_mass(gb, gu)))
+    mass = float(_rate_mass(gb, gl)) - (0.0 if gu == math.inf else float(_rate_mass(gb, gu)))
     return 0.0 if mass < 0.0 else mass / LN2
 
 
@@ -410,8 +409,8 @@ def band_throughput(g_l, g_u, params: SystemParams):
         return _band_throughput_float(float(g_l), float(g_u), params)
     gl = np.asarray(g_l, dtype=float)
     gu = np.asarray(g_u, dtype=float)
-    gb = _band_gammabar(gl, gu, params)
-    if not np.all(_fits(gb, gl, gu)):
+    _, gb, eligible = band_uplink(gl, gu, params)
+    if not np.all(eligible):
         raise UplinkOverflowError(params)
     # Below ~1e-280 the throughput is zero to hundreds of digits and
     # 1/gammabar would lose the scaled-E1 argument to overflow.
@@ -464,20 +463,19 @@ def band_throughput_bound(g_l, g_u, params: SystemParams):
 
     On a band that is not ``band_eligible`` the logarithm is taken in log
     space, from ``_log_jensen_arg``, so the bound stays finite; it is 0
-    where P underflows to 0. Eligible bands keep gammabar = ``band_ul_power``
-    gbar / sigma2 as ``band_throughput`` computes it, which keeps the bound
+    where P underflows to 0. Eligible bands take gammabar from
+    ``band_uplink``, as ``band_throughput`` does, which keeps the bound
     above the closed form in floats.
     """
     gl = np.asarray(g_l, dtype=float)
     gu = np.asarray(g_u, dtype=float)
-    gb = _band_gammabar(gl, gu, params)
+    _, gb, eligible = band_uplink(gl, gu, params)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         prob, mean = _band_prob_mean(gl, gu)
         out = prob * np.log1p(gb * mean) / LN2
-        overflow = ~_fits(gb, gl, gu)
-        if overflow.any():
+        if not eligible.all():
             logged = prob * np.logaddexp(0.0, _log_jensen_arg(gl, gu, prob, mean, params)) / LN2
-            out = np.where(overflow, np.where(prob > 0.0, logged, 0.0), out)
+            out = np.where(eligible, out, np.where(prob > 0.0, logged, 0.0))
     return _scalar_or_array(out, out.ndim == 0)
 
 
@@ -549,12 +547,11 @@ def evaluate_policy(policy: Policy, params: SystemParams) -> SchemeEvaluation:
     """Closed-form evaluation of any policy (quadrature averaging for HTT)."""
     if isinstance(policy, HTTPolicy):
         return htt_ergodic_throughput(params)
-    lo, hi = policy.band
-    pu = band_ul_power(lo, hi, params)
+    pu, gammabar, _ = band_uplink(*policy.band, params)
     return SchemeEvaluation(
-        throughput_bits=band_throughput(lo, hi, params),
+        throughput_bits=band_throughput(*policy.band, params),
         ul_power=pu,
-        expected_ul_snr_gammabar=pu * params.gbar / params.sigma2,
+        expected_ul_snr_gammabar=gammabar,
     )
 
 
@@ -565,12 +562,12 @@ def evaluate_policy(policy: Policy, params: SystemParams) -> SchemeEvaluation:
 def band_asymptotic_throughput(g_l, g_u, params: SystemParams):
     """High-power limit log2(gammabar) P(g_l <= g < g_u) of ``band_throughput``.
 
-    gammabar = ``band_ul_power`` gbar / sigma2. The gap to the exact
+    gammabar from ``band_uplink``. The gap to the exact
     throughput tends to the integral of log2(g) e^{-g} over the band.
     """
     gl = np.asarray(g_l, dtype=float)
     gu = np.asarray(g_u, dtype=float)
-    gb = _band_gammabar(gl, gu, params)
+    gb = band_uplink(gl, gu, params)[1]
     if not np.all((gb > 0.0) & np.isfinite(gb)):
         raise ValueError("band_asymptotic_throughput requires a positive, finite uplink power")
     out = np.log2(gb) * np.exp(-gl) * -np.expm1(gl - gu)

@@ -216,10 +216,9 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
         _check_draws(_largest_draw(n_frames, seed), pd_gbar, params, htt)
     if not htt:
         lo, hi = policy.band
-        if not schemes.band_eligible(lo, hi, params):
+        pu, gammabar, eligible = schemes.band_uplink(lo, hi, params)
+        if not eligible:
             raise schemes.UplinkOverflowError(params)
-        pu = schemes.band_ul_power(lo, hi, params)
-        gammabar = pu * params.gbar / params.sigma2
 
     scale = 2.0 ** -n_frames.bit_length()
 

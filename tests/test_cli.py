@@ -22,6 +22,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(script: str, cwd):
+    """Run ``script`` in a fresh interpreter that imports this checkout's package; must exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 def traced_main(*argv):
     """Exit code and tracemalloc peak (bytes) of one command."""
     tracemalloc.start()
@@ -157,6 +168,10 @@ class TestEvaluate:
     (("simulate", "--scheme", "htt", "--p-d", "1", "--gbar", "1e200", "--samples", "10"), "gbar"),
     (("sweep", "--start", "0", "--stop", "30", "--gbar", "0"), "gbar"),
     (("sweep", "--start", "0", "--stop", "30", "--sigma2", "nan"), "sigma2"),
+    # the step count (stop - start) / step overflows a float
+    (("sweep", "--start", "0", "--stop", "1e300", "--step", "1e-300"), "step_db"),
+    (("optimize", "--scheme", "pip", "--snr-db", "10", "--gain-cap", "1e300",
+      "--grid-step", "1e-10"), "step"),
 ])
 def test_bad_snr_input_is_a_usage_error_naming_it(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
@@ -679,12 +694,24 @@ def test_no_command_loads_scipy_integrate(tmp_path):
         "    assert wpcn.cli.main(argv) == 0, argv\n"
         "    assert 'scipy.integrate' not in sys.modules, argv\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_fresh(script, tmp_path)
+
+
+def test_importing_the_cli_loads_no_module_beyond_its_own(tmp_path):
+    # every command pays for importing wpcn.cli (bench's setup_s); past
+    # numpy, argparse and json it loads the package and a few small stdlib
+    # modules, so a new import there shows up here first
+    script = (
+        "import sys\n"
+        "import argparse, json, numpy\n"
+        "before = set(sys.modules)\n"
+        "import wpcn.cli\n"
+        "new = sorted(m for m in set(sys.modules) - before\n"
+        "             if m != 'wpcn' and not m.startswith('wpcn.'))\n"
+        "print(' '.join(new))\n"
+    )
+    done = run_fresh(script, tmp_path)
+    assert set(done.stdout.split()) <= {"__future__", "copy", "dataclasses", "heapq", "_heapq"}
 
 
 _SCIPY_PROBES = (
@@ -732,10 +759,5 @@ def test_threshold_commands_load_no_scipy_and_htt_loads_scipy_special(tmp_path):
         "assert not scipy_loaded(), scipy_loaded()\n"
         "assert bound() == [True, True], bound()\n"
     ) for argv in binding]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
     for script in scripts:
-        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        run_fresh(script, tmp_path)

@@ -670,18 +670,25 @@ def _outcome(fn, *args):
 
 class TestBandFloatPath:
     @given(case=_band_case(), p_d_exp=st.one_of(st.none(), st.floats(min_value=290.0,
-                                                                    max_value=308.0)))
+                                                                    max_value=308.0)),
+           # (gbar, sigma2): gammabar = power gbar / sigma2 rounds alike on both paths
+           units=st.one_of(st.just((1.0, 1.0)),
+                           st.tuples(st.floats(min_value=1e-3, max_value=1e3),
+                                     st.floats(min_value=1e-9, max_value=1e3))))
     # math.expm1 differs from np.expm1 by an ulp at -0.2802438592617129, and
     # the two masses cancel to -1.8e-15 on the second band
-    @example(case=(0.0, 0.2802438592617129, 10.0), p_d_exp=None)
-    @example(case=(0.0, 1e-12 / 1.5, -60.0), p_d_exp=None)
+    @example(case=(0.0, 0.2802438592617129, 10.0), p_d_exp=None, units=(1.0, 1.0))
+    @example(case=(0.0, 1e-12 / 1.5, -60.0), p_d_exp=None, units=(1.0, 1.0))
+    # gammabar fits a float and gammabar g_u does not (ineligible)
+    @example(case=(0.0, 1.5, 0.0), p_d_exp=300.0, units=(1.0, 5e-9))
     @settings(max_examples=500, deadline=None)
-    def test_equals_the_array_path_bit_for_bit(self, case, p_d_exp):
+    def test_equals_the_array_path_bit_for_bit(self, case, p_d_exp, units):
         # 0-d arrays take the array path; the results and errors must agree,
         # the overflow of the uplink SNR (UplinkOverflowError) included
         g_l, g_u, snr_db = case
-        params = (SystemParams.from_snr_db(snr_db) if p_d_exp is None
-                  else SystemParams(p_d=10.0 ** p_d_exp))
+        gbar, sigma2 = units
+        params = (SystemParams.from_snr_db(snr_db, gbar=gbar, sigma2=sigma2) if p_d_exp is None
+                  else SystemParams(p_d=10.0 ** p_d_exp, gbar=gbar, sigma2=sigma2))
         ref = _outcome(schemes.band_throughput, np.asarray(g_l), np.asarray(g_u), params)
         for one in (_outcome(schemes.band_throughput, g_l, g_u, params),
                     _outcome(schemes.band_throughput, np.float64(g_l), np.float64(g_u), params)):
@@ -689,14 +696,20 @@ class TestBandFloatPath:
                 assert one == ref
             else:
                 assert type(one) is float and repr(one) == repr(ref)
-        power = _outcome(schemes._band_ul_power_float, g_l, g_u, params)
-        assert repr(power) == repr(_outcome(schemes.band_ul_power, np.asarray(g_l),
-                                            np.asarray(g_u), params))
+        # so do band_uplink's power, gammabar and eligibility (a bool where
+        # the array path gives an np.bool_)
+        ref = _outcome(schemes.band_uplink, np.asarray(g_l), np.asarray(g_u), params)
+        if len(ref) == 3:  # (power, gammabar, eligible), not (error type, message)
+            ref = (*ref[:2], bool(ref[2]))
+        for one in (_outcome(schemes.band_uplink, g_l, g_u, params),
+                    _outcome(schemes.band_uplink, np.float64(g_l), np.float64(g_u), params)):
+            assert repr(one) == repr(ref)
 
     def test_overflow_at_the_upper_edge_only(self):
         # gammabar = 1.44e308 fits a float, gammabar g_u does not
         params = SystemParams(p_d=1e300, sigma2=5e-9)
-        assert math.isfinite(schemes._band_gammabar(0.0, 1.5, params))
+        _, gammabar, eligible = schemes.band_uplink(0.0, 1.5, params)
+        assert math.isfinite(gammabar) and not eligible
         for g_l, g_u in ((0.0, 1.5), (np.asarray(0.0), np.asarray(1.5))):
             with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
                 schemes.band_throughput(g_l, g_u, params)
