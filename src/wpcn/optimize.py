@@ -14,10 +14,10 @@ that cannot win before any pair of them is bounded, and the Jensen bound
 are scored. It finds the same thresholds as an exhaustive search, bounding
 about 5% of the pairs and scoring about 1%.
 
-A threshold whose band is not ``schemes.band_eligible`` (its uplink SNR
-overflows a float) scores -inf. The solve fails with
-``schemes.UplinkOverflowError`` only if such a point might have won: if its
-throughput bound reaches the best eligible value.
+A threshold whose band is not eligible (the third entry of
+``schemes.band_uplink``: its uplink SNR overflows a float) scores -inf. The
+solve fails with ``schemes.UplinkOverflowError`` only if such a point might
+have won: if its throughput bound reaches the best eligible value.
 """
 from __future__ import annotations
 
@@ -110,9 +110,10 @@ class ThroughputCurve:
 
 
 class _Eligible:
-    """A throughput objective that scores a band not ``schemes.band_eligible`` as -inf.
+    """A throughput objective that scores a band ``schemes.band_uplink`` finds ineligible as -inf.
 
-    ``band`` maps the objective's arguments to the band's (lo, hi). The
+    ``band`` maps the objective's arguments to the band's (lo, hi), whose
+    eligibility is an array, or an ``np.bool_`` on a 0-d band. The
     largest ``schemes.band_throughput_bound`` among the ineligible points
     scored is kept; ``check(best)`` raises the overflow error if it reaches
     ``best``, since such a point might have won. A float argument is scored
@@ -139,7 +140,7 @@ class _Eligible:
         except schemes.UplinkOverflowError:
             pass
         lo, hi = np.broadcast_arrays(*self.band(*args))
-        ok = schemes.band_eligible(lo, hi, self.params)
+        ok = schemes.band_uplink(lo, hi, self.params)[2]
         bad_bound = schemes.band_throughput_bound(lo[~ok], hi[~ok], self.params)
         self.ineligible_bound = max(self.ineligible_bound, float(np.max(bad_bound)))
         if lo.ndim == 0:
@@ -180,7 +181,7 @@ def _solve_threshold(scheme: str, throughput, band, lo: float,
     policy = BandPolicy(*band(best_x))
     return SolveResult(
         scheme=scheme, policy=policy, throughput_bits=best_v,
-        ul_power=schemes.band_ul_power(*policy.band, params),
+        ul_power=schemes.band_uplink(*policy.band, params)[0],
         at_boundary=bool(cap - best_x <= max(cfg.grid_step, float(step))),
     )
 
@@ -226,7 +227,7 @@ def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
     policy = BandPolicy(g_l, g_u)
     return SolveResult(
         scheme="pip", policy=policy, throughput_bits=value,
-        ul_power=schemes.band_ul_power(*policy.band, params),
+        ul_power=schemes.band_uplink(*policy.band, params)[0],
         at_boundary=bool(cfg.gain_cap - g_u <= cfg.grid_step),
     )
 
@@ -267,8 +268,9 @@ def sweep(start_db: float, stop_db: float, step_db: float,
     """Optimize each scheme across a downlink-SNR range.
 
     Each point sets p_d so that p_d gbar^2/sigma2 equals the point's SNR,
-    at the given average gain ``gbar`` and noise variance ``sigma2``; a bad
-    ``gbar`` or ``sigma2`` raises before the first solve. A failing solve
+    at the given average gain ``gbar`` and noise variance ``sigma2``. Every
+    point's params are built before the first solve, so a bad ``gbar``,
+    ``sigma2`` or point SNR raises before any solver runs. A failing solve
     flags its point and the sweep continues; output is ordered by
     (snr_db, scheme).
     """
@@ -285,10 +287,11 @@ def sweep(start_db: float, stop_db: float, step_db: float,
     if unknown:
         raise ValueError(f"unknown scheme tags: {unknown}")
 
+    n_points = step_count(start_db, stop_db, step_db, "step_db")
+    axis = [(snr_db, SystemParams.from_snr_db(snr_db, gbar=gbar, sigma2=sigma2))
+            for snr_db in (start_db + k * step_db for k in range(n_points))]
     points: list[SweepPoint] = []
-    for k in range(step_count(start_db, stop_db, step_db, "step_db")):
-        snr_db = start_db + k * step_db
-        params = SystemParams.from_snr_db(snr_db, gbar=gbar, sigma2=sigma2)
+    for snr_db, params in axis:
         for tag in tags:
             try:
                 points.append(_sweep_point(snr_db, _SOLVERS[tag](params, cfg)))

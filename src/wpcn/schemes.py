@@ -12,13 +12,13 @@ Four transmit strategies for a single-antenna wireless-powered link:
 The three threshold schemes are one policy, ``BandPolicy``: transmit while
 the normalized gain lies in a band [g_l, g_u) (its ``band``), harvest
 outside it. IP leaves g_l at 0 and PI g_u at inf. The uplink power is the
-constant that balances expected harvested and expected consumed energy
-(``band_ul_power``). ``band_uplink`` gives it together with the expected
-uplink SNR gammabar = p_u gbar / sigma2 and whether gammabar g fits a float
-on the band (``band_eligible``); every reader of a band's gammabar (the
-closed forms, the pair bound, ``evaluate_policy`` and the frame traces of
-``sim``) takes it from there. The ergodic throughput then has a closed
-form in the exponential integral (``band_throughput``), with the
+constant that balances expected harvested and expected consumed energy.
+``band_uplink`` gives it together with the expected uplink SNR
+gammabar = p_u gbar / sigma2 and whether gammabar g fits a float on the
+band (its eligibility); every reader of a band's power or gammabar (the
+closed forms, the pair bound, the solvers, ``evaluate_policy`` and the
+frame traces of ``sim``) takes it from there. The ergodic throughput then
+has a closed form in the exponential integral (``band_throughput``), with the
 high-power limit ``band_asymptotic_throughput``. ``ip_throughput`` passes
 g_l = 0, ``pi_throughput`` g_u = inf. The test suite checks the closed
 forms against two references over the band: ``balance_ul_power`` (the
@@ -260,7 +260,7 @@ def balance_ul_power(g_l: float, g_u: float, params: SystemParams) -> float:
     """Uplink power for the band [g_l, g_u), from the energy balance term by term.
 
     p_u = p_d gbar * (integral of g e^{-g} over both tails) / P(g_l <= g < g_u),
-    with ``channel``'s interval moments: the reference for ``band_ul_power``.
+    with ``channel``'s interval moments: the reference for ``band_uplink``'s power.
     """
     harvested = channel.interval_gain_mean(0.0, g_l) + channel.interval_gain_mean(g_u, OPEN_END)
     if harvested == 0.0:
@@ -280,45 +280,58 @@ def _zero_at_open_end(term, open_end):
     return np.where(open_end, 0.0, term) if open_end.any() else term
 
 
-def _band_ul_power_float(gl: float, gu: float, params: SystemParams) -> float:
-    # the steps of band_ul_power on two floats, for band_uplink's float path,
-    # with its checks and its bits: the ufuncs of the array path on floats,
-    # Python arithmetic elsewhere
-    if not gl >= 0.0:
-        raise ValueError("band_ul_power requires g_l >= 0")
-    if not gu > gl:
-        raise ValueError("band_ul_power requires g_l < g_u (zero transmit probability otherwise)")
-    scale = params.p_d * params.gbar
-    denom = -float(np.expm1(gl - gu))
-    above = 0.0 if gu == math.inf else scale * (gu + 1.0) * float(np.exp(gl - gu)) / denom
-    with np.errstate(over="ignore"):  # band_uplink finds the infinite power ineligible
-        grown = float(np.expm1(gl))
-    return above + scale * (grown - gl) / denom
+def band_uplink(g_l, g_u, params: SystemParams):
+    """Uplink power, expected uplink SNR and eligibility of the band [g_l, g_u).
 
-
-def band_ul_power(g_l, g_u, params: SystemParams):
-    """Uplink power transmitting on [g_l, g_u) and harvesting outside it.
-
+    Returns (power, gammabar, eligible). The power transmitting on [g_l, g_u)
+    and harvesting outside it is
     p_d gbar ((g_u+1) e^{g_l-g_u} + e^{g_l} - g_l - 1) / (1 - e^{g_l-g_u}),
-    the energy balance of ``balance_ul_power`` in closed form; g_u may be inf.
+    the energy balance of ``balance_ul_power`` in closed form; g_u may be
+    inf. gammabar = power gbar / sigma2. The band is eligible
+    (``band_throughput`` can evaluate it) where gammabar g at its largest
+    finite edge fits a float. The power may fit though gammabar does not,
+    and inf * 0 is NaN, so an infinite gammabar is not eligible at g_l = 0
+    either. Every reader of a band's power, gammabar or eligibility takes
+    it from here.
+
+    Two floats take a float path with the checks, errors and bits of the
+    array path: numpy's ufuncs on floats and Python arithmetic elsewhere.
+    A 0-d input gives the power and gammabar as floats and the eligibility
+    as an ``np.bool_``.
     """
+    if isinstance(g_l, float) and isinstance(g_u, float):
+        gl, gu = float(g_l), float(g_u)  # an np.float64 would warn where a float overflows
+        if not gl >= 0.0:
+            raise ValueError("band_uplink requires g_l >= 0")
+        if not gu > gl:
+            raise ValueError("band_uplink requires g_l < g_u (zero transmit probability otherwise)")
+        scale = params.p_d * params.gbar
+        denom = -float(np.expm1(gl - gu))
+        above = 0.0 if gu == math.inf else scale * (gu + 1.0) * float(np.exp(gl - gu)) / denom
+        with np.errstate(over="ignore"):  # an infinite power is not eligible
+            grown = float(np.expm1(gl))
+        power = above + scale * (grown - gl) / denom
+        gammabar = power * params.gbar / params.sigma2
+        return power, gammabar, math.isfinite(gammabar * (gl if gu == math.inf else gu))
     gl = np.asarray(g_l, dtype=float)
     gu = np.asarray(g_u, dtype=float)
     if not np.all(gl >= 0.0):
-        raise ValueError("band_ul_power requires g_l >= 0")
+        raise ValueError("band_uplink requires g_l >= 0")
     if not np.all(gu > gl):
-        raise ValueError("band_ul_power requires g_l < g_u (zero transmit probability otherwise)")
+        raise ValueError("band_uplink requires g_l < g_u (zero transmit probability otherwise)")
     # Two terms, not one fraction: at g_l = 0 the sum rounds exactly like the
     # IP form and at g_u = inf exactly like the PI form, which keeps the
     # solvers' outputs bit for bit.
     scale = params.p_d * params.gbar
     denom = -np.expm1(gl - gu)
-    # an intermediate may overflow though the power fits; band_throughput
-    # rejects the non-finite result
+    # an intermediate may overflow though the power fits; an infinite power
+    # or gammabar is not eligible
     with np.errstate(over="ignore", invalid="ignore"):
         above = scale * (gu + 1.0) * np.exp(gl - gu) / denom
-        out = _zero_at_open_end(above, np.isinf(gu)) + scale * (np.expm1(gl) - gl) / denom
-    return _scalar_or_array(out, out.ndim == 0)
+        power = _zero_at_open_end(above, np.isinf(gu)) + scale * (np.expm1(gl) - gl) / denom
+        power = _scalar_or_array(power, power.ndim == 0)
+        gammabar = power * params.gbar / params.sigma2
+        return power, gammabar, np.isfinite(gammabar * np.where(np.isinf(gu), gl, gu))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +352,7 @@ def _rate_mass(gammabar, bound):
 
 
 class UplinkOverflowError(ValueError):
-    """The uplink SNR of a band overflows a float (see ``band_eligible``)."""
+    """The uplink SNR of a band overflows a float: the band is not eligible (see ``band_uplink``)."""
 
     def __init__(self, params: SystemParams):
         super().__init__(
@@ -347,56 +360,13 @@ class UplinkOverflowError(ValueError):
             f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
 
 
-def band_uplink(g_l, g_u, params: SystemParams):
-    """Uplink power, expected uplink SNR and eligibility of the band [g_l, g_u).
-
-    Returns (power, gammabar, eligible): the power is ``band_ul_power``,
-    gammabar = power gbar / sigma2, and the band is eligible where gammabar g
-    at its largest finite edge fits a float. The power may fit though
-    gammabar does not, and inf * 0 is NaN, so an infinite gammabar is not
-    eligible at g_l = 0 either. Every reader of a band's gammabar takes it
-    from here.
-
-    Two floats take a float path with the bits of the array path: the
-    float steps of ``band_ul_power``, then Python arithmetic.
-    """
-    if isinstance(g_l, float) and isinstance(g_u, float):
-        gl, gu = float(g_l), float(g_u)  # an np.float64 would warn where a float overflows
-        power = _band_ul_power_float(gl, gu, params)
-        gammabar = power * params.gbar / params.sigma2
-        return power, gammabar, math.isfinite(gammabar * (gl if gu == math.inf else gu))
-    power = band_ul_power(g_l, g_u, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gammabar = power * params.gbar / params.sigma2
-        return power, gammabar, np.isfinite(gammabar * np.where(np.isinf(g_u), g_l, g_u))
-
-
-def band_eligible(g_l, g_u, params: SystemParams):
-    """Where ``band_throughput`` can be evaluated on [g_l, g_u) (see ``band_uplink``).
-
-    ``band_throughput`` raises ``UplinkOverflowError`` on any other band.
-    """
-    return band_uplink(g_l, g_u, params)[2]
-
-
-def _band_throughput_float(gl: float, gu: float, params: SystemParams) -> float:
-    # the steps of band_throughput on two floats, with its checks and its bits
-    _, gb, eligible = band_uplink(gl, gu, params)
-    if not eligible:
-        raise UplinkOverflowError(params)
-    if gb <= 1e-280:
-        return 0.0
-    mass = float(_rate_mass(gb, gl)) - (0.0 if gu == math.inf else float(_rate_mass(gb, gu)))
-    return 0.0 if mass < 0.0 else mass / LN2
-
-
 def band_throughput(g_l, g_u, params: SystemParams):
-    """Ergodic bits/frame transmitting on [g_l, g_u) at ``band_ul_power``.
+    """Ergodic bits/frame transmitting on [g_l, g_u) at the power of ``band_uplink``.
 
     The integral of log2(1 + gammabar g) e^{-g} over the band, in closed
     form; g_u may be inf. Zero at a zero uplink power by continuity, and
     never below zero, though the closed form may cancel there. Raises
-    ``UplinkOverflowError`` unless every band is ``band_eligible``.
+    ``UplinkOverflowError`` unless every band is eligible (``band_uplink``).
 
     Two floats, as the IP and PI solvers pass one threshold at a time, take
     a float path with the same checks, errors and bits as the array path:
@@ -406,7 +376,14 @@ def band_throughput(g_l, g_u, params: SystemParams):
     if isinstance(g_l, float) and isinstance(g_u, float):
         # float() turns an np.float64 into a Python float, whose arithmetic
         # overflows to inf without a warning
-        return _band_throughput_float(float(g_l), float(g_u), params)
+        gl, gu = float(g_l), float(g_u)
+        _, gb, eligible = band_uplink(gl, gu, params)
+        if not eligible:
+            raise UplinkOverflowError(params)
+        if gb <= 1e-280:
+            return 0.0
+        mass = float(_rate_mass(gb, gl)) - (0.0 if gu == math.inf else float(_rate_mass(gb, gu)))
+        return 0.0 if mass < 0.0 else mass / LN2
     gl = np.asarray(g_l, dtype=float)
     gu = np.asarray(g_u, dtype=float)
     _, gb, eligible = band_uplink(gl, gu, params)
@@ -461,7 +438,7 @@ def band_throughput_bound(g_l, g_u, params: SystemParams):
     over the band is at most P log2(1 + gammabar m/P), with P the band's
     probability and m/P its mean gain (``_band_prob_mean``); g_u may be inf.
 
-    On a band that is not ``band_eligible`` the logarithm is taken in log
+    On a band that is not eligible (``band_uplink``) the logarithm is taken in log
     space, from ``_log_jensen_arg``, so the bound stays finite; it is 0
     where P underflows to 0. Eligible bands take gammabar from
     ``band_uplink``, as ``band_throughput`` does, which keeps the bound

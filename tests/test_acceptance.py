@@ -29,7 +29,7 @@ def _report(num: int, name: str, ok: bool, elapsed: float, detail: str = "") -> 
 
 
 def _params_with_gammabar(band, gammabar):
-    return SystemParams(p_d=gammabar / schemes.band_ul_power(*band, SystemParams(p_d=1.0)))
+    return SystemParams(p_d=gammabar / schemes.band_uplink(*band, SystemParams(p_d=1.0))[0])
 
 
 def test_criterion_1_oracle_equivalence():
@@ -75,7 +75,7 @@ def test_criterion_2_energy_balance():
     worst = 0.0
     for _ in range(50):
         g_l, g_u = _random_band(rng)
-        pu = schemes.band_ul_power(g_l, g_u, params)
+        pu = schemes.band_uplink(g_l, g_u, params)[0]
         consumed = pu * integrate(lambda g: np.exp(-g), g_l, g_u)
         harvested = params.p_d * params.gbar * sum(
             integrate(lambda g: g * np.exp(-g), lo, hi)

@@ -338,6 +338,21 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert len(lines) == 3
 
+    def test_bad_point_snr_fails_before_any_solve(self, capsys, monkeypatch):
+        # 10^309 overflows a float at 3090 dB: the sweep refuses it up front
+        calls = []
+
+        def counted(params, cfg):
+            calls.append(params)
+            return solve_ip(params, cfg)
+        solve_ip = optimize._SOLVERS["ip"]
+        monkeypatch.setitem(optimize._SOLVERS, "ip", counted)
+        code, out, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "4000",
+                                 "--step", "10", "--schemes", "ip")
+        assert (code, out, calls) == (1, "", [])
+        assert err == ("error: 10^(snr_db/10) at snr_db=3090.0 "
+                       "must be positive and finite\n")
+
     def test_rejects_point_params(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "2", "--step", "2",
                                "--snr-db", "10")

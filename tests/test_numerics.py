@@ -402,6 +402,21 @@ class TestIntegrateMatchesQuadVec:
                                  1.0, 41.0)
         assert integrate(lambda g: g * numerics.exp_neg(g), 1.0, OPEN_END) == value
 
+    def test_batch_size_is_quad_vecs(self, monkeypatch):
+        # this integrand splits 128 intervals in one round: quad_vec's batch
+        # size is pinned, as are the error estimates it leads to
+        from scipy.integrate import quad_vec  # the reference only: no command loads it
+
+        def f(g):
+            return np.cos(200 * g) * np.exp(-g)
+
+        want = quad_vec(f, 0.0, 20.0, epsabs=1e-12, epsrel=1e-12, limit=400,
+                        quadrature="gk21", norm="2")
+        assert want[1] < numerics._INTEGRATE_GATE
+        assert repr(numerics._quad_vec(f, 0.0, 20.0)) == repr(want)
+        monkeypatch.setattr(numerics, "_QUAD_BATCH", 64)
+        assert repr(numerics._quad_vec(f, 0.0, 20.0)) != repr(want)
+
     def test_failing_gate(self):
         _, err = _quad_vec_pin(lambda t: np.array([1.0 / t, math.exp(-t)]),
                                lambda t: np.stack((1.0 / t, numerics.exp_neg(t)), axis=1),

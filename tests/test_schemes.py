@@ -16,12 +16,12 @@ P10 = SystemParams.from_snr_db(10.0)
 
 def _params_with_gammabar(band, gammabar):
     """Choose p_d (gbar = sigma2 = 1) so the band's expected SNR is gammabar."""
-    return SystemParams(p_d=gammabar / schemes.band_ul_power(*band, SystemParams(p_d=1.0)))
+    return SystemParams(p_d=gammabar / schemes.band_uplink(*band, SystemParams(p_d=1.0))[0])
 
 
 class TestSystemParams:
     def test_validation(self):
-        # an infinite p_d would meet inf * 0 in band_ul_power
+        # an infinite p_d would meet inf * 0 in band_uplink
         for name in ("p_d", "gbar", "sigma2"):
             for bad in (0.0, -1.0, math.inf, math.nan):
                 fields = dict(p_d=1.0, gbar=1.0, sigma2=1.0)
@@ -396,52 +396,52 @@ class TestBalanceUlPower:
 
 class TestUlPowers:
     def test_ip_vanishes_at_large_threshold(self):
-        assert schemes.band_ul_power(0.0, 40.0, P10) < 1e-14
+        assert schemes.band_uplink(0.0, 40.0, P10)[0] < 1e-14
 
     def test_ip_known_value(self):
         expected = P10.p_d * P10.gbar * (2.0 / math.e) / (1.0 - 1.0 / math.e)
-        assert schemes.band_ul_power(0.0, 1.0, P10) == pytest.approx(expected, rel=1e-13)
+        assert schemes.band_uplink(0.0, 1.0, P10)[0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("g_u", [0.1, 1.0, 5.0])
     def test_ip_matches_balance(self, g_u):
         ref = schemes.balance_ul_power(*BandPolicy(g_u=g_u).band, P10)
-        assert schemes.band_ul_power(0.0, g_u, P10) == pytest.approx(ref, rel=1e-12)
+        assert schemes.band_uplink(0.0, g_u, P10)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_pi_zero_threshold(self):
-        assert schemes.band_ul_power(0.0, OPEN_END, P10) == 0.0
+        assert schemes.band_uplink(0.0, OPEN_END, P10)[0] == 0.0
 
     def test_pi_known_value(self):
         expected = P10.p_d * P10.gbar * (math.e - 2.0)
-        assert schemes.band_ul_power(1.0, OPEN_END, P10) == pytest.approx(expected, rel=1e-13)
+        assert schemes.band_uplink(1.0, OPEN_END, P10)[0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("g_l", [0.1, 1.0, 5.0])
     def test_pi_matches_balance(self, g_l):
         ref = schemes.balance_ul_power(*BandPolicy(g_l).band, P10)
-        assert schemes.band_ul_power(g_l, OPEN_END, P10) == pytest.approx(ref, rel=1e-12)
+        assert schemes.band_uplink(g_l, OPEN_END, P10)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_pip_reduces_to_ip(self):
         # at g_l = 0 the band form rounds exactly like the IP closed form
         scale = P10.p_d * P10.gbar
         for g_u in (0.05, 1.3, 7.0):
             ip_form = scale * (g_u + 1.0) * math.exp(-g_u) / -math.expm1(-g_u)
-            assert schemes.band_ul_power(0.0, g_u, P10) == ip_form
+            assert schemes.band_uplink(0.0, g_u, P10)[0] == ip_form
 
     def test_pip_reduces_to_pi(self):
-        want = schemes.band_ul_power(0.7, OPEN_END, P10)
-        assert schemes.band_ul_power(0.7, 40.0, P10) == pytest.approx(want, rel=1e-12)
+        want = schemes.band_uplink(0.7, OPEN_END, P10)[0]
+        assert schemes.band_uplink(0.7, 40.0, P10)[0] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("gl,gu", [(0.2, 1.0), (1.0, 3.0), (0.05, 9.0)])
     def test_pip_matches_balance(self, gl, gu):
         ref = schemes.balance_ul_power(*BandPolicy(gl, gu).band, P10)
-        assert schemes.band_ul_power(gl, gu, P10) == pytest.approx(ref, rel=1e-12)
+        assert schemes.band_uplink(gl, gu, P10)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            schemes.band_ul_power(0.0, 0.0, P10)
+            schemes.band_uplink(0.0, 0.0, P10)
         with pytest.raises(ValueError):
-            schemes.band_ul_power(-0.1, OPEN_END, P10)
+            schemes.band_uplink(-0.1, OPEN_END, P10)
         with pytest.raises(ValueError):
-            schemes.band_ul_power(2.0, 2.0, P10)
+            schemes.band_uplink(2.0, 2.0, P10)
 
 
 class TestThroughputs:
@@ -508,7 +508,7 @@ class TestNarrowBands:
         g_u = g_l + 10.0 ** width * max(1.0, g_l)
         assume(g_l < g_u)
         params = SystemParams.from_snr_db(snr_db)
-        assume(schemes.band_eligible(g_l, g_u, params))
+        assume(schemes.band_uplink(g_l, g_u, params)[2])
         assert schemes.band_throughput(g_l, g_u, params) >= 0.0
         pair = schemes.band_throughput(np.array([g_l, 0.0]), np.array([g_u, 1.0]), params)
         assert np.all(pair >= 0.0)
@@ -524,7 +524,7 @@ class TestThroughputBound:
         # cancellation on bands a few ulps wide (up to ~2e-14 bits seen)
         assume(g_l < g_u)
         params = SystemParams.from_snr_db(snr_db)
-        assume(schemes.band_eligible(g_l, g_u, params))  # else band_throughput raises
+        assume(schemes.band_uplink(g_l, g_u, params)[2])  # else band_throughput raises
         assert schemes.band_throughput_bound(g_l, g_u, params) >= \
             schemes.band_throughput(g_l, g_u, params) - 1e-12
 
@@ -540,7 +540,7 @@ class TestThroughputBound:
         # log space, with the harvested mass H rounded to 1, and stays tiny,
         # as the band is
         g_l = np.array([650.0, 708.0, 720.0, 800.0])
-        assert list(schemes.band_eligible(g_l, OPEN_END, P10)) == [True, False, False, False]
+        assert list(schemes.band_uplink(g_l, OPEN_END, P10)[2]) == [True, False, False, False]
         bound = schemes.band_throughput_bound(g_l, OPEN_END, P10)
         assert np.all(np.isfinite(bound)) and np.all(bound >= 0.0) and np.all(bound < 1e-270)
         with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
@@ -553,7 +553,7 @@ class TestThroughputBound:
         # bound P log2(1 + gammabar m/P) evaluated in 30 digits, and below
         # the looser form with H = 1 (404.8335 against 404.8872 bits)
         params = SystemParams(p_d=1e300, gbar=1e5, sigma2=1.0)
-        assert not schemes.band_eligible(0.0, 0.5, params)
+        assert not schemes.band_uplink(0.0, 0.5, params)[2]
         with mpmath.workdps(30):
             prob = 1 - mpmath.exp(-0.5)
             mass = 1 - 1.5 * mpmath.exp(-0.5)
@@ -570,10 +570,10 @@ class TestThroughputBound:
         # band is not eligible, and no numpy overflow warning escapes
         params = SystemParams(p_d=4.592836491614691e303, gbar=7.760618635341894)
         gl, gu = np.array([3.5]), np.array([3.55])
-        assert math.isfinite(schemes.band_ul_power(3.5, 3.55, params))
+        assert math.isfinite(schemes.band_uplink(3.5, 3.55, params)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not schemes.band_eligible(gl, gu, params)[0]
+            assert not schemes.band_uplink(gl, gu, params)[2][0]
             assert math.isfinite(schemes.band_throughput_bound(gl, gu, params)[0])
             for args in ((3.5, 3.55), (gl, gu)):
                 with pytest.raises(schemes.UplinkOverflowError):
@@ -614,7 +614,7 @@ class TestThroughputBlockBound:
         # g_lo = g_hi: H, P and m are the band's own, and the two agree to the
         # padding; at p_d = 1e300 the band overflows and both take the log form
         overflowing = SystemParams(p_d=1e300, gbar=1e5, sigma2=1.0)
-        assert not schemes.band_eligible(0.0, 0.5, overflowing)
+        assert not schemes.band_uplink(0.0, 0.5, overflowing)[2]
         for params in (P10, overflowing):
             pair = schemes.band_throughput_bound(0.0, 0.5, params)
             assert pair <= schemes.band_throughput_block_bound(0.0, 0.5, 0.5, params) \
@@ -681,6 +681,12 @@ class TestBandFloatPath:
     @example(case=(0.0, 1e-12 / 1.5, -60.0), p_d_exp=None, units=(1.0, 1.0))
     # gammabar fits a float and gammabar g_u does not (ineligible)
     @example(case=(0.0, 1.5, 0.0), p_d_exp=300.0, units=(1.0, 5e-9))
+    # bands both paths reject: g_l < 0, g_u == g_l, g_u < g_l, NaN on each side
+    @example(case=(-1e-300, 1.0, 10.0), p_d_exp=None, units=(1.0, 1.0))
+    @example(case=(1.0, 1.0, 10.0), p_d_exp=None, units=(1.0, 1.0))
+    @example(case=(2.0, 1.0, 10.0), p_d_exp=None, units=(1.0, 1.0))
+    @example(case=(math.nan, 1.0, 10.0), p_d_exp=None, units=(1.0, 1.0))
+    @example(case=(0.0, math.nan, 10.0), p_d_exp=None, units=(1.0, 1.0))
     @settings(max_examples=500, deadline=None)
     def test_equals_the_array_path_bit_for_bit(self, case, p_d_exp, units):
         # 0-d arrays take the array path; the results and errors must agree,
@@ -747,7 +753,7 @@ class TestInvariants:
                 BandPolicy(*np.sort(rng.uniform(0.05, 9.0, size=2))),
             ][rng.integers(0, 3)]
             lo, hi = policy.band
-            pu = schemes.band_ul_power(lo, hi, P10)
+            pu = schemes.band_uplink(lo, hi, P10)[0]
             consumed = pu * channel.interval_prob(lo, hi)
             harvested = P10.p_d * P10.gbar * (channel.interval_gain_mean(0.0, lo)
                                               + channel.interval_gain_mean(hi, OPEN_END))
@@ -848,7 +854,7 @@ class TestPolicies:
     def test_evaluate_policy_consistency(self):
         ev = schemes.evaluate_policy(BandPolicy(g_u=1.5), P10)
         assert ev.throughput_bits == pytest.approx(schemes.ip_throughput(1.5, P10), rel=1e-14)
-        assert ev.ul_power == pytest.approx(schemes.band_ul_power(0.0, 1.5, P10), rel=1e-14)
+        assert ev.ul_power == pytest.approx(schemes.band_uplink(0.0, 1.5, P10)[0], rel=1e-14)
         assert ev.expected_ul_snr_gammabar == pytest.approx(
             ev.ul_power * P10.gbar / P10.sigma2, rel=1e-14
         )

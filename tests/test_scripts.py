@@ -35,3 +35,23 @@ def test_trace_demo_prints_only_the_searched_thresholds(tmp_path):
     assert lines[0] == "optimized policies at 10 dB:"
     assert [line.split("throughput")[0].strip() for line in lines[1:5]] == [
         "htt: per-frame split", "ip: g_u=1.626", "pi: g_l=1.026", "pip: g_l=0.250, g_u=1.800"]
+
+
+def test_count_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "import math  # a trailing comment keeps the line\n"
+        "\n"
+        "# a comment line\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "    def f(self):\n"
+        "        '''Method\n"
+        "        docstring.'''\n"
+        '        return """not a\n'
+        'docstring"""\n')
+    (tmp_path / "empty.py").write_text("")
+    done = run_script("count_code_lines.py", str(tmp_path), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 empty.py\n5 mod.py\n5 total\n"
