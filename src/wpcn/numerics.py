@@ -3,13 +3,14 @@
 Contains the two special functions the closed-form throughput expressions
 are built from (the exponential integral E1 and the principal Lambert-W
 branch), one adaptive quadrature routine (``integrate``, scipy's
-``quad_vec`` ported step for step: its integrand takes an interval's 21
-nodes as one array, and returns one or several quantities on them) that
-is the ground-truth oracle for every closed form, and the maximizers
-for the threshold searches: derivative bisection on an interval and a
-search over the pairs x < y of a grid, seeded from a coarse sub-grid and
-walked once by rows, that drops a block of a row by its block bound and
-scores a pair only where its bound can still win.
+``quad_vec`` ported step for step: its integrand takes the 21 nodes of
+each interval a round splits as one array, and returns one or several
+quantities on them) that is the ground-truth oracle for every closed form,
+and the maximizers for the threshold searches: derivative bisection on an
+interval and a search over the pairs x < y of a grid, seeded from a coarse
+sub-grid and walked once by rows, that drops a block of a row by its block
+bound and scores a pair only where its bound, and then a tighter refined
+bound, can still win.
 
 E1 and W0 are scipy's ufuncs ``exp1`` and ``_lambertw`` (the one behind
 ``scipy.special.lambertw``), bound from their extension module. Two
@@ -156,19 +157,21 @@ _E1_TAIL_TERMS = 12
 # _e1_cf_scaled_scalar stops at |delta - 1| < _E1_CF_TOL, or raises after _E1_CF_MAX_ITER
 _E1_CF_TOL = 5e-16
 _E1_CF_MAX_ITER = 500
+# the partial numerators -i^2, i = 1 .. _E1_CF_MAX_ITER, of that fraction
+_E1_CF_NUMERATORS = tuple(-float(i * i) for i in range(1, _E1_CF_MAX_ITER + 1))
 
 
 def _e1_series_scalar(x: float) -> float:
-    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!),  for x <= 1
+    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!),  for 0 < x <= 1.
+    # The partial sums lie in (0, x], so the stop |term| <= 1e-18 max(|total|, 1)
+    # reads |term| <= 1e-18 there.
     total = 0.0
     term = x  # (-1)^{k+1} x^k / k!
-    k = 1
-    while k <= 60:
+    for k in range(1, 61):
         total += term / k
         term *= -x / (k + 1)
-        if abs(term) <= 1e-18 * max(abs(total), 1.0):
+        if -1e-18 <= term <= 1e-18:
             break
-        k += 1
     return -EULER_GAMMA - math.log(x) + total
 
 
@@ -176,12 +179,12 @@ def _e1_cf_scaled_scalar(x: float) -> float:
     # Modified Lentz evaluation of the continued fraction for e^x E1(x):
     #   e^x E1(x) = 1/(x+1 - 1/(x+3 - 4/(x+5 - 9/(x+7 - ...))))
     # Converges for x > 1 (slowest near 1: roughly 90 iterations).
+    tol = _E1_CF_TOL
     b = x + 1.0
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _E1_CF_MAX_ITER + 1):
-        a = -float(i * i)
+    for a in _E1_CF_NUMERATORS:
         b += 2.0
         d = a * d + b
         if d == 0.0:
@@ -192,7 +195,7 @@ def _e1_cf_scaled_scalar(x: float) -> float:
         d = 1.0 / d
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < _E1_CF_TOL:
+        if -tol < delta - 1.0 < tol:
             return h
     raise ConvergenceError(f"E1 continued fraction did not converge at x={x!r}")
 
@@ -334,29 +337,38 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray):
     return np.cumsum(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)), axis=0)[-1]
 
 
-def _gk21(f, a: float, b: float, norm) -> tuple:
-    """quad_vec's Gauss-Kronrod 21 rule on [a, b]: (integral, error, rounding error).
+def _gk21(f, lo: list, hi: list, norm) -> list:
+    """quad_vec's Gauss-Kronrod 21 rule on each interval [lo[k], hi[k]]: a list
+    of (integral, error, rounding error), one per interval.
 
-    f is called once, on the array of the 21 nodes, and every sum adds in
-    quad_vec's order, so the results have its bits.
+    f is called once, on the 21 nodes of every interval one after another.
+    Every sum adds node by node, in quad_vec's order, and ``norm`` is taken
+    interval by interval, so each result has quad_vec's bits.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = np.asarray(f(c + h * _GK21_X), dtype=float)
+    lo, hi = np.array(lo), np.array(hi)
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    fv = np.asarray(f((c[:, None] + h[:, None] * _GK21_X).ravel()), dtype=float)
+    fv = fv.reshape((lo.size, _GK21_X.size) + fv.shape[1:]).swapaxes(0, 1)  # node axis first
+    h = h.reshape(h.shape + (1,) * (fv.ndim - 2))
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats
         s_k = _weighted_sum(_GK21_V, fv)
         s_k_abs = _weighted_sum(_GK21_V, np.abs(fv))
         s_g = _weighted_sum(_GK21_W, fv[1::2])
         s_k_dabs = _weighted_sum(_GK21_V, np.abs(fv - s_k / 2.0))
-        err = float(norm((s_k - s_g) * h))
-        dabs = float(norm(s_k_dabs * h))
-        round_err = float(norm(50 * sys.float_info.epsilon * h * s_k_abs))
-        integral = h * s_k
-    if dabs != 0 and err != 0:
-        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
-    if round_err > sys.float_info.min:
-        err = max(err, round_err)
-    return integral, err, round_err
+        errs, dabss = (s_k - s_g) * h, s_k_dabs * h
+        round_errs = 50 * sys.float_info.epsilon * h * s_k_abs
+        integrals = h * s_k
+        for k in range(lo.size):
+            err, dabs = float(norm(errs[k])), float(norm(dabss[k]))
+            round_err = float(norm(round_errs[k]))
+            if dabs != 0 and err != 0:
+                err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+            if round_err > sys.float_info.min:
+                err = max(err, round_err)
+            out.append((integrals[k], err, round_err))
+    return out
 
 
 def _quad_vec(f, a: float, b: float) -> tuple:
@@ -365,9 +377,10 @@ def _quad_vec(f, a: float, b: float) -> tuple:
 
     The interval of largest error is split first, a batch of them a round,
     until the error is below an eighth of the tolerance or below the rounding
-    error. quad_vec's interval cache never evicts at 400 intervals: a dict.
+    error; f is called once a round, on the nodes of all the halves. quad_vec's
+    interval cache never evicts at 400 intervals: a dict.
     """
-    total, error, rounding = _gk21(f, a, b, np.linalg.norm)
+    (total, error, rounding), = _gk21(f, [a], [b], np.linalg.norm)
     norm = abs if np.ndim(total) == 0 else np.linalg.norm
     cache, heap = {(a, b): total}, [(-error, a, b)]
     while heap and len(heap) < _QUAD_LIMIT:
@@ -375,14 +388,14 @@ def _quad_vec(f, a: float, b: float) -> tuple:
         batch, err_sum = [], 0.0
         while heap and len(batch) < _QUAD_BATCH and not (batch and err_sum > error - tol / 8):
             neg_err, lo, hi = heapq.heappop(heap)
-            batch.append((-neg_err, lo, hi, cache.pop((lo, hi), None)))
+            batch.append((-neg_err, lo, hi, 0.5 * (lo + hi), cache.pop((lo, hi), None)))
             err_sum += -neg_err
-        for old_err, lo, hi, old in batch:
-            mid = 0.5 * (lo + hi)
-            s1, err1, round1 = _gk21(f, lo, mid, norm)
-            s2, err2, round2 = _gk21(f, mid, hi, norm)
+        halves = _gk21(f, [end for _, lo, _, mid, _ in batch for end in (lo, mid)],
+                       [end for _, _, hi, mid, _ in batch for end in (mid, hi)], norm)
+        for k, (old_err, lo, hi, mid, old) in enumerate(batch):
+            (s1, err1, round1), (s2, err2, round2) = halves[2 * k], halves[2 * k + 1]
             if old is None:  # quad_vec's cache misses where two intervals had the same ends
-                old = _gk21(f, lo, hi, norm)[0]
+                old = _gk21(f, [lo], [hi], norm)[0][0]
             total = total + (s1 + s2 - old)
             error += err1 + err2 - old_err
             rounding += round1 + round2
@@ -401,9 +414,10 @@ def _quad_vec(f, a: float, b: float) -> tuple:
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float | np.ndarray:
     """Adaptive quadrature of f over [a, b]; b may be OPEN_END (infinity).
 
-    f takes the array of an interval's 21 Gauss-Kronrod nodes and returns
-    shape (21,) for a float integral or (21, k) for k integrals on shared
-    subintervals; the result is a float or an array of k. The steps and
+    f takes the array of a round's nodes, the 21 Gauss-Kronrod nodes of each
+    interval in turn (n = 21 per interval), and returns shape (n,) for a
+    float integral or (n, k) for k integrals on shared subintervals; the
+    result is a float or an array of k. f must act node by node. The steps and
     the bits are those of ``scipy.integrate.quad_vec`` with its 21-point
     rule, epsabs = epsrel = 1e-12 and 400 subintervals (``_quad_vec``).
     Open upper bounds are truncated at a + 40 (see _TAIL_LENGTH). Raises
@@ -481,15 +495,27 @@ def maximize_scalar(f: Callable[[float], float], domain: Interval,
     return best_x, best_f
 
 
+# step_count refuses more points than this. It lies far above every axis
+# the package runs (the finest tested PIP grid has 2,001 points), and one
+# 64-row chunk of a PIP grid this long holds 6.4 million pairs, about
+# 0.85 GB at the 132 bytes a pair measured where the block bound keeps
+# every block of the chunk.
+_MAX_STEPS = 100_000
+
+
 def step_count(lo: float, hi: float, step: float, name: str) -> int:
     """Number of points lo, lo + step, ... up to hi (a 1e-9 step short counts as reaching it).
 
     Raises ValueError, naming the range and the step ``name``, where the
-    count overflows a float.
+    count overflows a float or exceeds _MAX_STEPS (100,000), before anything
+    of that size is allocated or run.
     """
     steps = (hi - lo) / step + 1e-9
     if not math.isfinite(steps):
         raise ValueError(f"the number of {name}={step} steps from {lo} to {hi} overflows a float")
+    if steps >= _MAX_STEPS:  # the count floor(steps) + 1 would exceed it
+        raise ValueError(f"{name}={step} from {lo} to {hi} gives more than the "
+                         f"{_MAX_STEPS:,} points allowed")
     return int(math.floor(steps)) + 1
 
 
@@ -547,13 +573,14 @@ def _less_slack(value: float) -> float:
     return value - _GRID_SLACK * abs(value)
 
 
-def grid_argmax_2d(f, domain: Interval, step: float,
-                   bound=None, block_bound=None) -> tuple[tuple[float, float], float]:
+def grid_argmax_2d(f, domain: Interval, step: float, bound=None, block_bound=None,
+                   refined=None) -> tuple[tuple[float, float], float]:
     """Maximize f(x, y) over the grid pairs x < y of one axis.
 
     The axis runs from ``domain.lo`` to ``domain.hi`` in steps of ``step``.
     f takes two arrays of pairs and returns an array of their shape; so does
-    ``bound``, an optional upper bound on f that is cheaper to evaluate.
+    ``bound``, an optional upper bound on f that is cheaper to evaluate,
+    and ``refined``, an optional upper bound on f that lies between the two.
     ``block_bound(x, y_lo, y_hi)``, also optional, takes three arrays, one
     entry per block of pairs (x, y), y_lo <= y <= y_hi, and returns per
     block an upper bound on ``bound`` (on f if there is no ``bound``) over
@@ -562,16 +589,18 @@ def grid_argmax_2d(f, domain: Interval, step: float,
     The rows of the pair triangle are walked once, in order, in chunks of
     _GRID_CHUNK_ROWS rows, each row cut into blocks of as many columns, so
     memory does not grow with the number of pairs. A running threshold, the
-    best value so far less a relative 1e-9, prunes in two steps: a block
+    best value so far less a relative 1e-9, prunes in three steps: a block
     whose block bound is below it is dropped before any of its pairs is
-    bounded, and f is scored only on the pairs whose bound reaches it.
-    Before the walk the threshold is set from a coarse sub-grid: the exact
-    best of the _GRID_SEED_PAIRS best-bound pairs among the pairs of every
-    k-th axis point, at most _GRID_SEED_POINTS of them; it then rises with
-    the best score. A NaN bound never prunes, and with no bound every pair
-    of a kept block is scored. Ties break toward the lexicographically
-    smallest (x, y), so the result equals an exhaustive search's whenever
-    f <= bound <= block bound holds to within the slack.
+    bounded, the refined bound is taken only on the pairs whose bound
+    reaches it, and f is scored only on the pairs whose refined bound
+    reaches it. Before the walk the threshold is set from a coarse
+    sub-grid: the exact best of the _GRID_SEED_PAIRS best-bound pairs among
+    the pairs of every k-th axis point, at most _GRID_SEED_POINTS of them;
+    it then rises with the best score. A NaN bound of any level never
+    prunes, and a level that is not given prunes nothing. Ties break toward
+    the lexicographically smallest (x, y), so the result equals an
+    exhaustive search's whenever f <= refined <= bound <= block bound
+    holds to within the slack.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -605,11 +634,12 @@ def grid_argmax_2d(f, domain: Interval, step: float,
                 continue
         i, j = _segment_pairs(r, lo, hi)
         gx, gy = xs[i], xs[j]
-        if bound is not None:
-            keep = ~(np.asarray(bound(gx, gy), dtype=float) < threshold)
-            gx, gy = gx[keep], gy[keep]
-            if not gx.size:
-                continue
+        for level in (bound, refined):
+            if level is not None and gx.size:
+                keep = ~(np.asarray(level(gx, gy), dtype=float) < threshold)
+                gx, gy = gx[keep], gy[keep]
+        if not gx.size:
+            continue
         vals = f(gx, gy)
         k = int(np.argmax(vals))
         if best is None or vals[k] > best[1]:

@@ -172,6 +172,11 @@ class TestEvaluate:
     (("sweep", "--start", "0", "--stop", "1e300", "--step", "1e-300"), "step_db"),
     (("optimize", "--scheme", "pip", "--snr-db", "10", "--gain-cap", "1e300",
       "--grid-step", "1e-10"), "step"),
+    # finite counts past the 100,000 points allowed: a sweep of 1e20 points,
+    # and a PIP axis of 1e9 points, both refused before they run
+    (("sweep", "--start", "0", "--stop", "1e-280", "--step", "1e-300"), "step_db"),
+    (("optimize", "--scheme", "pip", "--snr-db", "10", "--gain-cap", "1e6",
+      "--grid-step", "1e-3"), "step"),
 ])
 def test_bad_snr_input_is_a_usage_error_naming_it(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)

@@ -87,6 +87,38 @@ class TestExpIntegral:
             exp_scaled_e1(bad)
 
 
+def _exp_scaled_e1_reference(x: float) -> float:
+    """The float path of exp_scaled_e1 in its earlier form, frozen as the bit reference."""
+    if x <= 1.0:
+        total, term, k = 0.0, x, 1
+        while k <= 60:
+            total += term / k
+            term *= -x / (k + 1)
+            if abs(term) <= 1e-18 * max(abs(total), 1.0):
+                break
+            k += 1
+        return math.exp(x) * (-numerics.EULER_GAMMA - math.log(x) + total)
+    b = x + 1.0
+    c = 1.0 / numerics._TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, numerics._E1_CF_MAX_ITER + 1):
+        a = -float(i * i)
+        b += 2.0
+        d = a * d + b
+        if d == 0.0:
+            d = numerics._TINY
+        c = b + a / c
+        if c == 0.0:
+            c = numerics._TINY
+        d = 1.0 / d
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < numerics._E1_CF_TOL:
+            return h
+    raise ConvergenceError(f"E1 continued fraction did not converge at x={x!r}")
+
+
 class TestExpScaledE1Float:
     @given(st.one_of(
         st.floats(min_value=5e-324, max_value=1e6),
@@ -99,6 +131,25 @@ class TestExpScaledE1Float:
         assert type(v) is float
         assert repr(v) == repr(exp_scaled_e1(np.asarray(x)))
         assert repr(exp_scaled_e1(np.float64(x))) == repr(v)
+
+    def test_float_path_keeps_the_bits_of_its_reference_loops(self, monkeypatch):
+        # the IP and PI solvers read the sign of a 1e-7 finite difference of
+        # this path, so its loops may change their form but not one bit
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([
+            rng.uniform(0.0, 1.0, 30_000), 10.0 ** rng.uniform(-300.0, 0.0, 2_000),
+            rng.uniform(1.0, 60.0, 30_000), 10.0 ** rng.uniform(0.0, 6.0, 2_000),
+            [5e-324, 1.0, math.nextafter(1.0, 2.0), 600.0, 1e300],
+        ])
+        xs = xs[xs > 0.0].tolist()
+        ref = np.array([_exp_scaled_e1_reference(x) for x in xs])
+        got = np.array([numerics._exp_scaled_e1_float(x) for x in xs])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # a fraction that never meets its tolerance raises on both
+        monkeypatch.setattr(numerics, "_E1_CF_TOL", 0.0)
+        for run in (_exp_scaled_e1_reference, numerics._exp_scaled_e1_float):
+            with pytest.raises(ConvergenceError, match="x=1.5"):
+                run(1.5)
 
     @pytest.mark.parametrize("bad,match", [
         (0.0, "x > 0"), (-0.0, "x > 0"), (-1.0, "x > 0"), (-math.inf, "x > 0"), (math.nan, "NaN"),
@@ -598,6 +649,39 @@ class TestGridArgmax2D:
             grid_argmax_2d(f, domain, step)
         assert bounded == [101 * 100 // 2, (200 - 126) + (200 - 127)]
 
+    def test_refined_bound_sees_only_the_pairs_the_bound_keeps(self):
+        # f <= refined <= bound: the walk takes the refined bound on some of
+        # the pairs it bounds, and scores the seed's pairs and some of the
+        # refined ones; a NaN refined bound (row x = 1) keeps its pair
+        def f(x, y):
+            scored.append(set(zip(x.tolist(), y.tolist())))
+            return -(x - 1.0) ** 2 - (y - 2.0) ** 2
+
+        def bound(x, y):
+            bounded.append(set(zip(x.tolist(), y.tolist())))
+            return -(x - 1.0) ** 2 - (y - 2.0) ** 2 + 0.5
+
+        def refined(x, y):
+            seen.append(set(zip(x.tolist(), y.tolist())))
+            return np.where(np.abs(x - 1.0) < 1e-9, math.nan,
+                            -(x - 1.0) ** 2 - (y - 2.0) ** 2 + 0.01)
+
+        domain, step = Interval(0.0, 4.0), 0.02
+        scored, bounded, seen = [], [], []
+        exhaustive = grid_argmax_2d(f, domain, step)
+        scored.clear()
+        assert grid_argmax_2d(f, domain, step, bound=bound) == exhaustive
+        scored_by_bound = set().union(*scored)
+        scored.clear()
+        bounded.clear()
+        assert grid_argmax_2d(f, domain, step, bound=bound, refined=refined) == exhaustive
+        walked, refined_pairs = set().union(*bounded[1:]), set().union(*seen)
+        scored_pairs = set().union(*scored[1:])  # the first call scores the seed's pairs
+        assert refined_pairs <= walked and scored_pairs <= refined_pairs
+        assert len(scored_pairs) < len(scored_by_bound)
+        nan_row = {pair for pair in refined_pairs if abs(pair[0] - 1.0) < 1e-9}
+        assert nan_row and nan_row <= scored_pairs
+
     def test_nan_block_bound_never_drops_its_block(self):
         # the maximum sits in the last chunk, in the one block whose bound is
         # NaN; every other block bound lies far below the first chunk's best
@@ -622,6 +706,19 @@ class TestGridArgmax2D:
         for step in (0.0, -0.5, math.nan):
             with pytest.raises(ValueError, match="step"):
                 grid_argmax_2d(lambda x, y: x, Interval(0.0, 1.0), step)
+
+
+class TestStepCount:
+    def test_counts_up_to_the_maximum_and_refuses_past_it(self):
+        # 0, 0.1, ..., 9999.9 is the largest axis allowed; one step more is
+        # refused with the limit named, as is a count of 1e20 points. Only
+        # the refusals run: nothing of that size is built
+        assert numerics.step_count(0.0, 9999.9, 0.1, "step") == numerics._MAX_STEPS == 100_000
+        for hi, step in ((10_000.0, 0.1), (1e-280, 1e-300)):
+            with pytest.raises(ValueError, match="step_db=.*100,000 points"):
+                numerics.step_count(0.0, hi, step, "step_db")
+        with pytest.raises(ValueError, match="100,000"):
+            grid_argmax_2d(lambda x, y: x + y, Interval(0.0, 1e6), 1e-3)
 
 
 class TestConfigTypes:

@@ -170,11 +170,16 @@ class TestPrunedPipSearch:
         assert (res.policy.g_l, res.policy.g_u, res.throughput_bits) == \
             _exhaustive_pip(params, cfg)
 
-    def test_scores_at_most_two_percent_of_the_pairs(self, monkeypatch):
-        # the default grid at 10 dB holds 1001 * 1000 / 2 = 500,500 pairs
+    def test_scores_at_most_a_fifth_of_a_percent_of_the_pairs(self, monkeypatch):
+        # the default grid at 10 dB holds 1001 * 1000 / 2 = 500,500 pairs; the
+        # refined bound takes the pairs whose Jensen bound reaches the
+        # threshold (5,075 measured), and the closed form scores the seed's
+        # 64 and those whose refined bound reaches it (673 in all)
         scored = _record_sizes(monkeypatch, "pip_throughput")
+        refined = _record_sizes(monkeypatch, "band_throughput_refined_bound")
         solve_pip(SystemParams.from_snr_db(10.0))
-        assert 0 < sum(scored) <= 0.02 * 500_500
+        assert 0 < sum(scored) <= 0.002 * 500_500
+        assert 0 < sum(refined) <= 0.015 * 500_500
 
     def test_bounds_at_most_thirty_percent_of_the_pairs(self, monkeypatch):
         # the row bound drops whole rows before any of their pairs is bounded
@@ -199,16 +204,21 @@ class TestPrunedPipSearch:
         chunk = numerics._GRID_CHUNK_ROWS * 2000
         scored = _record_sizes(monkeypatch, "pip_throughput")
         bounded = _record_sizes(monkeypatch, "band_throughput_bound")
+        refined = _record_sizes(monkeypatch, "band_throughput_refined_bound")
         solve_pip(SystemParams.from_snr_db(10.0), cfg)
         assert 0 < sum(bounded) <= 0.05 * 2_001_000
-        assert max(scored) <= chunk and max(bounded) <= chunk
+        assert max(scored) <= chunk and max(bounded) <= chunk and max(refined) <= chunk
 
-    def test_headline_sweep_scores_at_most_80k_pairs(self, monkeypatch):
-        # the 16 PIP grids of 0-30 dB in steps of 2 dB (73,042 pairs scored)
+    def test_headline_sweep_scores_at_most_15k_pairs(self, monkeypatch):
+        # the 16 PIP grids of 0-30 dB in steps of 2 dB: 12,194 pairs scored
+        # (1,024 of them the seeds'), 73,042 before the refined bound, which
+        # takes 72,018 pairs
         scored = _record_sizes(monkeypatch, "pip_throughput")
+        refined = _record_sizes(monkeypatch, "band_throughput_refined_bound")
         for k in range(16):
             solve_pip(SystemParams.from_snr_db(2.0 * k))
-        assert 0 < sum(scored) <= 80_000
+        assert 0 < sum(scored) <= 15_000
+        assert 0 < sum(refined) <= 80_000
 
 
 class TestScoreOnce:
