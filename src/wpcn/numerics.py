@@ -10,7 +10,11 @@ and the maximizers for the threshold searches: derivative bisection on an
 interval and a search over the pairs x < y of a grid, seeded from a coarse
 sub-grid and walked once by rows, that drops a block of a row by its block
 bound and scores a pair only where its bound, and then a tighter refined
-bound, can still win.
+bound, can still win. The quadrature and the grid search each have a
+lockstep form for a sweep's points (``integrate_lockstep``,
+``grid_argmax_axis``): the work the points share is done once, each point
+keeps the bits it gets alone, and an error of one point (one of
+``POINT_ERRORS``) is returned in its place and ends no other.
 
 E1 and W0 are scipy's ufuncs ``exp1`` and ``_lambertw`` (the one behind
 ``scipy.special.lambertw``), bound from their extension module. Two
@@ -36,7 +40,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +59,20 @@ _BISECTION_MAX_ITER = 200  # bisection steps maximize_scalar takes at most
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its requested tolerance."""
+
+
+# The errors that end one point of a lockstep computation and not the others
+# (an integral of integrate_lockstep, a search of grid_argmax_axis, an SNR
+# point of optimize.sweep); any other error stops the whole computation.
+POINT_ERRORS = (ValueError, ArithmeticError, ConvergenceError)
+
+
+def sole(results: list):
+    """The one entry of a one-point lockstep result; raised if it is an error."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -186,12 +204,8 @@ def _e1_cf_scaled_scalar(x: float) -> float:
     h = d
     for a in _E1_CF_NUMERATORS:
         b += 2.0
-        d = a * d + b
-        if d == 0.0:
-            d = _TINY
-        c = b + a / c
-        if c == 0.0:
-            c = _TINY
+        d = a * d + b  # never 0 for x > 0: d >= x + i + 1 at step i
+        c = b + a / c  # likewise c >= x + i + 1
         d = 1.0 / d
         delta = c * d
         h *= delta
@@ -322,6 +336,9 @@ _GK21_W = np.array(_GK21_W + _GK21_W[::-1])
 _QUAD_TOL = 1e-12  # absolute and relative tolerance of integrate
 _QUAD_LIMIT = 400  # subintervals integrate splits [a, b] into at most
 _QUAD_BATCH = 128  # intervals split per round at most
+# integrate_lockstep runs at most this many integrals at once, the rest after
+# them: a round of each splits at most 2 * _QUAD_BATCH intervals of 21 nodes
+_LOCKSTEP_INTEGRALS = 64
 
 
 def exp_neg(g: np.ndarray) -> np.ndarray:
@@ -337,18 +354,20 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray):
     return np.cumsum(np.concatenate((np.zeros((1,) + terms.shape[1:]), terms)), axis=0)[-1]
 
 
-def _gk21(f, lo: list, hi: list, norm) -> list:
-    """quad_vec's Gauss-Kronrod 21 rule on each interval [lo[k], hi[k]]: a list
-    of (integral, error, rounding error), one per interval.
+def _gk21(f, intervals: list, norm) -> list:
+    """quad_vec's Gauss-Kronrod 21 rule on each interval (owner, lo, hi) of
+    ``intervals``: a list of (integral, error, rounding error), one per interval.
 
-    f is called once, on the 21 nodes of every interval one after another.
-    Every sum adds node by node, in quad_vec's order, and ``norm`` is taken
-    interval by interval, so each result has quad_vec's bits.
+    f is called once, on the 21 nodes of every interval one after another,
+    and the owner of each node's interval. Every sum adds node by node, in
+    quad_vec's order, and ``norm`` is taken interval by interval, so each
+    result has quad_vec's bits.
     """
-    lo, hi = np.array(lo), np.array(hi)
+    owner, lo, hi = (np.array(x) for x in zip(*intervals))
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fv = np.asarray(f((c[:, None] + h[:, None] * _GK21_X).ravel()), dtype=float)
+    fv = np.asarray(f((c[:, None] + h[:, None] * _GK21_X).ravel(),
+                      np.repeat(owner, _GK21_X.size)), dtype=float)
     fv = fv.reshape((lo.size, _GK21_X.size) + fv.shape[1:]).swapaxes(0, 1)  # node axis first
     h = h.reshape(h.shape + (1,) * (fv.ndim - 2))
     out = []
@@ -371,17 +390,42 @@ def _gk21(f, lo: list, hi: list, norm) -> list:
     return out
 
 
-def _quad_vec(f, a: float, b: float) -> tuple:
-    """``scipy.integrate.quad_vec(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=400)``
-    on a finite [a, b], step for step: (integral, error estimate).
+def _gk21_by_owner(f, intervals: list, norm, results: dict) -> dict:
+    """``_gk21`` on the intervals (owner, lo, hi): {owner: its rules in order}.
 
-    The interval of largest error is split first, a batch of them a round,
-    until the error is below an eighth of the tolerance or below the rounding
-    error; f is called once a round, on the nodes of all the halves. quad_vec's
-    interval cache never evicts at 400 intervals: a dict.
+    f is called once on all their nodes. Where that raises one of
+    POINT_ERRORS, it is called on each owner's nodes alone, and an owner
+    whose nodes raise is left out with its error put in ``results``. f acts
+    node by node, so no owner's bits depend on the others.
     """
-    (total, error, rounding), = _gk21(f, [a], [b], np.linalg.norm)
-    norm = abs if np.ndim(total) == 0 else np.linalg.norm
+    try:
+        rules = _gk21(f, intervals, norm)
+    except POINT_ERRORS:
+        found = {}
+        for owner in dict.fromkeys(k for k, _, _ in intervals):
+            try:
+                found[owner] = _gk21(f, [iv for iv in intervals if iv[0] == owner], norm)
+            except POINT_ERRORS as exc:
+                results[owner] = exc
+        return found
+    found: dict = {}
+    for (owner, _, _), rule in zip(intervals, rules):
+        found.setdefault(owner, []).append(rule)
+    return found
+
+
+def _quad_vec_steps(f, owner: int, a: float, b: float, first: tuple, norm):
+    """quad_vec's loop on the integral ``owner`` of ``_quad_vec_lockstep``,
+    from the rule ``first`` on [a, b]: a generator.
+
+    Each round it yields the halves (owner, lo, hi) of the intervals it
+    splits and is sent their rules; it returns (integral, error estimate).
+    The interval of largest error is split first, a batch of them a round,
+    until the error is below an eighth of the tolerance or below the
+    rounding error. quad_vec's interval cache never evicts at 400
+    intervals: a dict.
+    """
+    total, error, rounding = first
     cache, heap = {(a, b): total}, [(-error, a, b)]
     while heap and len(heap) < _QUAD_LIMIT:
         tol = max(_QUAD_TOL, _QUAD_TOL * norm(total))
@@ -390,12 +434,12 @@ def _quad_vec(f, a: float, b: float) -> tuple:
             neg_err, lo, hi = heapq.heappop(heap)
             batch.append((-neg_err, lo, hi, 0.5 * (lo + hi), cache.pop((lo, hi), None)))
             err_sum += -neg_err
-        halves = _gk21(f, [end for _, lo, _, mid, _ in batch for end in (lo, mid)],
-                       [end for _, _, hi, mid, _ in batch for end in (mid, hi)], norm)
+        halves = yield [(owner, end_lo, end_hi) for _, lo, hi, mid, _ in batch
+                        for end_lo, end_hi in ((lo, mid), (mid, hi))]
         for k, (old_err, lo, hi, mid, old) in enumerate(batch):
             (s1, err1, round1), (s2, err2, round2) = halves[2 * k], halves[2 * k + 1]
             if old is None:  # quad_vec's cache misses where two intervals had the same ends
-                old = _gk21(f, [lo], [hi], norm)[0][0]
+                old = _gk21(f, [(owner, lo, hi)], norm)[0][0]
             total = total + (s1 + s2 - old)
             error += err1 + err2 - old_err
             rounding += round1 + round2
@@ -411,6 +455,86 @@ def _quad_vec(f, a: float, b: float) -> tuple:
     return total, error + rounding
 
 
+def _quad_vec_lockstep(f, ends: list) -> list:
+    """``scipy.integrate.quad_vec(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=400)``
+    on each finite [a, b] of ``ends``, step for step, all advanced round by round.
+
+    f(x, owner) takes the nodes of every interval that a round splits, of
+    every integral still running, and the index in ``ends`` of each node's
+    integral: one call a round. Each integral keeps its own loop
+    (``_quad_vec_steps``), and f acts node by node, so each gets quad_vec's
+    bits. One entry per integral: (integral, error estimate), or the error,
+    one of POINT_ERRORS, that f raised on its nodes, which ends that
+    integral alone.
+    """
+    results: dict = {}
+    first = _gk21_by_owner(f, [(k, a, b) for k, (a, b) in enumerate(ends)], np.linalg.norm,
+                           results)
+    norm = abs if first and np.ndim(next(iter(first.values()))[0][0]) == 0 else np.linalg.norm
+    steps = {k: _quad_vec_steps(f, k, *ends[k], rule, norm) for k, (rule,) in first.items()}
+    sent = dict.fromkeys(steps)  # what each running integral is sent next
+    while sent:
+        asked = {}
+        for k, rules in sent.items():
+            try:
+                asked[k] = steps[k].send(rules)
+            except StopIteration as stop:
+                results[k] = stop.value
+            except POINT_ERRORS as exc:
+                results[k] = exc
+        sent = _gk21_by_owner(f, [half for halves in asked.values() for half in halves], norm,
+                              results) if asked else {}
+    return [results[k] for k in range(len(ends))]
+
+
+def _quad_vec(f, a: float, b: float) -> tuple:
+    """``_quad_vec_lockstep`` of the one integral of f(x) on [a, b]: (integral, error estimate)."""
+    return sole(_quad_vec_lockstep(lambda x, owner: f(x), [(a, b)]))
+
+
+def _integration_range(a: float, b: float) -> tuple[float, float]:
+    # [a, b] with an open upper bound truncated at a + 40 (see _TAIL_LENGTH)
+    if math.isnan(a) or math.isnan(b):
+        raise ValueError("integration bounds must not be NaN")
+    hi = a + _TAIL_LENGTH if math.isinf(b) else b
+    if hi < a:
+        raise ValueError(f"integration bounds out of order: [{a}, {b}]")
+    return a, hi
+
+
+def integrate_lockstep(f, ends: list) -> list:
+    """``integrate`` on each (a, b) of ``ends``, the integrals advanced round by round together.
+
+    f(x, owner) takes the nodes of a round of every integral still running,
+    and the index in ``ends`` of each node's integral
+    (``_quad_vec_lockstep``), at most _LOCKSTEP_INTEGRALS integrals at a
+    time; it must act node by node, so each integral gets the bits
+    ``integrate`` gives it alone. One entry per integral: its
+    value, or the error that ends it and no other, one of POINT_ERRORS: the
+    ConvergenceError of its gate, or what f raised on its nodes. Bounds that
+    are NaN or out of order raise ValueError before any integrand call.
+    """
+    ranges = [_integration_range(a, b) for a, b in ends]
+    found = []
+    for first in range(0, len(ranges), _LOCKSTEP_INTEGRALS):
+        found += _quad_vec_lockstep(
+            lambda x, owner, first=first: f(x, owner + first),
+            [(float(a), float(hi)) for a, hi in ranges[first:first + _LOCKSTEP_INTEGRALS]])
+    out = []
+    for (a, hi), result in zip(ranges, found):
+        if not isinstance(result, Exception):
+            value, err_estimate = result
+            if err_estimate <= _INTEGRATE_GATE:
+                result = value if np.ndim(value) else float(value)
+            else:  # NaN fails too: an integrand value was not finite
+                why = ("comes from a non-finite integrand value" if math.isnan(err_estimate)
+                       else f"exceeds {_INTEGRATE_GATE:.3g}")
+                result = ConvergenceError(f"quadrature on [{a}, {hi}] did not converge: "
+                                          f"error estimate {err_estimate:.3g} {why}")
+        out.append(result)
+    return out
+
+
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float | np.ndarray:
     """Adaptive quadrature of f over [a, b]; b may be OPEN_END (infinity).
 
@@ -422,21 +546,10 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
     rule, epsabs = epsrel = 1e-12 and 400 subintervals (``_quad_vec``).
     Open upper bounds are truncated at a + 40 (see _TAIL_LENGTH). Raises
     ConvergenceError when the error estimate, the 2-norm over the
-    components, exceeds _INTEGRATE_GATE or is NaN.
+    components, exceeds _INTEGRATE_GATE or is NaN. ``integrate_lockstep``
+    runs several integrals at once.
     """
-    if math.isnan(a) or math.isnan(b):
-        raise ValueError("integration bounds must not be NaN")
-    hi = a + _TAIL_LENGTH if math.isinf(b) else b
-    if hi < a:
-        raise ValueError(f"integration bounds out of order: [{a}, {b}]")
-    value, err_estimate = _quad_vec(f, float(a), float(hi))
-    if not err_estimate <= _INTEGRATE_GATE:  # NaN fails too: an integrand value was not finite
-        why = ("comes from a non-finite integrand value" if math.isnan(err_estimate)
-               else f"exceeds {_INTEGRATE_GATE:.3g}")
-        raise ConvergenceError(
-            f"quadrature on [{a}, {hi}] did not converge: error estimate {err_estimate:.3g} {why}"
-        )
-    return value if np.ndim(value) else float(value)
+    return sole(integrate_lockstep(lambda x, owner: f(x), [(a, b)]))
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +641,11 @@ def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
 # objective or the bound sees more than _GRID_CHUNK_ROWS * (axis size - 1)
 # pairs. Each row of a chunk is cut into blocks of as many columns.
 _GRID_CHUNK_ROWS = 64
+# The blocks are built in groups of whole chunks, of at most this many
+# blocks unless one chunk holds more (an axis of 1,001 points has 8,320
+# blocks in all, one of 2,001 points 32,256): a group's arrays and block
+# geometry take a few MB.
+_GRID_GROUP_BLOCKS = 1 << 16
 # The seed bounds every pair of a sub-grid of at most this many axis points
 # (8,128 pairs, under one chunk) ...
 _GRID_SEED_POINTS = 128
@@ -549,28 +667,158 @@ def _segment_pairs(rows: np.ndarray, lo: np.ndarray,
     return i, j
 
 
-def _seed(f, bound, xs: np.ndarray):
-    """Exact best (point, value) of f over the _GRID_SEED_PAIRS pairs of largest
-    bound among the pairs of every k-th axis point, at most _GRID_SEED_POINTS
-    of them; the lexicographically first of them on a tie."""
-    stride = -(-(xs.size - 1) // (_GRID_SEED_POINTS - 1))  # ceil
-    sub = xs[::stride]
-    i, j = np.triu_indices(sub.size, k=1)
-    gx, gy = sub[i], sub[j]
-    top = np.asarray(bound(gx, gy), dtype=float)
-    top = np.where(np.isnan(top), -np.inf, top)
-    if top.size > _GRID_SEED_PAIRS:
-        top = np.sort(np.argpartition(-top, _GRID_SEED_PAIRS)[:_GRID_SEED_PAIRS])
-    else:
-        top = np.arange(top.size)
-    vals = f(gx[top], gy[top])
-    k = int(np.argmax(vals))
-    return (float(gx[top[k]]), float(gy[top[k]])), float(vals[k])
+def _block_groups(n: int):
+    """The blocks of the pair triangle of an n-point axis, group by group:
+    (row, lo, hi) index arrays, a block being the pairs (row, j), lo <= j <= hi.
+
+    Each row's columns row < j < n are cut into runs of _GRID_CHUNK_ROWS from
+    its first, the last run maybe shorter. A group holds whole chunks of
+    _GRID_CHUNK_ROWS rows, at most _GRID_GROUP_BLOCKS blocks unless one
+    chunk holds more, and its blocks come in lexicographic order.
+    """
+    width = _GRID_CHUNK_ROWS
+    rows = np.arange(n - 1)
+    per_row = (n - 2 - rows) // width + 1
+    per_chunk = np.add.reduceat(per_row, np.arange(0, n - 1, width)).tolist()
+    first = 0
+    while first < len(per_chunk):
+        last, size = first + 1, per_chunk[first]
+        while last < len(per_chunk) and size + per_chunk[last] <= _GRID_GROUP_BLOCKS:
+            size += per_chunk[last]
+            last += 1
+        span = slice(first * width, last * width)
+        r, c = _segment_pairs(rows[span], np.zeros_like(rows[span]), per_row[span] - 1)
+        lo = r + 1 + width * c
+        yield r, lo, np.minimum(lo + width - 1, n - 1)
+        first = last
 
 
 def _less_slack(value: float) -> float:
     # Python floats: -inf less its slack stays -inf, with no warning
     return value - _GRID_SLACK * abs(value)
+
+
+class GridSearch(NamedTuple):
+    """One search of ``grid_argmax_axis``: f and its optional bounds, as
+    ``grid_argmax_2d`` takes them, but for ``block_bound``, which takes the
+    block geometry of ``grid_argmax_axis``."""
+
+    f: Callable
+    bound: Callable | None = None
+    block_bound: Callable | None = None
+    refined: Callable | None = None
+
+
+class _GridWalk:
+    """One search of ``grid_argmax_axis``: its seed, its best pair so far and its threshold."""
+
+    def __init__(self, search: GridSearch):
+        self.search = search
+        self.seeded = self.best = None
+        self.threshold = -math.inf
+
+    def seed(self, gx: np.ndarray, gy: np.ndarray, geometry) -> None:
+        """Score the _GRID_SEED_PAIRS pairs (gx, gy) of largest bound, or of
+        largest block bound on the one-pair blocks' ``geometry`` if given; the
+        lexicographically first of them wins a tie."""
+        f, bound, block_bound, _ = self.search
+        if bound is None:
+            return
+        top = np.asarray(bound(gx, gy) if geometry is None or block_bound is None
+                         else block_bound(*geometry), dtype=float)
+        top = np.where(np.isnan(top), -np.inf, top)
+        if top.size > _GRID_SEED_PAIRS:
+            top = np.sort(np.argpartition(-top, _GRID_SEED_PAIRS)[:_GRID_SEED_PAIRS])
+        else:
+            top = np.arange(top.size)
+        vals = f(gx[top], gy[top])
+        k = int(np.argmax(vals))
+        self.seeded = ((float(gx[top[k]]), float(gy[top[k]])), float(vals[k]))
+        self.threshold = _less_slack(self.seeded[1])
+
+    def walk(self, xs: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             geometry) -> None:
+        """Walk the blocks (r, lo, hi), one pass for each chunk of rows that
+        keeps a block, with the threshold as the earlier chunks raised it."""
+        f, bound, block_bound, refined = self.search
+        top = (np.full(r.size, math.nan) if block_bound is None  # NaN never prunes
+               else np.asarray(block_bound(*geometry), dtype=float))
+        done = 0  # blocks before this one are walked
+        while True:
+            kept = done + np.flatnonzero(~(top[done:] < self.threshold))
+            if not kept.size:
+                return
+            next_chunk = (r[kept[0]] // _GRID_CHUNK_ROWS + 1) * _GRID_CHUNK_ROWS
+            done = int(np.searchsorted(r, next_chunk))
+            kept = kept[kept < done]
+            i, j = _segment_pairs(r[kept], lo[kept], hi[kept])
+            gx, gy = xs[i], xs[j]
+            for level in (bound, refined):
+                if level is not None and gx.size:
+                    keep = ~(np.asarray(level(gx, gy), dtype=float) < self.threshold)
+                    gx, gy = gx[keep], gy[keep]
+            if not gx.size:
+                continue
+            vals = f(gx, gy)
+            k = int(np.argmax(vals))
+            if self.best is None or vals[k] > self.best[1]:
+                self.best = ((float(gx[k]), float(gy[k])), float(vals[k]))
+                self.threshold = max(self.threshold, _less_slack(self.best[1]))
+
+    def result(self) -> tuple[tuple[float, float], float]:
+        # the seed pair is pruned only if the bound undercut f beyond the slack
+        if self.best is None or (self.seeded is not None and self.seeded[1] > self.best[1]):
+            return self.seeded
+        return self.best
+
+
+def grid_argmax_axis(searches: list, domain: Interval, step: float,
+                     block_geometry=None) -> list:
+    """``grid_argmax_2d`` for each GridSearch of ``searches``, on one grid, walked together.
+
+    What does not depend on the search is built once for all of them: the
+    seed's sub-grid pairs, and the blocks of the pair triangle, in groups of
+    whole chunks of rows (``_block_groups``). ``block_geometry(x, y_lo,
+    y_hi)``, if given, takes the blocks' arrays as ``grid_argmax_2d``'s
+    block bound does and returns a tuple, built once per group, that each
+    search's ``block_bound`` takes (splatted); without it, ``block_bound``
+    takes (x, y_lo, y_hi). With it, a seed ranks its sub-grid pairs (x, y)
+    by the block bound of the one-pair blocks (x, y, y), whose geometry is
+    built once too; without it, by ``bound``. Each search then walks the blocks group by group as
+    ``grid_argmax_2d`` does, one pass per chunk that keeps a block, so no
+    call sees more than one chunk's pairs. One entry per search: its
+    ((x, y), value), or the error, one of POINT_ERRORS, that its objective
+    or bounds raised, which ends that search alone.
+    """
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    xs = _grid_axis(domain.lo, domain.hi, step)
+    n = xs.size
+    if n < 2:
+        raise ValueError("grid axis has fewer than 2 points; no pair x < y")
+    walks = [_GridWalk(search) for search in searches]
+    failed: dict = {}
+    # the seed's sub-grid: every k-th axis point, at most _GRID_SEED_POINTS
+    stride = -(-(n - 1) // (_GRID_SEED_POINTS - 1))  # ceil
+    sub = xs[::stride]
+    i, j = np.triu_indices(sub.size, k=1)
+    gx, gy = sub[i], sub[j]
+    seed_geometry = None if block_geometry is None else block_geometry(gx, gy, gy)
+    for k, walk in enumerate(walks):
+        try:
+            walk.seed(gx, gy, seed_geometry)
+        except POINT_ERRORS as exc:
+            failed[k] = exc
+    for r, lo, hi in _block_groups(n):
+        geometry = (xs[r], xs[lo], xs[hi]) if block_geometry is None else block_geometry(
+            xs[r], xs[lo], xs[hi])
+        for k, walk in enumerate(walks):
+            if k not in failed:
+                try:
+                    walk.walk(xs, r, lo, hi, geometry)
+                except POINT_ERRORS as exc:
+                    failed[k] = exc
+    return [failed[k] if k in failed else walk.result() for k, walk in enumerate(walks)]
 
 
 def grid_argmax_2d(f, domain: Interval, step: float, bound=None, block_bound=None,
@@ -600,52 +848,6 @@ def grid_argmax_2d(f, domain: Interval, step: float, bound=None, block_bound=Non
     prunes, and a level that is not given prunes nothing. Ties break toward
     the lexicographically smallest (x, y), so the result equals an
     exhaustive search's whenever f <= refined <= bound <= block bound
-    holds to within the slack.
+    holds to within the slack. ``grid_argmax_axis`` with one search.
     """
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    xs = _grid_axis(domain.lo, domain.hi, step)
-    n = xs.size
-    if n < 2:
-        raise ValueError("grid axis has fewer than 2 points; no pair x < y")
-    # The axis increases strictly, so the pairs x < y are the index pairs
-    # i < j; the blocks are walked in lexicographic order, and a later
-    # maximum replaces the best so far only if strictly greater, so ties
-    # keep the first pair.
-    best = seed = None
-    threshold = -math.inf
-    if bound is not None:
-        seed = _seed(f, bound, xs)
-        threshold = _less_slack(seed[1])
-    width = _GRID_CHUNK_ROWS
-    for first in range(0, n - 1, width):
-        # the blocks (row r, columns lo .. hi) cut row r's columns r < j < n
-        # into runs of ``width`` from its first, the last run maybe shorter
-        r, c = np.meshgrid(np.arange(first, min(first + width, n - 1)),
-                           np.arange(0, n - 1 - first, width), indexing="ij")
-        r, lo = r.ravel(), (r + 1 + c).ravel()
-        real = lo < n
-        r, lo = r[real], lo[real]
-        hi = np.minimum(lo + width - 1, n - 1)
-        if block_bound is not None:
-            keep = ~(np.asarray(block_bound(xs[r], xs[lo], xs[hi]), dtype=float) < threshold)
-            r, lo, hi = r[keep], lo[keep], hi[keep]
-            if not r.size:
-                continue
-        i, j = _segment_pairs(r, lo, hi)
-        gx, gy = xs[i], xs[j]
-        for level in (bound, refined):
-            if level is not None and gx.size:
-                keep = ~(np.asarray(level(gx, gy), dtype=float) < threshold)
-                gx, gy = gx[keep], gy[keep]
-        if not gx.size:
-            continue
-        vals = f(gx, gy)
-        k = int(np.argmax(vals))
-        if best is None or vals[k] > best[1]:
-            best = ((float(gx[k]), float(gy[k])), float(vals[k]))
-            threshold = max(threshold, _less_slack(best[1]))
-    # the seed pair is pruned only if the bound undercut f beyond the slack
-    if best is None or (seed is not None and seed[1] > best[1]):
-        best = seed
-    return best
+    return sole(grid_argmax_axis([GridSearch(f, bound, block_bound, refined)], domain, step))

@@ -13,8 +13,17 @@ that cannot win before any pair of them is bounded, the Jensen bound
 ``schemes.band_throughput_bound`` picks the pairs of the other blocks that
 are refined, and ``schemes.band_throughput_refined_bound`` (Jensen on four
 pieces of the band) those that are scored. It finds the same thresholds as
-an exhaustive search, bounding about 5% of the pairs, refining about 1% and
-scoring about 0.15% (the headline's 16 grids: 367k, 72k and 12k of 8.0M).
+an exhaustive search, bounding about 3% of the pairs, refining about 1% and
+scoring about 0.15% (the headline's 16 grids: 241k, 72k and 12k of 8.0M).
+
+``sweep`` solves PIP and HTT once per axis, all SNR points together, and
+``solve_pip``/``solve_htt`` are the same code on a one-point axis. The
+block bound's geometry does not depend on the SNR, so the axis builds it
+once (on the 8,320 blocks of the default grid and the seed's 7,875 coarse
+pairs). The HTT quadratures run in lockstep: one ``schemes.htt_frame``
+pass a round on the nodes of every point (10 over the headline's 16
+points). IP and PI solve point by point. A point whose solve fails is
+flagged alone.
 
 A threshold whose band is not eligible (the third entry of
 ``schemes.band_uplink``: its uplink SNR overflows a float) scores -inf. The
@@ -23,6 +32,7 @@ have won: if its throughput bound reaches the best eligible value.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,11 +40,14 @@ import numpy as np
 
 from . import schemes
 from .numerics import (
-    ConvergenceError,
+    POINT_ERRORS,
+    GridSearch,
     Interval,
-    grid_argmax_2d,
+    grid_argmax_2d,  # not called; test_wrapping_rebinds_every_copy_and_restores_them rebinds it
+    grid_argmax_axis,
     integrate,  # not called; test_wrapping_rebinds_every_copy_and_restores_them rebinds it
     maximize_scalar,
+    sole,
     step_count,
 )
 from .schemes import BandPolicy, HTTPolicy, Policy, SystemParams
@@ -205,49 +218,76 @@ def solve_pi(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResul
 def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Best grid pair 0 <= g_l < g_u <= gain_cap, pruned by throughput bounds.
 
-    ``numerics.grid_argmax_2d`` seeds a threshold from the best-bound pairs
-    of a coarse sub-grid and walks the rows g_l once, in blocks of 64 g_u,
-    against it; the best score so far raises it. A block whose
-    ``schemes.band_throughput_block_bound`` falls below it is dropped whole,
-    the pairs of the other blocks get the Jensen bound
-    ``schemes.band_throughput_bound``, those where it reaches the threshold
-    get ``schemes.band_throughput_refined_bound``, and the closed form is
-    scored only where that reaches it. At 10 dB under 5% of the pairs are
-    bounded, about 1% refined and 0.13% scored, and the winner is the
-    exhaustive search's.
-    Spot-check it with
+    ``_solve_pip_axis`` at the one point ``params``. Spot-check it with
     ``schemes.quad_throughput_oracle(*result.policy.band, result.ul_power, params)``.
     """
-    cfg = cfg or SolveConfig()
-    objective = _Eligible(
-        lambda gl, gu: schemes.pip_throughput(gl, gu, params), lambda gl, gu: (gl, gu), params,
-    )
-    (g_l, g_u), value = grid_argmax_2d(
-        objective, Interval(0.0, cfg.gain_cap), cfg.grid_step,
-        bound=lambda gl, gu: schemes.band_throughput_bound(gl, gu, params),
-        block_bound=lambda gl, lo, hi: schemes.band_throughput_block_bound(gl, lo, hi, params),
-        refined=lambda gl, gu: schemes.band_throughput_refined_bound(gl, gu, params),
-    )
-    objective.check(value)
-    policy = BandPolicy(g_l, g_u)
-    return SolveResult(
-        scheme="pip", policy=policy, throughput_bits=value,
-        ul_power=schemes.band_uplink(*policy.band, params)[0],
-        at_boundary=bool(cfg.gain_cap - g_u <= cfg.grid_step),
-    )
+    return sole(_solve_pip_axis([params], cfg or SolveConfig()))
+
+
+def _solve_pip_axis(axis: list, cfg: SolveConfig) -> list:
+    """``solve_pip`` at each SystemParams of ``axis``, on one grid walked together.
+
+    ``numerics.grid_argmax_axis`` builds the blocks of the grid's pair
+    triangle once, and ``schemes.band_block_geometry`` on them and on the
+    seed's coarse pairs once: the block bound's P, m and H do not depend on
+    the SNR, so a point's block bounds cost one ``schemes.band_block_bound``
+    on that geometry. Each point seeds its threshold from the coarse pairs
+    of largest block bound and walks the rows g_l once, in chunks of 64 and
+    blocks of 64 g_u: a block whose block bound falls below the threshold
+    is dropped whole, the pairs of the other blocks get the Jensen bound
+    ``schemes.band_throughput_bound``, those where it reaches the threshold
+    get ``schemes.band_throughput_refined_bound``, and the closed form is
+    scored only where that reaches it; the best score so far raises the
+    threshold. At 10 dB under 5% of the pairs are bounded, about 1% refined
+    and 0.13% scored, and the winner is the exhaustive search's. One entry
+    per point: its SolveResult, or the error that failed it alone.
+    """
+    objectives = [_Eligible(functools.partial(schemes.pip_throughput, params=params),
+                            lambda gl, gu: (gl, gu), params) for params in axis]
+    searches = [GridSearch(
+        objective,
+        bound=functools.partial(schemes.band_throughput_bound, params=params),
+        block_bound=functools.partial(schemes.band_block_bound, params=params),
+        refined=functools.partial(schemes.band_throughput_refined_bound, params=params),
+    ) for params, objective in zip(axis, objectives)]
+    found = grid_argmax_axis(searches, Interval(0.0, cfg.gain_cap), cfg.grid_step,
+                             block_geometry=schemes.band_block_geometry)
+    results = []
+    for params, objective, point in zip(axis, objectives, found):
+        try:
+            if isinstance(point, Exception):
+                raise point
+            (g_l, g_u), value = point
+            objective.check(value)
+        except POINT_ERRORS as exc:
+            results.append(exc)
+            continue
+        policy = BandPolicy(g_l, g_u)
+        results.append(SolveResult(
+            scheme="pip", policy=policy, throughput_bits=value,
+            ul_power=schemes.band_uplink(*policy.band, params)[0],
+            at_boundary=bool(cfg.gain_cap - g_u <= cfg.grid_step),
+        ))
+    return results
 
 
 def solve_htt(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:
     """Per-frame optimal split policy and its fading-averaged throughput.
 
-    HTT has no threshold to search; ``cfg`` is taken for the common solver
-    signature and not read.
+    ``_solve_htt_axis`` at the one point ``params``. HTT has no threshold
+    to search; ``cfg`` is taken for the common solver signature and not read.
     """
-    ev = schemes.htt_ergodic_throughput(params)
-    return SolveResult(
+    return sole(_solve_htt_axis([params], cfg))
+
+
+def _solve_htt_axis(axis: list, cfg: SolveConfig | None) -> list:
+    """``solve_htt`` at each SystemParams of ``axis``: the quadratures of
+    ``schemes.htt_ergodic_throughputs`` in lockstep. One entry per point:
+    its SolveResult, or the error that failed it alone."""
+    return [ev if isinstance(ev, Exception) else SolveResult(
         scheme="htt", policy=HTTPolicy(), throughput_bits=ev.throughput_bits,
         ul_power=ev.ul_power, tau_mean=ev.tau_mean,
-    )
+    ) for ev in schemes.htt_ergodic_throughputs(axis)]
 
 
 _SOLVERS = {
@@ -256,6 +296,27 @@ _SOLVERS = {
     "pi": solve_pi,
     "pip": solve_pip,
 }
+# The schemes whose sweep solves every point of the axis in one call: what
+# does not depend on the SNR is built once. The others solve point by point
+# through _SOLVERS.
+_AXIS_SOLVERS = {"htt": _solve_htt_axis, "pip": _solve_pip_axis}
+
+
+def _solve_axis(tag: str, axis: list, cfg: SolveConfig) -> list:
+    """One entry per SystemParams of ``axis``: its SolveResult, or the error
+    (one of ``numerics.POINT_ERRORS``) that failed its solve alone."""
+    if tag in _AXIS_SOLVERS:
+        try:
+            return _AXIS_SOLVERS[tag](axis, cfg)
+        except POINT_ERRORS as exc:  # an error of the shared work fails every point
+            return [exc] * len(axis)
+    results = []
+    for params in axis:
+        try:
+            results.append(_SOLVERS[tag](params, cfg))
+        except POINT_ERRORS as exc:
+            results.append(exc)
+    return results
 
 
 def _sweep_point(snr_db: float, result: SolveResult) -> SweepPoint:
@@ -275,9 +336,9 @@ def sweep(start_db: float, stop_db: float, step_db: float,
     Each point sets p_d so that p_d gbar^2/sigma2 equals the point's SNR,
     at the given average gain ``gbar`` and noise variance ``sigma2``. Every
     point's params are built before the first solve, so a bad ``gbar``,
-    ``sigma2`` or point SNR raises before any solver runs. A failing solve
-    flags its point and the sweep continues; output is ordered by
-    (snr_db, scheme).
+    ``sigma2`` or point SNR raises before any solver runs. Each scheme is
+    solved over the whole axis (``_solve_axis``). A failing solve flags its
+    point and the sweep continues; output is ordered by (snr_db, scheme).
     """
     if not step_db > 0.0:
         raise ValueError(f"step_db must be positive, got {step_db}")
@@ -293,16 +354,15 @@ def sweep(start_db: float, stop_db: float, step_db: float,
         raise ValueError(f"unknown scheme tags: {unknown}")
 
     n_points = step_count(start_db, stop_db, step_db, "step_db")
-    axis = [(snr_db, SystemParams.from_snr_db(snr_db, gbar=gbar, sigma2=sigma2))
-            for snr_db in (start_db + k * step_db for k in range(n_points))]
+    snrs = [start_db + k * step_db for k in range(n_points)]
+    axis = [SystemParams.from_snr_db(snr_db, gbar=gbar, sigma2=sigma2) for snr_db in snrs]
+    solved = {tag: _solve_axis(tag, axis, cfg) for tag in tags}
     points: list[SweepPoint] = []
-    for snr_db, params in axis:
+    for k, snr_db in enumerate(snrs):
         for tag in tags:
-            try:
-                points.append(_sweep_point(snr_db, _SOLVERS[tag](params, cfg)))
-            except (ValueError, ArithmeticError, ConvergenceError) as exc:
-                points.append(SweepPoint(
-                    snr_db=snr_db, scheme=tag, g_l=None, g_u=None, tau_mean=None,
-                    ul_power=math.nan, throughput_bits=math.nan, error=str(exc),
-                ))
+            result = solved[tag][k]
+            points.append(_sweep_point(snr_db, result) if isinstance(result, SolveResult)
+                          else SweepPoint(snr_db=snr_db, scheme=tag, g_l=None, g_u=None,
+                                          tau_mean=None, ul_power=math.nan,
+                                          throughput_bits=math.nan, error=str(result)))
     return ThroughputCurve(points=tuple(points))

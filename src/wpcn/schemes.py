@@ -43,7 +43,9 @@ from .numerics import (
     exp_neg,
     exp_scaled_e1,
     integrate,
+    integrate_lockstep,
     lambert_w0,
+    sole,
 )
 
 LN2 = math.log(2.0)
@@ -146,19 +148,39 @@ class SchemeEvaluation:
 # HTT
 # ---------------------------------------------------------------------------
 
+def _htt_link(params: SystemParams) -> tuple:
+    """(p_d gbar^2, p_d, gbar, sigma2): the constants of a link that HTT's frames read.
+
+    p_d gbar^2 by np.float64, since Python's gbar**2 raises OverflowError; it
+    may overflow to inf, which ``_instant_snr`` rejects.
+    """
+    with np.errstate(over="ignore"):
+        scale = float(params.p_d * np.float64(params.gbar) ** 2)
+    return scale, params.p_d, params.gbar, params.sigma2
+
+
+def _instant_snr(g: np.ndarray, link: tuple) -> np.ndarray:
+    """Frame SNR p_d gbar^2 g^2 / sigma2 of gains g >= 0; each constant of
+    ``link`` is a float or holds one value per gain."""
+    if np.any(g < 0.0) or np.isnan(g).any():
+        raise ValueError("gain must be >= 0")
+    scale, p_d, gbar, sigma2 = link
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        out = scale * np.square(g) / sigma2
+    fits = np.isfinite(out)
+    if not fits.all():
+        bad = np.argmin(fits)  # the first frame that overflows names its constants
+        p_d, gbar, sigma2 = (float(np.broadcast_to(x, out.shape).flat[bad])
+                             for x in (p_d, gbar, sigma2))
+        raise ValueError("frame SNR p_d gbar^2 g^2 / sigma2 overflows at "
+                         f"p_d={p_d}, gbar={gbar}, sigma2={sigma2}")
+    return out
+
+
 def htt_instant_snr(g, params: SystemParams):
     """Per-frame SNR p_d gbar^2 g^2 / sigma^2 at normalized gain g."""
     arr = np.asarray(g, dtype=float)
-    if np.any(arr < 0.0) or np.isnan(arr).any():
-        raise ValueError("gain must be >= 0")
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        # the scale p_d gbar^2 is a float, so numpy still reuses the array
-        # temporaries; np.float64, since Python's gbar**2 raises OverflowError
-        out = float(params.p_d * np.float64(params.gbar) ** 2) * np.square(arr) / params.sigma2
-    if not np.all(np.isfinite(out)):
-        raise ValueError("frame SNR p_d gbar^2 g^2 / sigma2 overflows at "
-                         f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
-    return _scalar_or_array(out, arr.ndim == 0)
+    return _scalar_or_array(_instant_snr(arr, _htt_link(params)), arr.ndim == 0)
 
 
 def _split_rate(gamma, tau):
@@ -210,47 +232,75 @@ def htt_frame(g, params: SystemParams):
     are 0 where tau = 1. Returns the tuple (tau, rate, power).
 
     A float, or any 0-d input, runs as one frame and gives floats with the
-    bits of an array; an array gives arrays of its shape, as for the nodes
-    of the HTT quadrature and the HTT frames of ``sim.run_policy_trace``.
+    bits of an array; an array gives arrays of its shape, as for the HTT
+    frames of ``sim.run_policy_trace``.
     """
     g_arr = np.asarray(g, dtype=float)
-    frames = np.atleast_1d(g_arr)
-    gamma = htt_instant_snr(frames, params)
+    out = _htt_frame(np.atleast_1d(g_arr), _htt_link(params))
+    return tuple(float(x[0]) for x in out) if g_arr.ndim == 0 else out
+
+
+def _htt_frame(frames: np.ndarray, link: tuple) -> tuple:
+    # htt_frame on an array of gains; each constant of ``link`` (_htt_link)
+    # is a float or holds one value per gain, and every step acts frame by
+    # frame, so a frame's bits do not depend on the others
+    gamma = _instant_snr(frames, link)
     tau = np.ones_like(gamma)
     live = gamma > 0.0
     if live.any():
         tau[live] = htt_optimal_tau(gamma[live])
     split = np.where(live, tau, 0.0)  # a zero split: rate and power are exactly 0
-    power = split / (1.0 - split) * params.p_d * params.gbar * frames
-    out = (tau, _split_rate(gamma, split), power)
-    return tuple(float(x[0]) for x in out) if g_arr.ndim == 0 else out
+    _, p_d, gbar, _ = link
+    power = split / (1.0 - split) * p_d * gbar * frames
+    return tau, _split_rate(gamma, split), power
 
 
 def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:
     """Fading-averaged rate, uplink power and mean split of HTT, in one pass.
 
-    One quadrature integrates [rate, power, tau] e^{-g}, calling the array
-    path of ``htt_frame`` once a round, on the 21 nodes of each interval
-    the round splits, so W0 runs once per round. The frame power is
-    integrated in units of max(1, p_d gbar) W: the quadrature's rounding
-    estimate grows with the integral, and thousands of watts (above 38 dB)
-    would fail the absolute gate of ``integrate``. Monte-Carlo counterpart:
-    ``sim.mc_throughput(HTTPolicy(), ...)``.
+    ``htt_ergodic_throughputs`` at the one point ``params``. Monte-Carlo
+    counterpart: ``sim.mc_throughput(HTTPolicy(), ...)``.
     """
-    unit = max(1.0, params.p_d * params.gbar)
+    return sole(htt_ergodic_throughputs([params]))
 
-    def frame(g: np.ndarray) -> np.ndarray:
-        tau, rate, power = htt_frame(g, params)
-        return np.stack((rate, power / unit, tau), axis=1) * exp_neg(g)[:, None]
 
-    integral = integrate(frame, 0.0, OPEN_END) * [1.0, unit, 1.0]
-    rate_bits, mean_pu, tau_mean = integral.tolist()
-    return SchemeEvaluation(
-        throughput_bits=rate_bits,
-        ul_power=mean_pu,
-        expected_ul_snr_gammabar=mean_pu * params.gbar / params.sigma2,
-        tau_mean=tau_mean,
-    )
+def htt_ergodic_throughputs(axis: list) -> list:
+    """``htt_ergodic_throughput`` at each SystemParams of ``axis``, in lockstep.
+
+    One quadrature per point integrates [rate, power, tau] e^{-g}. The
+    quadratures run round by round together (``integrate_lockstep``): each
+    round makes one pass of ``htt_frame``'s array path, so one W0 call, on
+    the 21 nodes of every interval that any of them splits, with each node's
+    p_d, gbar, sigma2 and power unit. The frame power is integrated in units
+    of max(1, p_d gbar) W: the quadrature's rounding estimate grows with the
+    integral, and thousands of watts (above 38 dB) would fail the absolute
+    gate of ``integrate``. Every step acts node by node, so each point gets
+    the bits of its quadrature alone. One entry per point: its
+    SchemeEvaluation, or the error that failed it alone (one of
+    ``numerics.POINT_ERRORS``: its frame SNR overflows, or its quadrature
+    misses the gate).
+    """
+    links = [np.array(column) for column in zip(*map(_htt_link, axis))]
+    units = np.array([max(1.0, params.p_d * params.gbar) for params in axis])
+
+    def frame(g: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        tau, rate, power = _htt_frame(g, tuple(column[owner] for column in links))
+        return np.stack((rate, power / units[owner], tau), axis=1) * exp_neg(g)[:, None]
+
+    out = []
+    for params, unit, integral in zip(axis, units, integrate_lockstep(
+            frame, [(0.0, OPEN_END)] * len(axis))):
+        if isinstance(integral, Exception):
+            out.append(integral)
+            continue
+        rate_bits, mean_pu, tau_mean = (integral * [1.0, unit, 1.0]).tolist()
+        out.append(SchemeEvaluation(
+            throughput_bits=rate_bits,
+            ul_power=mean_pu,
+            expected_ul_snr_gammabar=mean_pu * params.gbar / params.sigma2,
+            tau_mean=tau_mean,
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +415,7 @@ class UplinkOverflowError(ValueError):
 
     def __init__(self, params: SystemParams):
         super().__init__(
-            "uplink SNR band_ul_power gbar / sigma2 overflows on this band at "
+            "expected uplink SNR power gbar / sigma2 overflows on this band at "
             f"p_d={params.p_d}, gbar={params.gbar}, sigma2={params.sigma2}")
 
 
@@ -428,16 +478,21 @@ def _band_prob_mean(gl, gu):
     return np.exp(-gl) * tail, mean
 
 
-def _log_jensen_arg(gl, gu, prob, mean, params: SystemParams):
-    """ln(gammabar mean) in log space, finite where the uplink SNR gammabar = snr H/P overflows.
+def _log_snr(params: SystemParams) -> float:
+    """ln(p_d gbar^2 / sigma2), finite where the SNR itself overflows."""
+    return math.log(params.p_d) + 2.0 * math.log(params.gbar) - math.log(params.sigma2)
 
-    snr = p_d gbar^2/sigma2, P = ``prob``, and H = e^{-g_l}(e^{g_l} - g_l - 1)
+
+def _log_mass_ratio(gl, gu, prob, mean):
+    """ln(H m / P), so that ln(gammabar mean) = ln snr + ln(H m / P) in log space.
+
+    Finite where gammabar = snr H/P overflows; snr = p_d gbar^2/sigma2 does
+    not enter. P = ``prob``, m = ``mean``, and H = e^{-g_l}(e^{g_l} - g_l - 1)
     + (g_u+1) e^{-g_u} <= 1 is the gain mass harvested outside [g_l, g_u),
     capped at 1 (it rounds to 1 past g_l ~ 709, where e^{g_l} overflows).
     """
-    log_snr = math.log(params.p_d) + 2.0 * math.log(params.gbar) - math.log(params.sigma2)
     held = _zero_at_open_end((gu + 1.0) * np.exp(gl - gu), np.isinf(gu)) + (np.expm1(gl) - gl)
-    return log_snr + np.minimum(np.log(held) - gl, 0.0) + np.log(mean) - np.log(prob)
+    return np.minimum(np.log(held) - gl, 0.0) + np.log(mean) - np.log(prob)
 
 
 def band_throughput_bound(g_l, g_u, params: SystemParams):
@@ -448,7 +503,7 @@ def band_throughput_bound(g_l, g_u, params: SystemParams):
     probability and m/P its mean gain (``_band_prob_mean``); g_u may be inf.
 
     On a band that is not eligible (``band_uplink``) the logarithm is taken in log
-    space, from ``_log_jensen_arg``, so the bound stays finite; it is 0
+    space, from ``_log_mass_ratio``, so the bound stays finite; it is 0
     where P underflows to 0. Eligible bands take gammabar from
     ``band_uplink``, as ``band_throughput`` does, which keeps the bound
     above the closed form in floats.
@@ -460,7 +515,8 @@ def band_throughput_bound(g_l, g_u, params: SystemParams):
         prob, mean = _band_prob_mean(gl, gu)
         out = prob * np.log1p(gb * mean) / LN2
         if not eligible.all():
-            logged = prob * np.logaddexp(0.0, _log_jensen_arg(gl, gu, prob, mean, params)) / LN2
+            log_arg = _log_snr(params) + _log_mass_ratio(gl, gu, prob, mean)
+            logged = prob * np.logaddexp(0.0, log_arg) / LN2
             out = np.where(eligible, out, np.where(prob > 0.0, logged, 0.0))
     return _scalar_or_array(out, out.ndim == 0)
 
@@ -480,23 +536,37 @@ def band_throughput_block_bound(g_l, g_lo, g_hi, params: SystemParams):
 
     Both forms of that bound are P log2(1 + snr H m/P), snr = p_d gbar^2/sigma2,
     with P the band's probability, m its mean gain and H <= 1 the gain mass
-    harvested outside the band (``_band_prob_mean``, ``_log_jensen_arg``).
+    harvested outside the band (``_band_prob_mean``, ``_log_mass_ratio``).
     The form increases in P and in H m; P and m grow with g_u and H falls, so
     the P and m of [g_l, g_hi) and the H of [g_l, g_lo) bound the block,
     padded against rounding; 0 where P underflows. The argument snr H m/P of
     the logarithm is taken no smaller than e^-700, below which the pair bound
     rounds in subnormal floats. Needs g_l < g_lo <= g_hi < inf.
+    ``band_block_bound`` of ``band_block_geometry``: only the last step
+    reads the SNR.
+    """
+    out = band_block_bound(*band_block_geometry(g_l, g_lo, g_hi), params)
+    return _scalar_or_array(out, out.ndim == 0)
+
+
+def band_block_geometry(g_l, g_lo, g_hi) -> tuple:
+    """The SNR-free part of ``band_throughput_block_bound`` on its blocks: (P, ln(H m/P)).
+
+    P and m of [g_l, g_hi) and H of [g_l, g_lo) (``_log_mass_ratio``); the
+    same at every SNR, so a sweep builds it once per grid.
     """
     gl = np.asarray(g_l, dtype=float)
-    lo = np.asarray(g_lo, dtype=float)
-    hi = np.asarray(g_hi, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        prob, mean = _band_prob_mean(gl, hi)
-        log_arg = _log_jensen_arg(gl, lo, prob, mean, params)
-        log_term = np.logaddexp(0.0, np.maximum(log_arg, -_LOG_FLOOR))
+        prob, mean = _band_prob_mean(gl, np.asarray(g_hi, dtype=float))
+        return prob, _log_mass_ratio(gl, np.asarray(g_lo, dtype=float), prob, mean)
+
+
+def band_block_bound(prob, log_ratio, params: SystemParams) -> np.ndarray:
+    """``band_throughput_block_bound`` at ``params`` from its ``band_block_geometry``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_term = np.logaddexp(0.0, np.maximum(_log_snr(params) + log_ratio, -_LOG_FLOOR))
         # in the pair bound's order: (P log) / ln 2 rounds alike where P is subnormal
-        out = np.where(prob > 0.0, prob * (log_term * (1.0 + _BLOCK_LOG_PAD)) / LN2, 0.0)
-    return _scalar_or_array(out, out.ndim == 0)
+        return np.where(prob > 0.0, prob * (log_term * (1.0 + _BLOCK_LOG_PAD)) / LN2, 0.0)
 
 
 # band_throughput_refined_bound applies Jensen's inequality on this many

@@ -544,7 +544,7 @@ class TestSimulate:
         (("htt", "--p-d", "1e308"),
          "error: full-frame harvest p_d gbar g overflows at p_d=1e+308"),
         (("ip", "--g-u", "1.0", "--p-d", "1e300", "--sigma2", "1e-10"),
-         "error: uplink SNR band_ul_power gbar / sigma2 overflows on this band at "
+         "error: expected uplink SNR power gbar / sigma2 overflows on this band at "
          "p_d=1e+300, gbar=1.0, sigma2=1e-10"),
         (("htt", "--p-d", "1e300", "--sigma2", "1e-10"),
          "error: frame SNR p_d gbar^2 g^2 / sigma2 overflows at "

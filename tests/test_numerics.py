@@ -475,6 +475,72 @@ class TestIntegrateMatchesQuadVec:
         assert err > numerics._INTEGRATE_GATE
 
 
+class TestIntegrateLockstep:
+    # integrands of different difficulty: cos(w g) e^{-g} on [0, 20] needs
+    # more rounds the larger w is (w = 200 splits 128 intervals in one round)
+    WS = (1.0, 50.0, 200.0, 7.0)
+
+    @staticmethod
+    def _one(w):
+        return lambda g: np.cos(w * g) * numerics.exp_neg(g)
+
+    def test_each_integral_has_its_bits_alone(self):
+        ws = np.array(self.WS)
+        calls = []
+
+        def f(g, owner):
+            calls.append(np.unique(owner).tolist())
+            return np.cos(ws[owner] * g) * numerics.exp_neg(g)
+
+        got = numerics.integrate_lockstep(f, [(0.0, 20.0)] * len(ws))
+        assert [repr(v) for v in got] == [repr(integrate(self._one(w), 0.0, 20.0)) for w in ws]
+        # one integrand call a round, on the nodes of every integral still
+        # running: as many calls as the longest quadrature has rounds
+        rounds = []
+        for w in ws:
+            rounds.append(0)
+            integrate(lambda g: rounds.__setitem__(-1, rounds[-1] + 1) or self._one(w)(g),
+                      0.0, 20.0)
+        assert len(calls) == max(rounds) and calls[0] == [0, 1, 2, 3]
+        assert [sum(k in c for c in calls) for k in range(len(ws))] == rounds
+
+    def test_more_integrals_than_run_at_once(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_LOCKSTEP_INTEGRALS", 3)
+        ws = np.array(self.WS * 2)
+        got = numerics.integrate_lockstep(
+            lambda g, owner: np.cos(ws[owner] * g) * numerics.exp_neg(g), [(0.0, 20.0)] * 8)
+        assert [repr(v) for v in got] == [repr(integrate(self._one(w), 0.0, 20.0)) for w in ws]
+
+    def test_a_failing_integral_fails_alone(self):
+        # integral 1 raises once a round reaches past g = 15, integral 2
+        # misses the gate (1/t on [0, 1]); each carries the error that
+        # integrate raises on it alone, and integral 0 keeps its bits
+        def f(g, owner):
+            if np.any((owner == 1) & (g > 15.0)):
+                raise ValueError("synthetic failure past 15")
+            return np.where(owner == 2, 1.0 / np.maximum(g, 1e-300), np.exp(-g))
+
+        def alone(k, a, b):
+            try:
+                return integrate(lambda g: f(g, np.full(g.size, k)), a, b)
+            except (ValueError, ConvergenceError) as exc:
+                return exc
+
+        ends = [(0.0, 20.0), (0.0, 20.0), (0.0, 1.0)]
+        got = numerics.integrate_lockstep(f, ends)
+        want = [alone(k, a, b) for k, (a, b) in enumerate(ends)]
+        assert repr(got[0]) == repr(want[0])
+        for k, error in ((1, ValueError), (2, ConvergenceError)):
+            assert type(got[k]) is type(want[k]) is error and str(got[k]) == str(want[k])
+
+    def test_bad_bounds_raise_before_any_call(self):
+        def f(g, owner):
+            raise AssertionError("called")
+        for ends in ([(0.0, 1.0), (math.nan, 1.0)], [(0.0, 1.0), (2.0, 1.0)]):
+            with pytest.raises(ValueError, match="bounds"):
+                numerics.integrate_lockstep(f, ends)
+
+
 class TestMaximizeScalar:
     def test_quadratic_vertex(self):
         x, v = maximize_scalar(lambda x: -(x - 2.0) ** 2, Interval(0.0, 10.0))
@@ -706,6 +772,83 @@ class TestGridArgmax2D:
         for step in (0.0, -0.5, math.nan):
             with pytest.raises(ValueError, match="step"):
                 grid_argmax_2d(lambda x, y: x, Interval(0.0, 1.0), step)
+
+
+class TestGridArgmaxAxis:
+    @staticmethod
+    def _search(c, scored=None):
+        # f peaks at (c, c + 1); the bounds hold above it by their margins
+        def f(x, y):
+            if scored is not None:
+                scored.append(x.size)
+            return -(x - c) ** 2 - (y - c - 1.0) ** 2
+
+        def block_bound(x, y_lo, y_hi):
+            gap = np.maximum(np.maximum(y_lo - c - 1.0, c + 1.0 - y_hi), 0.0)
+            return -(x - c) ** 2 - gap ** 2 + 0.02
+
+        return numerics.GridSearch(f, bound=lambda x, y: f(x, y) + 0.01,
+                                   block_bound=block_bound,
+                                   refined=lambda x, y: f(x, y) + 0.005)
+
+    def test_each_search_equals_its_walk_alone(self):
+        domain, step = Interval(0.0, 4.0), 0.01
+        searches = [self._search(c) for c in (0.3, 1.7, 2.95)]
+        got = numerics.grid_argmax_axis(searches, domain, step)
+        assert got == [grid_argmax_2d(*s[:1], domain, step, *s[1:2], s.block_bound, s.refined)
+                       for s in searches]
+        assert got == [grid_argmax_2d(s.f, domain, step) for s in searches]
+
+    def test_block_geometry_is_built_once_a_group(self, monkeypatch):
+        # a block geometry that is the blocks' own arrays, built once per
+        # group of blocks and once for the seed's pairs; with groups of at
+        # most 450 blocks the 1,456 blocks of 401 points take four, and
+        # every pair is walked as with one group
+        built = []
+
+        def geometry(x, y_lo, y_hi):
+            built.append(x.size)
+            return x, y_lo, y_hi
+
+        domain, step = Interval(0.0, 4.0), 0.01
+        searches = [self._search(c) for c in (0.3, 1.7, 2.95)]
+        whole = numerics.grid_argmax_axis(searches, domain, step, block_geometry=geometry)
+        assert built[1:] == [sum(r.size for r, _, _ in numerics._block_groups(401))]
+        monkeypatch.setattr(numerics, "_GRID_GROUP_BLOCKS", 450)
+        built.clear()
+        assert numerics.grid_argmax_axis(searches, domain, step,
+                                         block_geometry=geometry) == whole
+        assert len(built) == 5 and max(built[1:]) <= 450
+        assert whole == [grid_argmax_2d(s.f, domain, step) for s in searches]
+
+    @pytest.mark.parametrize("n,group", [(2, 1 << 16), (65, 1 << 16), (130, 1 << 16),
+                                         (401, 1 << 16), (401, 300)])
+    def test_block_groups_cut_the_triangle_in_order(self, monkeypatch, n, group):
+        # every pair i < j once, blocks of at most 64 columns in
+        # lexicographic order, groups of whole chunks of 64 rows
+        monkeypatch.setattr(numerics, "_GRID_GROUP_BLOCKS", group)
+        groups = list(numerics._block_groups(n))
+        r, lo, hi = (np.concatenate(a) for a in zip(*groups))
+        i, j = numerics._segment_pairs(r, lo, hi)
+        assert (i.tolist(), j.tolist()) == tuple(x.tolist() for x in np.triu_indices(n, k=1))
+        assert np.all(hi - lo < 64) and np.all(lo > r)
+        for g_r, _, _ in groups[1:]:
+            assert g_r[0] % 64 == 0
+        chunk = max(np.bincount(r // 64))
+        assert all(g_r.size <= max(group, chunk) for g_r, _, _ in groups)
+
+    def test_a_failing_search_fails_alone(self):
+        domain, step = Interval(0.0, 4.0), 0.01
+        good = self._search(1.7)
+
+        def bad(x, y):
+            if np.any(x > 1.5):
+                raise ArithmeticError("synthetic failure past 1.5")
+            return good.f(x, y)
+
+        got = numerics.grid_argmax_axis([good, good._replace(f=bad)], domain, step)
+        assert got[0] == grid_argmax_2d(good.f, domain, step)
+        assert type(got[1]) is ArithmeticError and str(got[1]) == "synthetic failure past 1.5"
 
 
 class TestStepCount:

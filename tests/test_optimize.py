@@ -221,6 +221,80 @@ class TestPrunedPipSearch:
         assert 0 < sum(refined) <= 80_000
 
 
+class TestAxisSolves:
+    # sweep solves PIP and HTT once per axis; solve_pip and solve_htt are the
+    # same code on a one-point axis
+    HEADLINE = [SystemParams.from_snr_db(2.0 * k) for k in range(16)]
+
+    def test_every_point_has_its_bits_alone(self):
+        axis = [SystemParams.from_snr_db(db) for db in (-60.0, -7.0, 10.0, 33.0, 90.0)]
+        for tag, solver in (("pip", solve_pip), ("htt", solve_htt)):
+            assert optimize._AXIS_SOLVERS[tag](axis, FAST) == [solver(p, FAST) for p in axis]
+
+    def test_headline_builds_the_block_geometry_once(self, monkeypatch):
+        # the 8,320 blocks of the 0.01 grid and the seed's 7,875 coarse pairs,
+        # once for the 16 points
+        built = _record_sizes(monkeypatch, "band_block_geometry")
+        monkeypatch.setattr(schemes, "band_throughput_block_bound", None)  # not called
+        sweep(0.0, 30.0, 2.0, schemes_to_run=("pip",))
+        assert built == [7_875, 8_320]
+
+    def test_headline_htt_makes_one_integrand_call_a_round(self, monkeypatch):
+        # 10 calls, one a round of the longest of the 16 quadratures, on 5,166
+        # nodes in all, one W0 call each
+        nodes, w_calls = [], []
+        real_integrate, real_w0 = schemes.integrate_lockstep, schemes.lambert_w0
+
+        def counting_integrate(f, ends):
+            return real_integrate(lambda g, owner: nodes.append(len(g)) or f(g, owner), ends)
+
+        def counting_w0(x):
+            w_calls.append(x)
+            return real_w0(x)
+
+        monkeypatch.setattr(schemes, "integrate_lockstep", counting_integrate)
+        monkeypatch.setattr(schemes, "lambert_w0", counting_w0)
+        sweep(0.0, 30.0, 2.0, schemes_to_run=("htt",))
+        assert len(nodes) == 10 and len(w_calls) == 10
+        assert all(n % 21 == 0 for n in nodes) and sum(nodes) == 5_166
+
+    def test_htt_failures_stay_isolated_in_the_lockstep(self):
+        # 1950 dB integrates, 2505 dB misses the quadrature gate and at 3060
+        # dB the frame SNR overflows: each row is what solve_htt gives alone
+        curve = sweep(1950.0, 3060.0, 555.0, schemes_to_run=("htt",))
+        finite, gate, overflow = curve.points
+        assert finite.error is None and finite.throughput_bits == 635.8839621980358
+        assert finite.tau_mean == solve_htt(SystemParams.from_snr_db(1950.0)).tau_mean
+        for point in (gate, overflow):
+            with pytest.raises(ValueError if point is overflow else numerics.ConvergenceError) \
+                    as alone:
+                solve_htt(SystemParams.from_snr_db(point.snr_db))
+            assert point.error == str(alone.value) and math.isnan(point.throughput_bits)
+        assert gate.error.endswith("error estimate 1.56e-10 exceeds 1e-10")
+        assert overflow.error == ("frame SNR p_d gbar^2 g^2 / sigma2 overflows at "
+                                  "p_d=1e+306, gbar=1.0, sigma2=1.0")
+
+    def test_an_error_of_the_shared_grid_flags_every_point(self):
+        # a grid of more than 100,000 points is refused once for the axis,
+        # and each PIP point carries the refusal, as each solve raised it
+        # alone; IP beside it answers
+        curve = sweep(0.0, 2.0, 2.0, schemes_to_run=("ip", "pip"),
+                      cfg=SolveConfig(gain_cap=1e6, grid_step=1e-3))
+        with pytest.raises(ValueError, match="100,000") as alone:
+            solve_pip(SystemParams.from_snr_db(0.0), SolveConfig(gain_cap=1e6, grid_step=1e-3))
+        assert [p.error for p in curve.by_scheme("pip")] == [str(alone.value)] * 2
+        assert all(p.error is None for p in curve.by_scheme("ip"))
+
+    def test_pip_failure_stays_isolated(self):
+        # at p_d = 1e308 an overflowing band might win (see
+        # test_overflow_fails_only_where_it_might_win); the 10 dB point beside
+        # it answers as alone
+        axis = [SystemParams(p_d=1e308), SystemParams.from_snr_db(10.0)]
+        failed, answered = optimize._solve_pip_axis(axis, FAST)
+        assert isinstance(failed, schemes.UplinkOverflowError)
+        assert answered == solve_pip(axis[1], FAST)
+
+
 class TestScoreOnce:
     @pytest.mark.parametrize("solver,name", [(solve_ip, "ip_throughput"),
                                              (solve_pi, "pi_throughput")])

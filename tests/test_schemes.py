@@ -204,6 +204,24 @@ def _frame_case(draw):
     return g, snr_db
 
 
+def _count_htt_rounds(monkeypatch):
+    """Rebind the HTT quadrature and W0 to wrappers that record the nodes of
+    each integrand call and each W0 call."""
+    nodes, w_calls = [], []
+    real_integrate, real_w0 = schemes.integrate_lockstep, schemes.lambert_w0
+
+    def counting_integrate(f, ends):
+        return real_integrate(lambda g, owner: nodes.append(len(g)) or f(g, owner), ends)
+
+    def counting_w0(x):
+        w_calls.append(x)
+        return real_w0(x)
+
+    monkeypatch.setattr(schemes, "integrate_lockstep", counting_integrate)
+    monkeypatch.setattr(schemes, "lambert_w0", counting_w0)
+    return nodes, w_calls
+
+
 class TestHttFrame:
     @given(case=_frame_case())
     @settings(max_examples=300, deadline=None)
@@ -275,18 +293,7 @@ class TestHttFrame:
         # a count gate, not a timing: the quadrature calls the integrand once
         # a round, on the 21 nodes of each interval it splits (7 calls on 273
         # nodes measured), and each call runs W0 once
-        nodes, w_calls = [], []
-        real_integrate, real_w0 = schemes.integrate, schemes.lambert_w0
-
-        def counting_integrate(f, a, b):
-            return real_integrate(lambda g: nodes.append(len(g)) or f(g), a, b)
-
-        def counting_w0(x):
-            w_calls.append(x)
-            return real_w0(x)
-
-        monkeypatch.setattr(schemes, "integrate", counting_integrate)
-        monkeypatch.setattr(schemes, "lambert_w0", counting_w0)
+        nodes, w_calls = _count_htt_rounds(monkeypatch)
         schemes.htt_ergodic_throughput(P10)
         assert 0 < len(nodes) <= 7
         assert all(n % 21 == 0 for n in nodes)
@@ -764,6 +771,8 @@ class TestBandFloatPath:
     @example(case=(709.0, OPEN_END, -60.0), p_d_exp=None, units=(1.0, 1.0))
     @example(case=(709.78, 739.78, -60.0), p_d_exp=None, units=(1.0, 1.0))
     @example(case=(710.0, OPEN_END, -60.0), p_d_exp=None, units=(1.0, 1.0))
+    # past ~709.78 e^{g_l} - 1 overflows: the guard must start below it
+    @example(case=(709.9, OPEN_END, -60.0), p_d_exp=None, units=(1.0, 1.0))
     @settings(max_examples=500, deadline=None)
     def test_equals_the_array_path_bit_for_bit(self, case, p_d_exp, units):
         # 0-d arrays take the array path; the results and errors must agree,

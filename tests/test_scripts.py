@@ -55,3 +55,23 @@ def test_count_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     done = run_script("count_code_lines.py", str(tmp_path), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0 empty.py\n5 mod.py\n5 total\n"
+
+
+# the bit ledger (scripts/bit_ledger.py): sha256 of the reprs of solver
+# outputs, recorded before the per-axis PIP and HTT solves; every bit of
+# every threshold, power and throughput in it must stay
+BIT_LEDGER = """\
+axis-full cdcfd84e677913647fbbc94aaea290a35164282ede6f21866721f875fa31658a
+headline-gbar2 3c312f2dd1586e025b51ec17122f6d24a7875fbd96310477ca7d0ba01b7e2e67
+tiny-gbar 5aa98342435c5274a60b9ad6de885ac97419833e120a45054b003437b626a96e
+pip-step0.005-cap1 07b52af9a4633ec23ee8ac926dcae6aaa25ba0822571d55b5ed6ac93f333c669
+pip-step0.005-cap40 33f89b9c82a99e2c0e35cbfa431da1ee98f503e8d3a45428c363ad009592c539
+pip-step0.05-cap1 c20c96085358bbc6c22ede2ba18e0a0083622f3e8b45446ae6393ff304f6836a
+pip-step0.05-cap40 d5fc6874058582941127e4339f434572bac14e1ec1f17ad0adeb1a019910e9b9
+"""
+
+
+def test_bit_ledger_is_pinned(tmp_path):
+    done = run_script("bit_ledger.py", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == BIT_LEDGER
