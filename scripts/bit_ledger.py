@@ -8,8 +8,11 @@ Prints one ``<entry> <sha256>`` line per entry:
 - ``axis-full``: the SweepPoints of -60..90 dB in steps of 3 at grid step 0.05;
 - ``headline-gbar2``: 0..30 dB in steps of 2 at gbar = 2, sigma2 = 0.5;
 - ``tiny-gbar``: 0..30 dB in steps of 6 at gbar = 1e-3, sigma2 = 1e-9;
-- ``pip-step<s>-cap<c>``: the SolveResult of ``solve_pip`` at 10 dB on the
-  grid of step s and gain cap c, for s in 0.005, 0.05 and c in 1, 40.
+- ``<tag>-step<s>-cap<c>``: the SolveResult of ``optimize._SOLVERS[tag]``
+  at 10 dB on the grid of step s and gain cap c, for s in 0.005, 0.05 and
+  c in 1, 40, for each scheme tag (HTT reads neither);
+- ``evaluate-<tag>``: ``schemes.evaluate_policy`` of the scheme's policy of
+  fixed thresholds at -60, -10, 10, 30 and 90 dB.
 
     python scripts/bit_ledger.py
 """
@@ -17,7 +20,11 @@ import hashlib
 
 from wpcn import optimize
 from wpcn.optimize import SolveConfig
-from wpcn.schemes import SystemParams
+from wpcn.schemes import BandPolicy, HTTPolicy, SystemParams, evaluate_policy
+
+# each scheme's policy with thresholds near its 10 dB optimum
+FIXED_POLICIES = {"htt": HTTPolicy(), "ip": BandPolicy(g_u=1.626), "pi": BandPolicy(g_l=1.026),
+                  "pip": BandPolicy(0.25, 1.8)}
 
 
 def digest(results) -> str:
@@ -32,10 +39,14 @@ def ledger() -> dict[str, str]:
         "tiny-gbar": optimize.sweep(0.0, 30.0, 6.0, gbar=1e-3, sigma2=1e-9).points,
     }
     params = SystemParams.from_snr_db(10.0)
-    for step in (0.005, 0.05):
-        for cap in (1.0, 40.0):
-            result = optimize.solve_pip(params, SolveConfig(gain_cap=cap, grid_step=step))
-            entries[f"pip-step{step:g}-cap{cap:g}"] = (result,)
+    for tag in ("pip", "ip", "pi", "htt"):
+        for step in (0.005, 0.05):
+            for cap in (1.0, 40.0):
+                result = optimize._SOLVERS[tag](params, SolveConfig(gain_cap=cap, grid_step=step))
+                entries[f"{tag}-step{step:g}-cap{cap:g}"] = (result,)
+    for tag, policy in FIXED_POLICIES.items():
+        entries[f"evaluate-{tag}"] = [evaluate_policy(policy, SystemParams.from_snr_db(db))
+                                      for db in (-60.0, -10.0, 10.0, 30.0, 90.0)]
     return {name: digest(results) for name, results in entries.items()}
 
 

@@ -12,9 +12,10 @@ sub-grid and walked once by rows, that drops a block of a row by its block
 bound and scores a pair only where its bound, and then a tighter refined
 bound, can still win. The quadrature and the grid search each have a
 lockstep form for a sweep's points (``integrate_lockstep``,
-``grid_argmax_axis``): the work the points share is done once, each point
-keeps the bits it gets alone, and an error of one point (one of
-``POINT_ERRORS``) is returned in its place and ends no other.
+``grid_argmax_axis``): the work the points share is done once and each
+point keeps the bits it gets alone. A lockstep raises the first error any
+of its points hits, as its one-point form does; ``optimize._solve_axis``
+alone isolates a failing point.
 
 E1 and W0 are scipy's ufuncs ``exp1`` and ``_lambertw`` (the one behind
 ``scipy.special.lambertw``), bound from their extension module. Two
@@ -59,20 +60,6 @@ _BISECTION_MAX_ITER = 200  # bisection steps maximize_scalar takes at most
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its requested tolerance."""
-
-
-# The errors that end one point of a lockstep computation and not the others
-# (an integral of integrate_lockstep, a search of grid_argmax_axis, an SNR
-# point of optimize.sweep); any other error stops the whole computation.
-POINT_ERRORS = (ValueError, ArithmeticError, ConvergenceError)
-
-
-def sole(results: list):
-    """The one entry of a one-point lockstep result; raised if it is an error."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 @dataclass(frozen=True)
@@ -390,26 +377,12 @@ def _gk21(f, intervals: list, norm) -> list:
     return out
 
 
-def _gk21_by_owner(f, intervals: list, norm, results: dict) -> dict:
-    """``_gk21`` on the intervals (owner, lo, hi): {owner: its rules in order}.
-
-    f is called once on all their nodes. Where that raises one of
-    POINT_ERRORS, it is called on each owner's nodes alone, and an owner
-    whose nodes raise is left out with its error put in ``results``. f acts
-    node by node, so no owner's bits depend on the others.
-    """
-    try:
-        rules = _gk21(f, intervals, norm)
-    except POINT_ERRORS:
-        found = {}
-        for owner in dict.fromkeys(k for k, _, _ in intervals):
-            try:
-                found[owner] = _gk21(f, [iv for iv in intervals if iv[0] == owner], norm)
-            except POINT_ERRORS as exc:
-                results[owner] = exc
-        return found
+def _gk21_by_owner(f, intervals: list, norm) -> dict:
+    """``_gk21`` on the intervals (owner, lo, hi), one call of f on all their
+    nodes: {owner: its rules in order}. f acts node by node, so no owner's
+    bits depend on the others."""
     found: dict = {}
-    for (owner, _, _), rule in zip(intervals, rules):
+    for (owner, _, _), rule in zip(intervals, _gk21(f, intervals, norm)):
         found.setdefault(owner, []).append(rule)
     return found
 
@@ -463,15 +436,13 @@ def _quad_vec_lockstep(f, ends: list) -> list:
     every integral still running, and the index in ``ends`` of each node's
     integral: one call a round. Each integral keeps its own loop
     (``_quad_vec_steps``), and f acts node by node, so each gets quad_vec's
-    bits. One entry per integral: (integral, error estimate), or the error,
-    one of POINT_ERRORS, that f raised on its nodes, which ends that
-    integral alone.
+    bits. One entry per integral: (integral, error estimate). What f raises
+    on any integral's nodes ends them all.
     """
-    results: dict = {}
-    first = _gk21_by_owner(f, [(k, a, b) for k, (a, b) in enumerate(ends)], np.linalg.norm,
-                           results)
-    norm = abs if first and np.ndim(next(iter(first.values()))[0][0]) == 0 else np.linalg.norm
+    first = _gk21_by_owner(f, [(k, a, b) for k, (a, b) in enumerate(ends)], np.linalg.norm)
+    norm = abs if np.ndim(first[0][0][0]) == 0 else np.linalg.norm
     steps = {k: _quad_vec_steps(f, k, *ends[k], rule, norm) for k, (rule,) in first.items()}
+    results: dict = {}
     sent = dict.fromkeys(steps)  # what each running integral is sent next
     while sent:
         asked = {}
@@ -480,16 +451,14 @@ def _quad_vec_lockstep(f, ends: list) -> list:
                 asked[k] = steps[k].send(rules)
             except StopIteration as stop:
                 results[k] = stop.value
-            except POINT_ERRORS as exc:
-                results[k] = exc
-        sent = _gk21_by_owner(f, [half for halves in asked.values() for half in halves], norm,
-                              results) if asked else {}
+        sent = _gk21_by_owner(f, [half for halves in asked.values() for half in halves],
+                              norm) if asked else {}
     return [results[k] for k in range(len(ends))]
 
 
 def _quad_vec(f, a: float, b: float) -> tuple:
     """``_quad_vec_lockstep`` of the one integral of f(x) on [a, b]: (integral, error estimate)."""
-    return sole(_quad_vec_lockstep(lambda x, owner: f(x), [(a, b)]))
+    return _quad_vec_lockstep(lambda x, owner: f(x), [(a, b)])[0]
 
 
 def _integration_range(a: float, b: float) -> tuple[float, float]:
@@ -509,10 +478,11 @@ def integrate_lockstep(f, ends: list) -> list:
     and the index in ``ends`` of each node's integral
     (``_quad_vec_lockstep``), at most _LOCKSTEP_INTEGRALS integrals at a
     time; it must act node by node, so each integral gets the bits
-    ``integrate`` gives it alone. One entry per integral: its
-    value, or the error that ends it and no other, one of POINT_ERRORS: the
-    ConvergenceError of its gate, or what f raised on its nodes. Bounds that
-    are NaN or out of order raise ValueError before any integrand call.
+    ``integrate`` gives it alone. One entry per integral: its value. The
+    first error any integral hits ends them all, as ``integrate`` raises
+    it: what f raised on its nodes, or the ConvergenceError of the first
+    integral that misses the gate. Bounds that are NaN or out of order
+    raise ValueError before any integrand call.
     """
     ranges = [_integration_range(a, b) for a, b in ends]
     found = []
@@ -520,19 +490,13 @@ def integrate_lockstep(f, ends: list) -> list:
         found += _quad_vec_lockstep(
             lambda x, owner, first=first: f(x, owner + first),
             [(float(a), float(hi)) for a, hi in ranges[first:first + _LOCKSTEP_INTEGRALS]])
-    out = []
-    for (a, hi), result in zip(ranges, found):
-        if not isinstance(result, Exception):
-            value, err_estimate = result
-            if err_estimate <= _INTEGRATE_GATE:
-                result = value if np.ndim(value) else float(value)
-            else:  # NaN fails too: an integrand value was not finite
-                why = ("comes from a non-finite integrand value" if math.isnan(err_estimate)
-                       else f"exceeds {_INTEGRATE_GATE:.3g}")
-                result = ConvergenceError(f"quadrature on [{a}, {hi}] did not converge: "
-                                          f"error estimate {err_estimate:.3g} {why}")
-        out.append(result)
-    return out
+    for (a, hi), (_, err_estimate) in zip(ranges, found):
+        if not err_estimate <= _INTEGRATE_GATE:  # NaN fails too: an integrand value was not finite
+            why = ("comes from a non-finite integrand value" if math.isnan(err_estimate)
+                   else f"exceeds {_INTEGRATE_GATE:.3g}")
+            raise ConvergenceError(f"quadrature on [{a}, {hi}] did not converge: "
+                                   f"error estimate {err_estimate:.3g} {why}")
+    return [value if np.ndim(value) else float(value) for value, _ in found]
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float | np.ndarray:
@@ -549,7 +513,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
     components, exceeds _INTEGRATE_GATE or is NaN. ``integrate_lockstep``
     runs several integrals at once.
     """
-    return sole(integrate_lockstep(lambda x, owner: f(x), [(a, b)]))
+    return integrate_lockstep(lambda x, owner: f(x), [(a, b)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +751,8 @@ def grid_argmax_axis(searches: list, domain: Interval, step: float,
     built once too; without it, by ``bound``. Each search then walks the blocks group by group as
     ``grid_argmax_2d`` does, one pass per chunk that keeps a block, so no
     call sees more than one chunk's pairs. One entry per search: its
-    ((x, y), value), or the error, one of POINT_ERRORS, that its objective
-    or bounds raised, which ends that search alone.
+    ((x, y), value). What any search's objective or bounds raise ends them
+    all.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -797,28 +761,20 @@ def grid_argmax_axis(searches: list, domain: Interval, step: float,
     if n < 2:
         raise ValueError("grid axis has fewer than 2 points; no pair x < y")
     walks = [_GridWalk(search) for search in searches]
-    failed: dict = {}
     # the seed's sub-grid: every k-th axis point, at most _GRID_SEED_POINTS
     stride = -(-(n - 1) // (_GRID_SEED_POINTS - 1))  # ceil
     sub = xs[::stride]
     i, j = np.triu_indices(sub.size, k=1)
     gx, gy = sub[i], sub[j]
     seed_geometry = None if block_geometry is None else block_geometry(gx, gy, gy)
-    for k, walk in enumerate(walks):
-        try:
-            walk.seed(gx, gy, seed_geometry)
-        except POINT_ERRORS as exc:
-            failed[k] = exc
+    for walk in walks:
+        walk.seed(gx, gy, seed_geometry)
     for r, lo, hi in _block_groups(n):
         geometry = (xs[r], xs[lo], xs[hi]) if block_geometry is None else block_geometry(
             xs[r], xs[lo], xs[hi])
-        for k, walk in enumerate(walks):
-            if k not in failed:
-                try:
-                    walk.walk(xs, r, lo, hi, geometry)
-                except POINT_ERRORS as exc:
-                    failed[k] = exc
-    return [failed[k] if k in failed else walk.result() for k, walk in enumerate(walks)]
+        for walk in walks:
+            walk.walk(xs, r, lo, hi, geometry)
+    return [walk.result() for walk in walks]
 
 
 def grid_argmax_2d(f, domain: Interval, step: float, bound=None, block_bound=None,
@@ -850,4 +806,4 @@ def grid_argmax_2d(f, domain: Interval, step: float, bound=None, block_bound=Non
     exhaustive search's whenever f <= refined <= bound <= block bound
     holds to within the slack. ``grid_argmax_axis`` with one search.
     """
-    return sole(grid_argmax_axis([GridSearch(f, bound, block_bound, refined)], domain, step))
+    return grid_argmax_axis([GridSearch(f, bound, block_bound, refined)], domain, step)[0]

@@ -22,8 +22,9 @@ block bound's geometry does not depend on the SNR, so the axis builds it
 once (on the 8,320 blocks of the default grid and the seed's 7,875 coarse
 pairs). The HTT quadratures run in lockstep: one ``schemes.htt_frame``
 pass a round on the nodes of every point (10 over the headline's 16
-points). IP and PI solve point by point. A point whose solve fails is
-flagged alone.
+points). IP and PI solve point by point. A per-axis solve raises the
+first error any of its points hits; ``_solve_axis`` then solves each point
+of that axis alone, so a point whose solve fails is flagged alone.
 
 A threshold whose band is not eligible (the third entry of
 ``schemes.band_uplink``: its uplink SNR overflows a float) scores -inf. The
@@ -40,14 +41,13 @@ import numpy as np
 
 from . import schemes
 from .numerics import (
-    POINT_ERRORS,
+    ConvergenceError,
     GridSearch,
     Interval,
     grid_argmax_2d,  # not called; test_wrapping_rebinds_every_copy_and_restores_them rebinds it
     grid_argmax_axis,
     integrate,  # not called; test_wrapping_rebinds_every_copy_and_restores_them rebinds it
     maximize_scalar,
-    sole,
     step_count,
 )
 from .schemes import BandPolicy, HTTPolicy, Policy, SystemParams
@@ -221,7 +221,7 @@ def solve_pip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
     ``_solve_pip_axis`` at the one point ``params``. Spot-check it with
     ``schemes.quad_throughput_oracle(*result.policy.band, result.ul_power, params)``.
     """
-    return sole(_solve_pip_axis([params], cfg or SolveConfig()))
+    return _solve_pip_axis([params], cfg or SolveConfig())[0]
 
 
 def _solve_pip_axis(axis: list, cfg: SolveConfig) -> list:
@@ -240,7 +240,8 @@ def _solve_pip_axis(axis: list, cfg: SolveConfig) -> list:
     scored only where that reaches it; the best score so far raises the
     threshold. At 10 dB under 5% of the pairs are bounded, about 1% refined
     and 0.13% scored, and the winner is the exhaustive search's. One entry
-    per point: its SolveResult, or the error that failed it alone.
+    per point: its SolveResult. The first error any point hits is raised
+    for the whole axis.
     """
     objectives = [_Eligible(functools.partial(schemes.pip_throughput, params=params),
                             lambda gl, gu: (gl, gu), params) for params in axis]
@@ -253,15 +254,8 @@ def _solve_pip_axis(axis: list, cfg: SolveConfig) -> list:
     found = grid_argmax_axis(searches, Interval(0.0, cfg.gain_cap), cfg.grid_step,
                              block_geometry=schemes.band_block_geometry)
     results = []
-    for params, objective, point in zip(axis, objectives, found):
-        try:
-            if isinstance(point, Exception):
-                raise point
-            (g_l, g_u), value = point
-            objective.check(value)
-        except POINT_ERRORS as exc:
-            results.append(exc)
-            continue
+    for params, objective, ((g_l, g_u), value) in zip(axis, objectives, found):
+        objective.check(value)
         policy = BandPolicy(g_l, g_u)
         results.append(SolveResult(
             scheme="pip", policy=policy, throughput_bits=value,
@@ -277,14 +271,15 @@ def solve_htt(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResu
     ``_solve_htt_axis`` at the one point ``params``. HTT has no threshold
     to search; ``cfg`` is taken for the common solver signature and not read.
     """
-    return sole(_solve_htt_axis([params], cfg))
+    return _solve_htt_axis([params], cfg)[0]
 
 
 def _solve_htt_axis(axis: list, cfg: SolveConfig | None) -> list:
     """``solve_htt`` at each SystemParams of ``axis``: the quadratures of
     ``schemes.htt_ergodic_throughputs`` in lockstep. One entry per point:
-    its SolveResult, or the error that failed it alone."""
-    return [ev if isinstance(ev, Exception) else SolveResult(
+    its SolveResult. The first error any point hits is raised for the
+    whole axis."""
+    return [SolveResult(
         scheme="htt", policy=HTTPolicy(), throughput_bits=ev.throughput_bits,
         ul_power=ev.ul_power, tau_mean=ev.tau_mean,
     ) for ev in schemes.htt_ergodic_throughputs(axis)]
@@ -300,16 +295,25 @@ _SOLVERS = {
 # does not depend on the SNR is built once. The others solve point by point
 # through _SOLVERS.
 _AXIS_SOLVERS = {"htt": _solve_htt_axis, "pip": _solve_pip_axis}
+# The errors that fail one point of a sweep and not the others; any other
+# error stops the sweep.
+POINT_ERRORS = (ValueError, ArithmeticError, ConvergenceError)
 
 
 def _solve_axis(tag: str, axis: list, cfg: SolveConfig) -> list:
     """One entry per SystemParams of ``axis``: its SolveResult, or the error
-    (one of ``numerics.POINT_ERRORS``) that failed its solve alone."""
+    (one of ``POINT_ERRORS``) that its solve raises alone.
+
+    The one place a failing point is isolated. A per-axis solve
+    (``_AXIS_SOLVERS``) raises the first error any of its points hits; then
+    each point of the axis is solved alone through ``_SOLVERS``, which gives
+    each its own answer or error, with the bits of the per-axis solve.
+    """
     if tag in _AXIS_SOLVERS:
         try:
             return _AXIS_SOLVERS[tag](axis, cfg)
-        except POINT_ERRORS as exc:  # an error of the shared work fails every point
-            return [exc] * len(axis)
+        except POINT_ERRORS:
+            pass  # some point failed: solve each alone, below
     results = []
     for params in axis:
         try:

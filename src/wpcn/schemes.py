@@ -45,7 +45,6 @@ from .numerics import (
     integrate,
     integrate_lockstep,
     lambert_w0,
-    sole,
 )
 
 LN2 = math.log(2.0)
@@ -261,7 +260,7 @@ def htt_ergodic_throughput(params: SystemParams) -> SchemeEvaluation:
     ``htt_ergodic_throughputs`` at the one point ``params``. Monte-Carlo
     counterpart: ``sim.mc_throughput(HTTPolicy(), ...)``.
     """
-    return sole(htt_ergodic_throughputs([params]))
+    return htt_ergodic_throughputs([params])[0]
 
 
 def htt_ergodic_throughputs(axis: list) -> list:
@@ -276,9 +275,9 @@ def htt_ergodic_throughputs(axis: list) -> list:
     integral, and thousands of watts (above 38 dB) would fail the absolute
     gate of ``integrate``. Every step acts node by node, so each point gets
     the bits of its quadrature alone. One entry per point: its
-    SchemeEvaluation, or the error that failed it alone (one of
-    ``numerics.POINT_ERRORS``: its frame SNR overflows, or its quadrature
-    misses the gate).
+    SchemeEvaluation. The first error any point hits (its frame SNR
+    overflows, or its quadrature misses the gate) is raised for the whole
+    axis, as ``htt_ergodic_throughput`` raises it on that point alone.
     """
     links = [np.array(column) for column in zip(*map(_htt_link, axis))]
     units = np.array([max(1.0, params.p_d * params.gbar) for params in axis])
@@ -290,9 +289,6 @@ def htt_ergodic_throughputs(axis: list) -> list:
     out = []
     for params, unit, integral in zip(axis, units, integrate_lockstep(
             frame, [(0.0, OPEN_END)] * len(axis))):
-        if isinstance(integral, Exception):
-            out.append(integral)
-            continue
         rate_bits, mean_pu, tau_mean = (integral * [1.0, unit, 1.0]).tolist()
         out.append(SchemeEvaluation(
             throughput_bits=rate_bits,

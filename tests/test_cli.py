@@ -696,6 +696,17 @@ class TestConfigFile:
         assert code == 1
         assert err.strip()
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (("evaluate", "--config"), None, "--config needs a path"),
+        (("evaluate", "--config", "{path}"), [10, "ip"], "config file must hold a JSON object"),
+        (("--config", "{path}"), {"snr_db": 10}, "missing command"),
+    ])
+    def test_config_usage_errors(self, capsys, tmp_path, argv, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 def test_no_command_loads_scipy_integrate(tmp_path):
     # scipy.integrate costs about a quarter second and 26 MB to import;

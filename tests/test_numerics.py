@@ -511,27 +511,27 @@ class TestIntegrateLockstep:
             lambda g, owner: np.cos(ws[owner] * g) * numerics.exp_neg(g), [(0.0, 20.0)] * 8)
         assert [repr(v) for v in got] == [repr(integrate(self._one(w), 0.0, 20.0)) for w in ws]
 
-    def test_a_failing_integral_fails_alone(self):
-        # integral 1 raises once a round reaches past g = 15, integral 2
-        # misses the gate (1/t on [0, 1]); each carries the error that
-        # integrate raises on it alone, and integral 0 keeps its bits
-        def f(g, owner):
-            if np.any((owner == 1) & (g > 15.0)):
+    def test_a_failing_integral_raises_as_alone(self):
+        # integral 1 raises once a round reaches past g = 15 (on [0, 20]) or
+        # misses the gate (1/t on [0, 1]); beside integral 0, which
+        # converges, the lockstep raises the error integrate raises on it alone
+        def bad(g):
+            if np.any(g > 15.0):
                 raise ValueError("synthetic failure past 15")
-            return np.where(owner == 2, 1.0 / np.maximum(g, 1e-300), np.exp(-g))
+            return 1.0 / np.maximum(g, 1e-300)
 
-        def alone(k, a, b):
-            try:
-                return integrate(lambda g: f(g, np.full(g.size, k)), a, b)
-            except (ValueError, ConvergenceError) as exc:
-                return exc
+        def f(g, owner):
+            out = np.exp(-g)
+            out[owner == 1] = bad(g[owner == 1])
+            return out
 
-        ends = [(0.0, 20.0), (0.0, 20.0), (0.0, 1.0)]
-        got = numerics.integrate_lockstep(f, ends)
-        want = [alone(k, a, b) for k, (a, b) in enumerate(ends)]
-        assert repr(got[0]) == repr(want[0])
-        for k, error in ((1, ValueError), (2, ConvergenceError)):
-            assert type(got[k]) is type(want[k]) is error and str(got[k]) == str(want[k])
+        for b, error in ((20.0, ValueError), (1.0, ConvergenceError)):
+            with pytest.raises(error) as alone:
+                integrate(bad, 0.0, b)
+            with pytest.raises(error) as got:
+                numerics.integrate_lockstep(f, [(0.0, 20.0), (0.0, b)])
+            assert type(got.value) is type(alone.value) is error
+            assert str(got.value) == str(alone.value)
 
     def test_bad_bounds_raise_before_any_call(self):
         def f(g, owner):
@@ -837,7 +837,9 @@ class TestGridArgmaxAxis:
         chunk = max(np.bincount(r // 64))
         assert all(g_r.size <= max(group, chunk) for g_r, _, _ in groups)
 
-    def test_a_failing_search_fails_alone(self):
+    def test_a_failing_search_raises_as_alone(self):
+        # beside a search that answers, the lockstep raises the error that
+        # grid_argmax_2d raises on the failing search alone
         domain, step = Interval(0.0, 4.0), 0.01
         good = self._search(1.7)
 
@@ -846,9 +848,12 @@ class TestGridArgmaxAxis:
                 raise ArithmeticError("synthetic failure past 1.5")
             return good.f(x, y)
 
-        got = numerics.grid_argmax_axis([good, good._replace(f=bad)], domain, step)
-        assert got[0] == grid_argmax_2d(good.f, domain, step)
-        assert type(got[1]) is ArithmeticError and str(got[1]) == "synthetic failure past 1.5"
+        with pytest.raises(ArithmeticError) as alone:
+            grid_argmax_2d(bad, domain, step, good.bound, good.block_bound, good.refined)
+        with pytest.raises(ArithmeticError) as got:
+            numerics.grid_argmax_axis([good, good._replace(f=bad)], domain, step)
+        assert type(got.value) is type(alone.value) is ArithmeticError
+        assert str(got.value) == str(alone.value) == "synthetic failure past 1.5"
 
 
 class TestStepCount:

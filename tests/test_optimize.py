@@ -159,6 +159,22 @@ def _record_sizes(monkeypatch, name):
     return sizes
 
 
+def _count_solves(monkeypatch):
+    """Count sweep's per-axis solves (``_AXIS_SOLVERS``) and one-point solves
+    (``_SOLVERS``) of PIP and HTT: {(kind, tag): calls}."""
+    calls = {}
+    for kind, table in (("axis", optimize._AXIS_SOLVERS), ("point", optimize._SOLVERS)):
+        for tag in ("htt", "pip"):
+            calls[kind, tag] = 0
+
+            def counting(*args, real=table[tag], key=(kind, tag)):
+                calls[key] += 1
+                return real(*args)
+
+            monkeypatch.setitem(table, tag, counting)
+    return calls
+
+
 class TestPrunedPipSearch:
     @given(snr_db=st.floats(min_value=-60.0, max_value=90.0),
            grid_step=st.floats(min_value=0.05, max_value=0.5))
@@ -285,12 +301,38 @@ class TestAxisSolves:
         assert [p.error for p in curve.by_scheme("pip")] == [str(alone.value)] * 2
         assert all(p.error is None for p in curve.by_scheme("ip"))
 
+    def test_headline_solves_pip_and_htt_once_per_axis(self, monkeypatch):
+        # no point of the headline fails, so no point is solved alone: a
+        # fallback that fired silently would double the work
+        calls = _count_solves(monkeypatch)
+        sweep(0.0, 30.0, 2.0)
+        assert calls == {("axis", "htt"): 1, ("axis", "pip"): 1,
+                         ("point", "htt"): 0, ("point", "pip"): 0}
+
+    @pytest.mark.parametrize("tag,start,stop,step,cfg", [
+        ("pip", 3065.0, 3075.0, 10.0, FAST),  # an overflowing band might win at 3075 dB
+        ("htt", 1950.0, 2505.0, 555.0, None),  # 2505 dB misses the quadrature gate
+    ])
+    def test_a_failing_point_costs_one_solve_per_point(self, monkeypatch, tag, start, stop,
+                                                       step, cfg):
+        # the per-axis solve raises, then each point is solved alone once;
+        # the first point answers as alone, the second carries its own error
+        calls = _count_solves(monkeypatch)
+        answered, failed = sweep(start, stop, step, schemes_to_run=(tag,), cfg=cfg).points
+        assert calls[("axis", tag)] == 1 and calls[("point", tag)] == 2
+        solver = {"htt": solve_htt, "pip": solve_pip}[tag]
+        assert answered == optimize._sweep_point(start, solver(
+            SystemParams.from_snr_db(start), cfg))
+        with pytest.raises(optimize.POINT_ERRORS) as alone:
+            solver(SystemParams.from_snr_db(stop), cfg)
+        assert failed.error == str(alone.value) and math.isnan(failed.throughput_bits)
+
     def test_pip_failure_stays_isolated(self):
         # at p_d = 1e308 an overflowing band might win (see
         # test_overflow_fails_only_where_it_might_win); the 10 dB point beside
         # it answers as alone
         axis = [SystemParams(p_d=1e308), SystemParams.from_snr_db(10.0)]
-        failed, answered = optimize._solve_pip_axis(axis, FAST)
+        failed, answered = optimize._solve_axis("pip", axis, FAST)
         assert isinstance(failed, schemes.UplinkOverflowError)
         assert answered == solve_pip(axis[1], FAST)
 

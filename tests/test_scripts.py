@@ -58,8 +58,10 @@ def test_count_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
 
 
 # the bit ledger (scripts/bit_ledger.py): sha256 of the reprs of solver
-# outputs, recorded before the per-axis PIP and HTT solves; every bit of
-# every threshold, power and throughput in it must stay
+# outputs, recorded before the per-axis PIP and HTT solves (the sweeps and
+# PIP entries) and before failures moved out of the lockstep layers (the
+# IP, PI, HTT and evaluate_policy entries); every bit of every threshold,
+# power and throughput in it must stay
 BIT_LEDGER = """\
 axis-full cdcfd84e677913647fbbc94aaea290a35164282ede6f21866721f875fa31658a
 headline-gbar2 3c312f2dd1586e025b51ec17122f6d24a7875fbd96310477ca7d0ba01b7e2e67
@@ -68,6 +70,22 @@ pip-step0.005-cap1 07b52af9a4633ec23ee8ac926dcae6aaa25ba0822571d55b5ed6ac93f333c
 pip-step0.005-cap40 33f89b9c82a99e2c0e35cbfa431da1ee98f503e8d3a45428c363ad009592c539
 pip-step0.05-cap1 c20c96085358bbc6c22ede2ba18e0a0083622f3e8b45446ae6393ff304f6836a
 pip-step0.05-cap40 d5fc6874058582941127e4339f434572bac14e1ec1f17ad0adeb1a019910e9b9
+ip-step0.005-cap1 cacbf77933dd2d7cc3f7cd18ca266b8de061f6885cc61b9216cfcd485658f62e
+ip-step0.005-cap40 87ec039879a404851769d30ca1818d7c1669d66bc0e52676284126b80b9a8d5c
+ip-step0.05-cap1 cacbf77933dd2d7cc3f7cd18ca266b8de061f6885cc61b9216cfcd485658f62e
+ip-step0.05-cap40 87ec039879a404851769d30ca1818d7c1669d66bc0e52676284126b80b9a8d5c
+pi-step0.005-cap1 f8675af422d88e35a1f0f23ddfedc13d4b6a835db4737f8a15ea74fdbe554c23
+pi-step0.005-cap40 3bfd49bffedc39af0fa59b3b5ecbe20097f55cade6774c66e4bef2a22d914c60
+pi-step0.05-cap1 f8675af422d88e35a1f0f23ddfedc13d4b6a835db4737f8a15ea74fdbe554c23
+pi-step0.05-cap40 3bfd49bffedc39af0fa59b3b5ecbe20097f55cade6774c66e4bef2a22d914c60
+htt-step0.005-cap1 d4af84bca3d9f2d8d19134c38878a21a67b06d0ed051caced6d7fec5934ebc62
+htt-step0.005-cap40 d4af84bca3d9f2d8d19134c38878a21a67b06d0ed051caced6d7fec5934ebc62
+htt-step0.05-cap1 d4af84bca3d9f2d8d19134c38878a21a67b06d0ed051caced6d7fec5934ebc62
+htt-step0.05-cap40 d4af84bca3d9f2d8d19134c38878a21a67b06d0ed051caced6d7fec5934ebc62
+evaluate-htt f727676c83d7159f8283987bd11734f4249664e0e5b8fece9c61b34eedb54d54
+evaluate-ip 9e8b52b7e371abfb12b6891cfb39c52648226b373fe938d51d76e1ce36b9dec1
+evaluate-pi 8473cc93774098b782904654f10a431638700fccb1fb9c2a8fae8a559cabfe89
+evaluate-pip 0f3db6f6e3f081a67c12baef2afab3bff998eef44e3d31cc4969551a208f29f5
 """
 
 
