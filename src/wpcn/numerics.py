@@ -37,6 +37,7 @@ scipy ufuncs.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import sys
 import warnings
@@ -377,17 +378,7 @@ def _gk21(f, intervals: list, norm) -> list:
     return out
 
 
-def _gk21_by_owner(f, intervals: list, norm) -> dict:
-    """``_gk21`` on the intervals (owner, lo, hi), one call of f on all their
-    nodes: {owner: its rules in order}. f acts node by node, so no owner's
-    bits depend on the others."""
-    found: dict = {}
-    for (owner, _, _), rule in zip(intervals, _gk21(f, intervals, norm)):
-        found.setdefault(owner, []).append(rule)
-    return found
-
-
-def _quad_vec_steps(f, owner: int, a: float, b: float, first: tuple, norm):
+def _quad_vec_steps(owner: int, a: float, b: float, first: tuple, norm):
     """quad_vec's loop on the integral ``owner`` of ``_quad_vec_lockstep``,
     from the rule ``first`` on [a, b]: a generator.
 
@@ -395,30 +386,31 @@ def _quad_vec_steps(f, owner: int, a: float, b: float, first: tuple, norm):
     splits and is sent their rules; it returns (integral, error estimate).
     The interval of largest error is split first, a batch of them a round,
     until the error is below an eighth of the tolerance or below the
-    rounding error. quad_vec's interval cache never evicts at 400
-    intervals: a dict.
+    rounding error. A heap entry (-err, lo, hi, seq, integral) carries its
+    interval's integral, the rule on those ends: what quad_vec's interval
+    cache holds for it, or recomputes where two entries had the same ends.
+    ``seq`` orders only entries of equal error and ends, which hold equal
+    integrals, so heapq never compares integrals.
     """
     total, error, rounding = first
-    cache, heap = {(a, b): total}, [(-error, a, b)]
+    seq = itertools.count()
+    heap = [(-error, a, b, next(seq), total)]
     while heap and len(heap) < _QUAD_LIMIT:
         tol = max(_QUAD_TOL, _QUAD_TOL * norm(total))
         batch, err_sum = [], 0.0
         while heap and len(batch) < _QUAD_BATCH and not (batch and err_sum > error - tol / 8):
-            neg_err, lo, hi = heapq.heappop(heap)
-            batch.append((-neg_err, lo, hi, 0.5 * (lo + hi), cache.pop((lo, hi), None)))
+            neg_err, lo, hi, _, old = heapq.heappop(heap)
+            batch.append((-neg_err, lo, hi, 0.5 * (lo + hi), old))
             err_sum += -neg_err
         halves = yield [(owner, end_lo, end_hi) for _, lo, hi, mid, _ in batch
                         for end_lo, end_hi in ((lo, mid), (mid, hi))]
         for k, (old_err, lo, hi, mid, old) in enumerate(batch):
             (s1, err1, round1), (s2, err2, round2) = halves[2 * k], halves[2 * k + 1]
-            if old is None:  # quad_vec's cache misses where two intervals had the same ends
-                old = _gk21(f, [(owner, lo, hi)], norm)[0][0]
             total = total + (s1 + s2 - old)
             error += err1 + err2 - old_err
             rounding += round1 + round2
-            cache[lo, mid], cache[mid, hi] = s1, s2
-            heapq.heappush(heap, (-err1, lo, mid))
-            heapq.heappush(heap, (-err2, mid, hi))
+            heapq.heappush(heap, (-err1, lo, mid, next(seq), s1))
+            heapq.heappush(heap, (-err2, mid, hi, next(seq), s2))
         if len(heap) >= 2:
             tol = max(_QUAD_TOL, _QUAD_TOL * norm(total))
             if error < tol / 8 or error < rounding:
@@ -434,14 +426,15 @@ def _quad_vec_lockstep(f, ends: list) -> list:
 
     f(x, owner) takes the nodes of every interval that a round splits, of
     every integral still running, and the index in ``ends`` of each node's
-    integral: one call a round. Each integral keeps its own loop
-    (``_quad_vec_steps``), and f acts node by node, so each gets quad_vec's
-    bits. One entry per integral: (integral, error estimate). What f raises
-    on any integral's nodes ends them all.
+    integral: one ``_gk21`` call a round, whose rules go back to each
+    integral in the order it asked for its halves. Each integral keeps its
+    own loop (``_quad_vec_steps``), and f acts node by node, so each gets
+    quad_vec's bits. One entry per integral: (integral, error estimate).
+    What f raises on any integral's nodes ends them all.
     """
-    first = _gk21_by_owner(f, [(k, a, b) for k, (a, b) in enumerate(ends)], np.linalg.norm)
-    norm = abs if np.ndim(first[0][0][0]) == 0 else np.linalg.norm
-    steps = {k: _quad_vec_steps(f, k, *ends[k], rule, norm) for k, (rule,) in first.items()}
+    first = _gk21(f, [(k, a, b) for k, (a, b) in enumerate(ends)], np.linalg.norm)
+    norm = abs if np.ndim(first[0][0]) == 0 else np.linalg.norm
+    steps = {k: _quad_vec_steps(k, a, b, first[k], norm) for k, (a, b) in enumerate(ends)}
     results: dict = {}
     sent = dict.fromkeys(steps)  # what each running integral is sent next
     while sent:
@@ -451,8 +444,9 @@ def _quad_vec_lockstep(f, ends: list) -> list:
                 asked[k] = steps[k].send(rules)
             except StopIteration as stop:
                 results[k] = stop.value
-        sent = _gk21_by_owner(f, [half for halves in asked.values() for half in halves],
-                              norm) if asked else {}
+        rules = iter(_gk21(f, [half for halves in asked.values() for half in halves], norm)
+                     if asked else ())
+        sent = {k: [next(rules) for _ in halves] for k, halves in asked.items()}
     return [results[k] for k in range(len(ends))]
 
 

@@ -307,9 +307,11 @@ def _solve_axis(tag: str, axis: list, cfg: SolveConfig) -> list:
     The one place a failing point is isolated. A per-axis solve
     (``_AXIS_SOLVERS``) raises the first error any of its points hits; then
     each point of the axis is solved alone through ``_SOLVERS``, which gives
-    each its own answer or error, with the bits of the per-axis solve.
+    each its own answer or error, with the bits of the per-axis solve. A
+    one-point axis goes to ``_SOLVERS`` at once: its per-axis solve is the
+    same solve.
     """
-    if tag in _AXIS_SOLVERS:
+    if tag in _AXIS_SOLVERS and len(axis) > 1:
         try:
             return _AXIS_SOLVERS[tag](axis, cfg)
         except POINT_ERRORS:

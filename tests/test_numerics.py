@@ -468,6 +468,23 @@ class TestIntegrateMatchesQuadVec:
         monkeypatch.setattr(numerics, "_QUAD_BATCH", 64)
         assert repr(numerics._quad_vec(f, 0.0, 20.0)) != repr(want)
 
+    def test_entries_with_equal_error_and_ends_pop_together(self):
+        # on the zero-width [1, 1] every half has the ends of its parent: the
+        # two halves of round 1 tie on (error, lo, hi) and are split in one
+        # batch; each heap entry carries its own integral, and the vector
+        # integrals are never compared
+        steps = numerics._quad_vec_steps(0, 1.0, 1.0, (np.array([1.0, 2.0, 3.0]), 0.5, 0.0),
+                                         np.linalg.norm)
+        assert next(steps) == [(0, 1.0, 1.0)] * 2
+        assert steps.send([(np.array([0.5, 1.0, 1.5]), 0.25, 2.0 ** -60)
+                           for _ in range(2)]) == [(0, 1.0, 1.0)] * 4
+        with pytest.raises(StopIteration) as done:
+            steps.send([(np.array([0.125, 0.25, 0.5]), 0.0, 0.0) for _ in range(4)])
+        # each of the two pops adds 2 * [1/8, 1/4, 1/2] - [1/2, 1, 3/2] to
+        # [1, 2, 3]; the error falls to 0 and the rounding of round 1 remains
+        total, error = done.value.value
+        assert total.tolist() == [0.5, 1.0, 2.0] and error == 2.0 ** -59
+
     def test_failing_gate(self):
         _, err = _quad_vec_pin(lambda t: np.array([1.0 / t, math.exp(-t)]),
                                lambda t: np.stack((1.0 / t, numerics.exp_neg(t)), axis=1),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpcn import numerics, optimize, schemes
@@ -177,11 +177,20 @@ def _count_solves(monkeypatch):
 
 class TestPrunedPipSearch:
     @given(snr_db=st.floats(min_value=-60.0, max_value=90.0),
-           grid_step=st.floats(min_value=0.05, max_value=0.5))
+           log_gbar=st.floats(min_value=-3.0, max_value=3.0),
+           log_sigma2=st.floats(min_value=-3.0, max_value=3.0),
+           log_cap=st.floats(min_value=-2.0, max_value=2.0),
+           points=st.integers(min_value=2, max_value=400))
+    @example(snr_db=10.0, log_gbar=0.0, log_sigma2=0.0, log_cap=1.0, points=200)
     @settings(max_examples=40, deadline=None)
-    def test_equals_exhaustive_search_bit_for_bit(self, snr_db, grid_step):
-        params = SystemParams.from_snr_db(snr_db)
-        cfg = SolveConfig(grid_step=grid_step)
+    def test_equals_exhaustive_search_bit_for_bit(self, snr_db, log_gbar, log_sigma2, log_cap,
+                                                  points):
+        # gbar and sigma2 in 1e-3..1e3 and caps in 0.01..100, at grid steps
+        # of 1e-3 or more and at most about 400 axis points; the tiny-cap
+        # regime, where the closed form is rounding noise, is left out
+        gain_cap = 10.0 ** log_cap
+        params = SystemParams.from_snr_db(snr_db, 10.0 ** log_gbar, 10.0 ** log_sigma2)
+        cfg = SolveConfig(gain_cap=gain_cap, grid_step=max(1e-3, gain_cap / points))
         res = solve_pip(params, cfg)
         assert (res.policy.g_l, res.policy.g_u, res.throughput_bits) == \
             _exhaustive_pip(params, cfg)
@@ -325,6 +334,21 @@ class TestAxisSolves:
             SystemParams.from_snr_db(start), cfg))
         with pytest.raises(optimize.POINT_ERRORS) as alone:
             solver(SystemParams.from_snr_db(stop), cfg)
+        assert failed.error == str(alone.value) and math.isnan(failed.throughput_bits)
+
+    @pytest.mark.parametrize("tag,snr_db,cfg", [
+        ("pip", 3075.0, FAST),  # an overflowing band might win
+        ("htt", 2505.0, None),  # misses the quadrature gate
+    ])
+    def test_a_failing_one_point_axis_is_solved_once(self, monkeypatch, tag, snr_db, cfg):
+        # a one-point axis goes to the one-point solve at once: the per-axis
+        # solve of one point is the same solve, and would fail the same way
+        calls = _count_solves(monkeypatch)
+        (failed,) = sweep(snr_db, snr_db, 1.0, schemes_to_run=(tag,), cfg=cfg).points
+        assert calls[("axis", tag)] == 0 and calls[("point", tag)] == 1
+        solver = {"htt": solve_htt, "pip": solve_pip}[tag]
+        with pytest.raises(optimize.POINT_ERRORS) as alone:
+            solver(SystemParams.from_snr_db(snr_db), cfg)
         assert failed.error == str(alone.value) and math.isnan(failed.throughput_bits)
 
     def test_pip_failure_stays_isolated(self):

@@ -57,6 +57,46 @@ def test_count_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     assert done.stdout == "0 empty.py\n5 mod.py\n5 total\n"
 
 
+def test_line_trace_names_unlisted_unrun_lines_and_stale_entries(tmp_path):
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / "mod.py").write_text(
+        "def f(x):\n"
+        "    if x > 0:\n"
+        "        return x\n"
+        "    return -x\n"
+        "\n"
+        "\n"
+        "def g():\n"
+        "    return 0\n")
+    (tmp_path / "test_mod.py").write_text(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "\n"
+        "sys.path.insert(0, str(Path(__file__).parent / 'lib'))\n"
+        "import mod\n"
+        "\n"
+        "\n"
+        "def test_f():\n"
+        "    assert mod.f(1) == 1\n")
+    allow = tmp_path / "allow.json"
+    # without the hypothesis plugin, whose import is most of a run's time
+    pytest_args = ("--", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
+                   "test_mod.py")
+    # "return x" runs, so its entry is stale; "return 0" is unrun and unlisted
+    allow.write_text('[{"module": "mod.py", "line": "return -x", "reason": "f of x <= 0"},'
+                     ' {"module": "mod.py", "line": "return x", "reason": "stale"}]')
+    done = run_script("line_trace.py", "lib", str(allow), *pytest_args, cwd=tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[-2:] == [
+        "unrun, not in the allowlist: mod.py:8: return 0",
+        "stale allowlist entry, no unrun line has its text: mod.py: return x"]
+    allow.write_text('[{"module": "mod.py", "line": "return -x", "reason": "f of x <= 0"},'
+                     ' {"module": "mod.py", "line": "return 0", "reason": "g is not called"}]')
+    done = run_script("line_trace.py", "lib", str(allow), *pytest_args, cwd=tmp_path)
+    assert done.returncode == 0, done.stdout
+    assert done.stdout.splitlines()[-1] == "2 unrun lines in lib, all in the allowlist"
+
+
 # the bit ledger (scripts/bit_ledger.py): sha256 of the reprs of solver
 # outputs, recorded before the per-axis PIP and HTT solves (the sweeps and
 # PIP entries) and before failures moved out of the lockstep layers (the
