@@ -11,6 +11,8 @@ import contextlib
 import json
 import sys
 
+import numpy as np
+
 from . import optimize, schemes, sim
 from .numerics import ConvergenceError
 from .optimize import SCHEME_TAGS, THRESHOLDS, SolveConfig, thresholds
@@ -244,13 +246,17 @@ def cmd_sweep(args) -> int:
 
 # one frame per line; "%.12g" formats a float as _fmt does
 _FRAME_ROW = "%d,%.12g,%s,%.12g,%.12g,%.12g,%.12g\n"
+_DUMP_ROWS = 1024  # rows formatted by one % on _FRAME_ROW * rows
+_MODE_NAMES = np.array(sim.MODE_NAMES, dtype=object)
 
 
 def _frame_writer(path: str, files: contextlib.ExitStack):
     """An ``on_block`` sink that writes each block of frames as CSV rows to ``path``.
 
     The file is opened at the first block, after every check of the trace,
-    so a failing command leaves no file; ``files`` closes it.
+    so a failing command leaves no file; ``files`` closes it. The rows are
+    formatted ``_DUMP_ROWS`` at a time, from one object matrix of their
+    Python values.
     """
     fh = None
 
@@ -259,12 +265,16 @@ def _frame_writer(path: str, files: contextlib.ExitStack):
         if fh is None:
             fh = files.enter_context(open(path, "w"))
             fh.write("index,gain,mode,harvested_j,consumed_j,stored_j,rate_bits\n")
-        # no name holds a block's lists, so they are freed before the next
-        fh.writelines(_FRAME_ROW % row for row in zip(
-            range(start, start + len(block.gain)), block.gain.tolist(),
-            (sim.MODE_NAMES[code] for code in block.mode.tolist()),
-            block.harvested.tolist(), block.consumed.tolist(),
-            block.stored.tolist(), block.rate.tolist()))
+        n = len(block.gain)
+        columns = (block.gain, _MODE_NAMES[block.mode], block.harvested, block.consumed,
+                   block.stored, block.rate)
+        matrix = np.empty((min(n, _DUMP_ROWS), 1 + len(columns)), dtype=object)
+        for lo in range(0, n, _DUMP_ROWS):
+            rows = matrix[:min(n - lo, _DUMP_ROWS)]
+            rows[:, 0] = range(start + lo, start + lo + len(rows))
+            for k, column in enumerate(columns, 1):
+                rows[:, k] = column[lo:lo + len(rows)]
+            fh.write(_FRAME_ROW * len(rows) % tuple(rows.ravel().tolist()))
 
     return write
 

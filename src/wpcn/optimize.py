@@ -173,32 +173,71 @@ class _Eligible:
 def _solve_threshold(scheme: str, throughput, band, lo: float,
                      params: SystemParams, cfg: SolveConfig) -> SolveResult:
     """Best threshold x in [lo, gain_cap] of the scheme whose closed form is
-    ``throughput(x, params)`` and transmit band ``band(x)``."""
+    ``throughput(x, params)`` and transmit band ``band(x)``.
+
+    Where the search would refuse (an ineligible band's bound reaches the
+    best value), the eligible bands may all lie between two scan points:
+    the eligible part of [lo, gain_cap] is searched again alone, its edge
+    bisected, before the refusal is decided.
+    """
     f = _Eligible(lambda x: throughput(x, params), band, params)
     cap = cfg.gain_cap
-    xs = np.linspace(lo, cap, _COARSE_POINTS)
+    best_x, best_v, step = _search_threshold(f, lo, cap)
+    if not f.ineligible_bound < best_v:
+        eligible = _eligible_part(band, lo, cap, params)
+        if eligible is not None:
+            x, v, _ = _search_threshold(f, *eligible)
+            if v > best_v:
+                best_x, best_v = x, v
+    f.check(best_v)
+    policy = BandPolicy(*band(best_x))
+    return SolveResult(
+        scheme=scheme, policy=policy, throughput_bits=best_v,
+        ul_power=schemes.band_uplink(*policy.band, params)[0],
+        at_boundary=bool(cap - best_x <= max(cfg.grid_step, step)),
+    )
+
+
+def _search_threshold(f, lo: float, hi: float) -> tuple[float, float, float]:
+    """(x, f(x), scan step): the best of a coarse scan of [lo, hi] and of
+    ``maximize_scalar`` on four brackets, one around the scan's best point."""
+    xs = np.linspace(lo, hi, _COARSE_POINTS)
     coarse = f(xs)
     i0 = int(np.argmax(coarse))
     step = xs[1] - xs[0]
 
     best_x, best_v = float(xs[i0]), float(coarse[i0])
     brackets = [
-        (max(lo, xs[i0] - 2.0 * step), min(cap, xs[i0] + 2.0 * step)),
-        (lo, lo + 0.4 * (cap - lo)),
-        (lo + 0.2 * (cap - lo), lo + 0.7 * (cap - lo)),
-        (lo + 0.5 * (cap - lo), cap),
+        (max(lo, xs[i0] - 2.0 * step), min(hi, xs[i0] + 2.0 * step)),
+        (lo, lo + 0.4 * (hi - lo)),
+        (lo + 0.2 * (hi - lo), lo + 0.7 * (hi - lo)),
+        (lo + 0.5 * (hi - lo), hi),
     ]
     for a, b in brackets:
         x, v = maximize_scalar(f, Interval(float(a), float(b)), _THRESHOLD_TOL)
         if v > best_v:
             best_x, best_v = float(x), float(v)
-    f.check(best_v)
-    policy = BandPolicy(*band(best_x))
-    return SolveResult(
-        scheme=scheme, policy=policy, throughput_bits=best_v,
-        ul_power=schemes.band_uplink(*policy.band, params)[0],
-        at_boundary=bool(cap - best_x <= max(cfg.grid_step, float(step))),
-    )
+    return best_x, best_v, float(step)
+
+
+def _eligible_part(band, lo: float, hi: float, params: SystemParams):
+    """(a, b): the thresholds of [lo, hi] whose band is eligible, where one
+    end of [lo, hi] is eligible and the other not, the edge between them
+    bisected to adjacent floats. None where both ends are alike or the
+    part is one point."""
+    def eligible(x: float) -> bool:
+        return bool(schemes.band_uplink(*band(x), params)[2])
+
+    good, bad = (lo, hi) if eligible(lo) else (hi, lo)
+    if not eligible(good) or eligible(bad):
+        return None
+    while (mid := good + 0.5 * (bad - good)) not in (good, bad):
+        if eligible(mid):
+            good = mid
+        else:
+            bad = mid
+    part = (lo, good) if good < bad else (good, hi)
+    return part if part[0] < part[1] else None
 
 
 def solve_ip(params: SystemParams, cfg: SolveConfig | None = None) -> SolveResult:

@@ -209,15 +209,27 @@ def htt_optimal_tau(gamma):
     arr = np.asarray(gamma, dtype=float)
     if np.any(arr <= 0.0) or np.isnan(arr).any():
         raise ValueError("htt_optimal_tau requires gamma > 0")
-    w = lambert_w0((arr - 1.0) / math.e)
+    return _scalar_or_array(_optimal_tau(np.atleast_1d(arr)).reshape(arr.shape), arr.ndim == 0)
+
+
+def _optimal_tau(gamma: np.ndarray) -> np.ndarray:
+    # htt_optimal_tau on an array of SNRs > 0, unchecked; each rare branch
+    # is computed on its own frames only
+    gm1 = gamma - 1.0
+    w = lambert_w0(gm1 / math.e)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        denom = (w + 1.0) * (arr - 1.0)
-        tau = np.where(np.isinf(denom), _split_of_huge_snr(arr, w), (arr - 1.0 - w) / denom)
+        denom = (w + 1.0) * gm1
+        tau = (gm1 - w) / denom
+        huge = np.isinf(denom)
+        if huge.any():
+            tau[huge] = _split_of_huge_snr(gamma[huge], w[huge])
     # W0 rounds to exactly -1 once gamma drops below ~1e-32; use the
     # small-gamma asymptote 1 - sqrt(gamma/2) there
-    tau = np.where(denom == 0.0, 1.0 - np.sqrt(arr / 2.0), tau)
-    tau = np.where(np.abs(arr - 1.0) < 1e-9, _TAU_AT_UNIT_SNR, tau)
-    return _scalar_or_array(np.clip(tau, 0.0, _TAU_MAX), arr.ndim == 0)
+    tiny = denom == 0.0
+    if tiny.any():
+        tau[tiny] = 1.0 - np.sqrt(gamma[tiny] / 2.0)
+    tau[np.abs(gm1) < 1e-9] = _TAU_AT_UNIT_SNR
+    return np.clip(tau, 0.0, _TAU_MAX, out=tau)
 
 
 def htt_frame(g, params: SystemParams):
@@ -244,11 +256,14 @@ def _htt_frame(frames: np.ndarray, link: tuple) -> tuple:
     # is a float or holds one value per gain, and every step acts frame by
     # frame, so a frame's bits do not depend on the others
     gamma = _instant_snr(frames, link)
-    tau = np.ones_like(gamma)
     live = gamma > 0.0
-    if live.any():
-        tau[live] = htt_optimal_tau(gamma[live])
-    split = np.where(live, tau, 0.0)  # a zero split: rate and power are exactly 0
+    if live.all():
+        tau = split = _optimal_tau(gamma)
+    else:
+        tau = np.ones_like(gamma)
+        if live.any():
+            tau[live] = _optimal_tau(gamma[live])
+        split = np.where(live, tau, 0.0)  # a zero split: rate and power are exactly 0
     _, p_d, gbar, _ = link
     power = split / (1.0 - split) * p_d * gbar * frames
     return tau, _split_rate(gamma, split), power

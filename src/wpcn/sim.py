@@ -41,7 +41,8 @@ MODE_SPLIT = "SPLIT"
 MODE_NAMES = (MODE_WIT, MODE_WPT, MODE_SPLIT)
 _WIT, _WPT, _SPLIT = 0, 1, 2
 _FRAME_BLOCK = channel._FRAME_BLOCK  # frames per block of per-frame quantities
-_LEDGER_BLOCK = 4096  # frames per ledger window: a demotion re-sums at most this many
+_LEDGER_BLOCK = 4096  # frames per ledger window at most: a demotion re-sums at most this many
+_LEDGER_RESTART = 64  # frames in the window after a demotion
 
 
 @dataclass
@@ -158,24 +159,33 @@ def _run_ledger(level: float, g, mode, harvested, consumed, stored, rate,
 
     In causal mode a transmit frame the level cannot cover is demoted to
     harvesting in place. Returns the level after the block and the number
-    of demoted frames.
+    of demoted frames. Every window is summed in one buffer; after a
+    demotion the next window is ``_LEDGER_RESTART`` frames long, and each
+    window without one doubles the length, up to ``_LEDGER_BLOCK``.
     """
-    # net is exact (one of harvested/consumed is 0, or the two are equal in
-    # HTT), and np.cumsum adds in sequence: each level is stored[k-1] + net[k]
-    n, skipped, i = len(g), 0, 0
+    # net is exact (one of harvested/consumed is 0), and np.cumsum adds in
+    # sequence whatever the windows: each level is stored[k-1] + net[k]
+    n, skipped, i, width = len(g), 0, 0, _LEDGER_BLOCK
+    buffer = np.empty(min(n, _LEDGER_BLOCK) + 1)
     while i < n:
-        j = min(i + _LEDGER_BLOCK, n)
-        net = harvested[i:j] - consumed[i:j]
-        run = np.cumsum(np.concatenate(([level], net)))  # run[k]: level before frame i+k
-        broke = np.flatnonzero((mode[i:j] == _WIT) & (run[:-1] < consumed[i:j])) if causal else []
+        j = min(i + width, n)
+        run = buffer[:j - i + 1]  # run[k]: level before frame i+k
+        run[0] = level
+        np.subtract(harvested[i:j], consumed[i:j], out=run[1:])
+        np.cumsum(run, out=run)
+        # a level is >= 0 up to the first broke frame, and only transmit frames consume
+        broke = np.flatnonzero(run[:-1] < consumed[i:j]) if causal else ()
         if len(broke):
             # not enough charge: demote the first such frame to harvesting and
-            # restart the sum there, from the exact level before it; the next
-            # window begins at that frame and sums its new net
+            # restart the sum there, from the exact level before it; the next,
+            # short window begins at that frame and sums its new net
             j = i + int(broke[0])
             mode[j], consumed[j], rate[j] = _WPT, 0.0, 0.0
             harvested[j] = pd_gbar * g[j]
             skipped += 1
+            width = _LEDGER_RESTART
+        else:
+            width = min(2 * width, _LEDGER_BLOCK)
         stored[i:j] = run[1:j - i + 1]
         level, i = run[j - i], j
     return level, skipped
@@ -235,16 +245,27 @@ def run_policy_trace(policy: Policy, params: SystemParams, n_frames: int, seed: 
                 mode = np.full(len(g), _SPLIT, dtype=np.int8)
                 harvested = tau * (pd_gbar * g)
                 consumed = harvested  # per-frame balance, exact by construction
+                # every net is +0.0: each level is the running sum's level + 0.0,
+                # and no ledger window runs (a -0.0 charge turns +0.0)
+                level += 0.0
+                stored = np.full(len(g), level)
             else:
                 wit = (g >= lo) & (g < hi)  # half-open band: ties go to the upper side
-                mode = np.where(wit, _WIT, _WPT).astype(np.int8)
-                harvested = np.where(wit, 0.0, pd_gbar * g)
-                consumed = np.where(wit, pu, 0.0)
-                rate = np.where(wit, np.log1p(gammabar * g) / schemes.LN2, 0.0)
-            stored = np.empty(len(g))
-            level, demoted = _run_ledger(level, g, mode, harvested, consumed, stored, rate,
-                                         pd_gbar, causal)
-            skipped += demoted
+                idle = ~wit
+                mode = idle.view(np.int8)  # _WIT is 0, _WPT 1
+                harvested = pd_gbar * g
+                harvested *= idle
+                consumed = wit * pu
+                # log1p in the band alone: gammabar g fits there (band_uplink's
+                # eligibility) but may overflow outside it, and inf * 0 is NaN
+                with np.errstate(over="ignore"):
+                    snr = gammabar * g
+                rate = np.log1p(snr, out=np.zeros(len(g)), where=wit)
+                rate /= schemes.LN2
+                stored = np.empty(len(g))
+                level, demoted = _run_ledger(level, g, mode, harvested, consumed, stored,
+                                             rate, pd_gbar, causal)
+                skipped += demoted
             low = np.minimum(low, np.min(stored))
             sink(start, FrameTrace(gain=g, mode=mode, harvested=harvested, consumed=consumed,
                                    stored=stored, rate=rate))

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -217,6 +218,20 @@ class TestOptimize:
                        "--gain-cap", "1000", "--grid-step", "1")
         assert 1.0 < row["throughput_bits"] < 2.0
         assert not row["at_boundary"]
+
+    def test_pi_searches_the_eligible_thresholds_below_the_first_scan_step(self, capsys):
+        # every coarse-scan point but g_l = 0 overflows at this cap; the
+        # eligible thresholds, below g_l ~ 0.01, are searched alone, and
+        # --gain-cap 1.0 finds 995.932705105403 bits at g_l = 0.00291
+        code, out, err = run_cli(capsys, "optimize", "--scheme", "pi",
+                                 "--p-d", "2.156272299568374e306", "--gbar", "3.631698349604619",
+                                 "--sigma2", "14.421922606466026",
+                                 "--gain-cap", "772.7775264106529")
+        assert code == 0 and err == ""
+        row = json.loads(out)
+        assert all(math.isfinite(row[key]) for key in ("g_l", "ul_power_w", "throughput_bits"))
+        assert row["throughput_bits"] >= 995.932705105403 - 1e-9
+        assert 0.0 < row["g_l"] < 0.01
 
     def test_high_snr_ip_beats_htt(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--scheme", "all", "--snr-db", "30",
@@ -529,6 +544,38 @@ class TestSimulate:
                                  "--dump-frames", str(tmp_path / "frames.csv"))
         assert code == 0
         assert peak <= 2.5 * 2**20
+
+    @pytest.mark.parametrize("lengths", [(1,), (1023, 1), (1025, 3000), (8192, 2049)],
+                             ids=["one-frame", "1023+1", "1025+3000", "8192+2049"])
+    def test_dump_chunks_write_the_per_row_bytes(self, tmp_path, lengths):
+        # the writer formats 1,024 rows at a time; its bytes are those of
+        # one _FRAME_ROW % row per frame, on blocks that end mid-chunk and
+        # on cells that print -0 or in exponent form
+        rng = np.random.default_rng(len(lengths) + sum(lengths))
+        cells = np.array([-0.0, 0.0, 5e-324, 1.2e-300, 3.4e-7, 2.0 / 3.0, 1.6, 12345678.9,
+                          6.02e23, 1.7e300])
+        blocks, start = [], 0
+        for n in lengths:
+            block = sim.FrameTrace(rng.choice(cells, n), rng.integers(0, 3, n).astype(np.int8),
+                                   *(rng.choice(cells, n) for _ in range(4)))
+            block.gain[0], block.harvested[0], block.stored[0] = 1.2e-300, -0.0, 1.7e300
+            blocks.append((start, block))
+            start += n
+        dump = tmp_path / "frames.csv"
+        with contextlib.ExitStack() as files:
+            write = cli._frame_writer(str(dump), files)
+            for start, block in blocks:
+                write(start, block)
+        expect = "index,gain,mode,harvested_j,consumed_j,stored_j,rate_bits\n" + "".join(
+            cli._FRAME_ROW % row
+            for start, block in blocks
+            for row in zip(range(start, start + len(block.gain)), block.gain.tolist(),
+                           (sim.MODE_NAMES[code] for code in block.mode.tolist()),
+                           block.harvested.tolist(), block.consumed.tolist(),
+                           block.stored.tolist(), block.rate.tolist()))
+        text = dump.read_text()
+        assert "-0," in text and "e-300" in text and "e+300" in text
+        assert text == expect
 
     def test_summary_alone_holds_no_column(self, capsys):
         # without a dump the trace goes to no sink: 0.52 MiB measured, where

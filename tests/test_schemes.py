@@ -152,6 +152,76 @@ class TestHttOptimalTau:
             schemes.htt_optimal_tau(-2.0)
 
 
+def _where_optimal_tau(gamma):
+    """``htt_optimal_tau`` as it was written before its rare branches were
+    computed on their own masks: every branch on every frame, picked by np.where."""
+    arr = np.asarray(gamma, dtype=float)
+    w = numerics.lambert_w0((arr - 1.0) / math.e)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        denom = (w + 1.0) * (arr - 1.0)
+        huge = (arr - 1.0 - w) / (arr - 1.0) / (w + 1.0)
+        tau = np.where(np.isinf(denom), huge, (arr - 1.0 - w) / denom)
+    tau = np.where(denom == 0.0, 1.0 - np.sqrt(arr / 2.0), tau)
+    tau = np.where(np.abs(arr - 1.0) < 1e-9, 1.0 - 1.0 / math.e, tau)
+    return np.clip(tau, 0.0, 1.0 - 1e-16)
+
+
+def _where_htt_frame(g, params):
+    """``htt_frame`` on an array, as it was written with ``_where_optimal_tau``."""
+    gamma = schemes.htt_instant_snr(g, params)
+    tau = np.ones_like(gamma)
+    live = gamma > 0.0
+    if live.any():
+        tau[live] = _where_optimal_tau(gamma[live])
+    split = np.where(live, tau, 0.0)
+    rate = (1.0 - split) * np.log1p(gamma * split / (1.0 - split)) / schemes.LN2
+    power = split / (1.0 - split) * params.p_d * params.gbar * g
+    return tau, rate, power
+
+
+# SNRs that take each rare branch of the split: an infinite (w + 1)(gamma - 1),
+# W0 rounding to -1 (gamma below ~1e-32), and |gamma - 1| < 1e-9
+RARE_SNRS = {
+    "infinite-denom": [3e305, 1e306, 4.4e307, 1.7976931348623157e308],
+    "zero-denom": [1e-33, 3.7e-40, 1e-300, 5e-324],
+    "unit-snr": [1.0, 1.0 + 2e-16, 1.0 - 5e-10, 1.0 + 9.9e-10],
+}
+ORDINARY_SNRS = [1e-30, 0.01, 0.5, 1.0 + 2e-9, 3.0, 10.0, 1e5, 1e300]
+
+
+def _branch_snrs(branch: str) -> np.ndarray:
+    """The SNRs of one rare branch, or of every branch and the ordinary ones, shuffled."""
+    if branch in RARE_SNRS:
+        return np.array(RARE_SNRS[branch])
+    mixed = [x for xs in RARE_SNRS.values() for x in xs] + ORDINARY_SNRS
+    return np.random.default_rng(5).permutation(mixed)
+
+
+class TestHttSplitRareBranches:
+    """The split's rare branches, pinned bit for bit to the np.where form."""
+
+    @pytest.mark.parametrize("branch", [*RARE_SNRS, "mixed"])
+    def test_optimal_tau_matches_the_where_form(self, branch):
+        gamma = _branch_snrs(branch)
+        want = _where_optimal_tau(gamma)
+        assert schemes.htt_optimal_tau(gamma).tobytes() == want.tobytes()
+        assert [schemes.htt_optimal_tau(float(x)) for x in gamma] == want.tolist()
+        assert schemes.htt_optimal_tau(gamma.reshape(-1, 2)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("branch", [*RARE_SNRS, "mixed"])
+    @pytest.mark.parametrize("with_zero_snr", [False, True], ids=["all-live", "zero-snr-frames"])
+    def test_htt_frame_matches_the_where_form(self, branch, with_zero_snr):
+        # gbar = sigma2 = 1, so a frame's SNR is p_d g^2: g = sqrt(gamma) at p_d = 1
+        g = np.sqrt(_branch_snrs(branch))
+        if with_zero_snr:
+            g = np.concatenate((g, [0.0, 1e-200]))  # g^2 underflows at 1e-200
+        g = np.random.default_rng(len(g)).permutation(g)
+        params = SystemParams(p_d=1.0)
+        got, want = schemes.htt_frame(g, params), _where_htt_frame(g, params)
+        for name, x, y in zip(("tau", "rate", "power"), got, want):
+            assert x.tobytes() == y.tobytes(), name
+
+
 class TestHttTau:
     """The per-frame split, the first output of ``htt_frame``."""
 

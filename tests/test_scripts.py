@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts in ``scripts/``."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,37 @@ def test_line_trace_names_unlisted_unrun_lines_and_stale_entries(tmp_path):
     done = run_script("line_trace.py", "lib", str(allow), *pytest_args, cwd=tmp_path)
     assert done.returncode == 0, done.stdout
     assert done.stdout.splitlines()[-1] == "2 unrun lines in lib, all in the allowlist"
+
+
+def test_ab_compare_alternates_two_checkouts_in_one_process(tmp_path):
+    # each fixture's cli prints its side and appends the argv to a log,
+    # so the log shows which checkout ran each command line, in order
+    log = tmp_path / "runs.log"
+    for side in ("old", "new"):
+        package = tmp_path / side / "src" / "wpcn"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(
+            "def main(argv):\n"
+            f"    with open({str(log)!r}, 'a') as fh:\n"
+            f"        fh.write({side!r} + ' ' + ' '.join(argv) + '\\n')\n"
+            f"    print({side!r} if argv == ['diverge'] else 'same')\n"
+            "    return 0\n")
+    done = run_script("ab_compare.py", "old", "new", "--pairs", "3", "--", "a", "1",
+                      "--", "b", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert re.fullmatch(r"old old: min \d+\.\d{4} s, median \d+\.\d{4} s", lines[0])
+    assert re.fullmatch(r"new new: min \d+\.\d{4} s, median \d+\.\d{4} s", lines[1])
+    assert re.fullmatch(r"paired new/old: median \d+\.\d{3} over 3 pairs, new faster in [0-3]",
+                        lines[2])
+    assert lines[3:] == ["stdout: identical"]
+    # one untimed run of each side, then the pairs, the first side alternating
+    sides = [line.split()[0] for line in log.read_text().splitlines()[::2]]
+    assert sides == ["old", "new", "old", "new", "new", "old", "old", "new"]
+    assert log.read_text().splitlines()[:2] == ["old a 1", "old b"]
+    done = run_script("ab_compare.py", "old", "new", "--pairs", "1", "--", "diverge", cwd=tmp_path)
+    assert done.stdout.splitlines()[-1] == "stdout: differs"
 
 
 # the bit ledger (scripts/bit_ledger.py): sha256 of the reprs of solver

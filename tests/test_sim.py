@@ -144,6 +144,46 @@ class TestTraceLedger:
             assert summary.skipped_wit_frames == skipped
             assert summary.min_stored == float(np.min(ref.stored))
 
+    @given(policy=st.sampled_from([BandPolicy(g_u=1.6), BandPolicy(g_u=4.0), BandPolicy(0.05),
+                                   BandPolicy(0.02, 5.0), BandPolicy(0.3, 2.0)]),
+           snr_db=st.sampled_from([-10.0, 10.0, 30.0]),
+           n=st.integers(min_value=1, max_value=10_000),
+           seed=st.integers(min_value=0, max_value=2**32),
+           initial_energy=st.sampled_from([-0.0, 0.0, 5e-324, 1e-3]),
+           causal=st.booleans())
+    @example(policy=BandPolicy(g_u=1.6), snr_db=10.0, n=10_000, seed=1, initial_energy=-0.0,
+             causal=True)
+    @settings(max_examples=30, deadline=None)
+    def test_window_schedule_keeps_the_sequential_bits(self, policy, snr_db, n, seed,
+                                                        initial_energy, causal):
+        # short windows after each demotion, doubling back to _LEDGER_BLOCK:
+        # every level is still stored[k-1] + (harvested[k] - consumed[k]),
+        # here summed frame by frame in Python floats
+        params = SystemParams.from_snr_db(snr_db)
+        trace, summary = sim.run_policy_trace(policy, params, n, seed, causal=causal,
+                                              initial_energy=initial_energy)
+        lo, hi = policy.band
+        pu, gammabar, _ = schemes.band_uplink(lo, hi, params)
+        pd_gbar = params.p_d * params.gbar
+        level, skipped = initial_energy, 0
+        want = {name: [] for name in ("stored", "mode", "harvested", "consumed", "rate")}
+        for g in channel.sample(n, seed).values.tolist():
+            mode, harvested, consumed, rate = 1, pd_gbar * g, 0.0, 0.0
+            if lo <= g < hi:
+                if causal and level < pu:
+                    skipped += 1
+                else:
+                    mode, harvested, consumed = 0, 0.0, pu
+                    rate = float(np.log1p(gammabar * g)) / schemes.LN2
+            level = level + (harvested - consumed)
+            for name, value in zip(want, (level, mode, harvested, consumed, rate)):
+                want[name].append(value)
+        for name, values in want.items():
+            assert repr(getattr(trace, name).tolist()) == repr(values), name
+        assert summary.skipped_wit_frames == skipped
+        if causal and (policy, n, seed) == (BandPolicy(g_u=1.6), 10_000, 1):
+            assert skipped > 200  # the example's demotions are dense
+
     def test_demotions_after_the_first_window(self):
         # the comparison above restarts the sum past a window edge only if
         # a demotion lands there: pin that these draws make some
@@ -423,6 +463,36 @@ class TestTraceWork:
                             lambda k, seed, start=0: draws.append(k) or real(k, seed, start))
         sim.run_policy_trace(policy, params, n, seed=3, causal=True)
         assert sum(draws) == walks * n
+
+    def test_ledger_resums_few_frames_and_htt_runs_none(self, monkeypatch):
+        # a count gate, not a time bound: after a demotion the ledger sums a
+        # short window, not a whole one of _LEDGER_BLOCK frames again; the
+        # benchmark's causal IP trace summed 2,522,287 frames (its 543
+        # demotions each re-summing a 4,096-frame window), 1,056,010 now.
+        # HTT frames net to 0, so their blocks run no ledger window
+        summed, real = [], np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda a, *args, **kwargs: (
+            summed.append(np.size(a)) or real(a, *args, **kwargs)))
+        _, summary = sim.run_policy_trace(BandPolicy(g_u=1.6), P10, 1_000_000, seed=1,
+                                          causal=True, on_block=lambda start, block: None)
+        assert summary.skipped_wit_frames == 543
+        assert sum(summed) <= 1_100_000
+        summed.clear()
+        trace, _ = sim.run_policy_trace(HTTPolicy(), P10, 20_000, seed=1, causal=True)
+        assert summed == [] and np.all(trace.stored == 0.0)
+
+    def test_uplink_snr_overflowing_outside_the_band_leaves_rate_0(self):
+        # gammabar g fits up to g_u = 1 but overflows on the draws above
+        # about 3.1: those frames harvest at rate 0, with no NaN and no
+        # overflow warning (which this suite raises as an error)
+        params = SystemParams(p_d=1e306, sigma2=0.02)
+        trace, _ = sim.run_policy_trace(BandPolicy(g_u=1.0), params, 1000, seed=1)
+        _, gammabar, _ = schemes.band_uplink(0.0, 1.0, params)
+        wit = trace.gain < 1.0
+        assert float(np.max(trace.gain)) * gammabar == math.inf
+        assert trace.rate[~wit].tolist() == [0.0] * int(np.sum(~wit))
+        assert trace.rate[wit].tolist() == [
+            float(np.log1p(gammabar * g)) / schemes.LN2 for g in trace.gain[wit].tolist()]
 
     def test_overflowing_level_is_refused_before_the_first_block(self):
         blocks = []
