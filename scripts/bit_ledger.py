@@ -11,6 +11,9 @@ Prints one ``<entry> <sha256>`` line per entry:
 - ``<tag>-step<s>-cap<c>``: the SolveResult of ``optimize._SOLVERS[tag]``
   at 10 dB on the grid of step s and gain cap c, for s in 0.005, 0.05 and
   c in 1, 40, for each scheme tag (HTT reads neither);
+- ``<tag>-cap<c>``: the same for IP and PI at the default grid step and the
+  gain caps 1e5 and 1e300, past which their throughput underflows or their
+  bands are not eligible;
 - ``evaluate-<tag>``: ``schemes.evaluate_policy`` of the scheme's policy of
   fixed thresholds at -60, -10, 10, 30 and 90 dB.
 
@@ -44,6 +47,10 @@ def ledger() -> dict[str, str]:
             for cap in (1.0, 40.0):
                 result = optimize._SOLVERS[tag](params, SolveConfig(gain_cap=cap, grid_step=step))
                 entries[f"{tag}-step{step:g}-cap{cap:g}"] = (result,)
+    for tag in ("ip", "pi"):
+        for cap in (1e5, 1e300):
+            result = optimize._SOLVERS[tag](params, SolveConfig(gain_cap=cap))
+            entries[f"{tag}-cap{cap:g}"] = (result,)
     for tag, policy in FIXED_POLICIES.items():
         entries[f"evaluate-{tag}"] = [evaluate_policy(policy, SystemParams.from_snr_db(db))
                                       for db in (-60.0, -10.0, 10.0, 30.0, 90.0)]

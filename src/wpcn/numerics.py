@@ -29,8 +29,8 @@ alone; neither the ``scipy.special`` package nor ``scipy.integrate`` is
 ever imported.
 
 The special functions accept floats or numpy arrays and preserve shape.
-``exp_scaled_e1`` gives a float its own entry, with no array round trip,
-since the scalar solvers call it one float at a time.
+``exp_scaled_e1`` gives a float or a 0-d input one scalar entry, with no
+array round trip, since the scalar solvers call it one float at a time.
 Everything is pure; the only module state is the binding of the two
 scipy ufuncs.
 """
@@ -40,7 +40,6 @@ import heapq
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -56,7 +55,6 @@ OPEN_END = math.inf
 _TAIL_LENGTH = 40.0
 _INTEGRATE_GATE = 1e-10  # largest error estimate integrate accepts
 _TINY = 1e-300
-_BISECTION_MAX_ITER = 200  # bisection steps maximize_scalar takes at most
 
 
 class ConvergenceError(RuntimeError):
@@ -241,20 +239,20 @@ def exp_scaled_e1(x):
     evaluating the scaled form avoids overflow of the bare exponential.
     Arrays use e^x * ``scipy.special.exp1(x)`` up to x = 600 and the 12-term
     asymptotic series (1/x) sum_k (-1)^k k!/x^k above it (truncation error
-    below 1e-25 relative). A float, or a 0-d array, uses a power series up
-    to 1 and a continued fraction above; a float skips the array round trip.
+    below 1e-25 relative). A float or any 0-d input takes one scalar entry,
+    with no array round trip: a power series up to 1 and a continued
+    fraction above.
     """
-    if isinstance(x, float):
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)  # an np.float64 or a 0-d array becomes a Python float
         if math.isnan(x):
             raise ValueError("x contains NaN")
         if not x > 0.0:
             raise ValueError("exp_scaled_e1 requires x > 0")
-        return _exp_scaled_e1_float(float(x))  # np.float64 is a float too
-    arr, scalar = _as_array(x, "x")
+        return _exp_scaled_e1_float(x)
+    arr, _ = _as_array(x, "x")
     if np.any(arr <= 0.0):
         raise ValueError("exp_scaled_e1 requires x > 0")
-    if scalar:
-        return _exp_scaled_e1_float(float(arr))
     head = np.minimum(arr, _E1_TAIL_FROM)
     out = np.exp(head) * _exp1(head)
     tail = arr > _E1_TAIL_FROM
@@ -450,11 +448,6 @@ def _quad_vec_lockstep(f, ends: list) -> list:
     return [results[k] for k in range(len(ends))]
 
 
-def _quad_vec(f, a: float, b: float) -> tuple:
-    """``_quad_vec_lockstep`` of the one integral of f(x) on [a, b]: (integral, error estimate)."""
-    return _quad_vec_lockstep(lambda x, owner: f(x), [(a, b)])[0]
-
-
 def _integration_range(a: float, b: float) -> tuple[float, float]:
     # [a, b] with an open upper bound truncated at a + 40 (see _TAIL_LENGTH)
     if math.isnan(a) or math.isnan(b):
@@ -501,7 +494,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
     float integral or (n, k) for k integrals on shared subintervals; the
     result is a float or an array of k. f must act node by node. The steps and
     the bits are those of ``scipy.integrate.quad_vec`` with its 21-point
-    rule, epsabs = epsrel = 1e-12 and 400 subintervals (``_quad_vec``).
+    rule, epsabs = epsrel = 1e-12 and 400 subintervals (``_quad_vec_steps``).
     Open upper bounds are truncated at a + 40 (see _TAIL_LENGTH). Raises
     ConvergenceError when the error estimate, the 2-norm over the
     components, exceeds _INTEGRATE_GATE or is NaN. ``integrate_lockstep``
@@ -519,12 +512,15 @@ def maximize_scalar(f: Callable[[float], float], domain: Interval,
     """Maximize a unimodal scalar function on the closed, finite interval ``domain``.
 
     Bisects on the sign of a central finite difference of f (step
-    1e-7 * max(1, |x|)) until the bracket is narrower than ``abs_tol``, or
-    for at most _BISECTION_MAX_ITER steps, with a warning. If the endpoint
-    derivative signs do not bracket an interior maximum, a unimodal f peaks
-    at an end and no search runs. Either way each end replaces the best
-    point so far only if strictly better, so ties keep the bisection point,
-    then ``lo``. Returns (argmax, f(argmax)).
+    1e-7 * max(1, |x|)) until the bracket is narrower than ``abs_tol`` or
+    its midpoint rounds to one of its ends (float resolution: about 1,100
+    halvings from a bracket 1e308 wide). The search runs where the slope is
+    positive at ``lo`` and not positive at ``hi``, which includes an f flat
+    there (a throughput that underflows to 0) or -inf on both sides of it
+    (bands that are not eligible: the difference is NaN). Else a unimodal f
+    peaks at an end and no search runs. Either way each end replaces the
+    best point so far only if strictly better, so ties keep the bisection
+    point, then ``lo``. Returns (argmax, f(argmax)).
     """
     if not abs_tol > 0.0:
         raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
@@ -540,18 +536,13 @@ def maximize_scalar(f: Callable[[float], float], domain: Interval,
 
     d_lo = dsign(lo)
     d_hi = dsign(hi)
-    if d_lo > 0.0 and d_hi < 0.0:
+    if d_lo > 0.0 and not d_hi > 0.0:
         a, b = lo, hi
-        iterations = 0
-        while b - a > abs_tol and iterations < _BISECTION_MAX_ITER:
-            m = 0.5 * (a + b)
+        while b - a > abs_tol and a < (m := 0.5 * (a + b)) < b:
             if dsign(m) > 0.0:
                 a = m
             else:
                 b = m
-            iterations += 1
-        if b - a > abs_tol:
-            warnings.warn("derivative bisection exhausted its iteration cap; returning best so far")
         best_x = 0.5 * (a + b)
         best_f = f(best_x)
         ends = (lo, hi)

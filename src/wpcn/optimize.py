@@ -8,7 +8,7 @@ g_u < inf (the energy-balanced Lagrangian admits a gain where a concave rate
 beats an affine cost), but its edges have no closed form, so it is solved by
 a grid search over the pairs g_l < g_u. It prunes with bounds that need no
 E1: a coarse sub-grid seeds the pruning threshold, a block bound
-``schemes.band_throughput_block_bound`` drops the runs of g_u in a row g_l
+``schemes.band_block_bound`` drops the runs of g_u in a row g_l
 that cannot win before any pair of them is bounded, the Jensen bound
 ``schemes.band_throughput_bound`` picks the pairs of the other blocks that
 are refined, and ``schemes.band_throughput_refined_bound`` (Jensen on four

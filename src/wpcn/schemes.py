@@ -223,8 +223,9 @@ def _optimal_tau(gamma: np.ndarray) -> np.ndarray:
         huge = np.isinf(denom)
         if huge.any():
             tau[huge] = _split_of_huge_snr(gamma[huge], w[huge])
-    # W0 rounds to exactly -1 once gamma drops below ~1e-32; use the
-    # small-gamma asymptote 1 - sqrt(gamma/2) there
+    # gamma - 1 rounds to -1 once gamma drops below ~5.6e-17, and W0 of it
+    # to exactly -1; use the small-gamma asymptote 1 - sqrt(gamma/2) there
+    # (it clips to _TAU_MAX only below ~1e-32)
     tiny = denom == 0.0
     if tiny.any():
         tau[tiny] = 1.0 - np.sqrt(gamma[tiny] / 2.0)
@@ -532,7 +533,7 @@ def band_throughput_bound(g_l, g_u, params: SystemParams):
     return _scalar_or_array(out, out.ndim == 0)
 
 
-# Relative pad on the logarithm of band_throughput_block_bound: it keeps the
+# Relative pad on the logarithm of band_block_bound: it keeps the
 # bound above the pair bounds, whose argument rounds differently (by up to
 # ~7e-15 relative seen).
 _BLOCK_LOG_PAD = 1e-11
@@ -542,29 +543,18 @@ _BLOCK_LOG_PAD = 1e-11
 _LOG_FLOOR = 700.0
 
 
-def band_throughput_block_bound(g_l, g_lo, g_hi, params: SystemParams):
-    """Upper bound on ``band_throughput_bound`` over the bands [g_l, g_u), g_lo <= g_u <= g_hi.
-
-    Both forms of that bound are P log2(1 + snr H m/P), snr = p_d gbar^2/sigma2,
-    with P the band's probability, m its mean gain and H <= 1 the gain mass
-    harvested outside the band (``_band_prob_mean``, ``_log_mass_ratio``).
-    The form increases in P and in H m; P and m grow with g_u and H falls, so
-    the P and m of [g_l, g_hi) and the H of [g_l, g_lo) bound the block,
-    padded against rounding; 0 where P underflows. The argument snr H m/P of
-    the logarithm is taken no smaller than e^-700, below which the pair bound
-    rounds in subnormal floats. Needs g_l < g_lo <= g_hi < inf.
-    ``band_block_bound`` of ``band_block_geometry``: only the last step
-    reads the SNR.
-    """
-    out = band_block_bound(*band_block_geometry(g_l, g_lo, g_hi), params)
-    return _scalar_or_array(out, out.ndim == 0)
-
-
 def band_block_geometry(g_l, g_lo, g_hi) -> tuple:
-    """The SNR-free part of ``band_throughput_block_bound`` on its blocks: (P, ln(H m/P)).
+    """The SNR-free part of ``band_block_bound`` on its blocks: (P, ln(H m/P)).
 
-    P and m of [g_l, g_hi) and H of [g_l, g_lo) (``_log_mass_ratio``); the
-    same at every SNR, so a sweep builds it once per grid.
+    A block is the bands [g_l, g_u), g_lo <= g_u <= g_hi.
+    ``band_throughput_bound`` is P log2(1 + snr H m/P) in both its forms,
+    snr = p_d gbar^2/sigma2, with P the band's probability, m its mean gain
+    and H <= 1 the gain mass harvested outside the band
+    (``_band_prob_mean``, ``_log_mass_ratio``). The form increases in P and
+    in H m; P and m grow with g_u and H falls, so the P and m of
+    [g_l, g_hi) and the H of [g_l, g_lo) bound the block. They are the same
+    at every SNR, so a sweep builds them once per grid. Needs
+    g_l < g_lo <= g_hi < inf.
     """
     gl = np.asarray(g_l, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -573,7 +563,15 @@ def band_block_geometry(g_l, g_lo, g_hi) -> tuple:
 
 
 def band_block_bound(prob, log_ratio, params: SystemParams) -> np.ndarray:
-    """``band_throughput_block_bound`` at ``params`` from its ``band_block_geometry``."""
+    """Upper bound on ``band_throughput_bound`` over each block of ``band_block_geometry``.
+
+    It lies at or above every pair bound of its block in floats, or
+    ``solve_pip`` can drop an overflowing band that should have raised.
+    Three things hold that: the _BLOCK_LOG_PAD on the logarithm, the pair
+    bound's operation order (P log, then / ln 2) and the logarithm's
+    argument snr H m/P taken no smaller than e^-_LOG_FLOOR. 0 where P
+    underflows.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         log_term = np.logaddexp(0.0, np.maximum(_log_snr(params) + log_ratio, -_LOG_FLOOR))
         # in the pair bound's order: (P log) / ln 2 rounds alike where P is subnormal

@@ -233,6 +233,16 @@ class TestOptimize:
         assert row["throughput_bits"] >= 995.932705105403 - 1e-9
         assert 0.0 < row["g_l"] < 0.01
 
+    @pytest.mark.parametrize("scheme, bits", [("ip", 1.6120812862896), ("pi", 1.4058064552361)])
+    def test_the_widest_gain_cap_finds_the_optimum(self, capsys, scheme, bits):
+        # the throughput underflows, or the band is not eligible, over most
+        # of the searched range; the bisection stops at float resolution
+        # after about 1,000 halvings, with no warning
+        code, out, err = run_cli(capsys, "optimize", "--scheme", scheme, "--snr-db", "10",
+                                 "--gain-cap", "1e300")
+        assert code == 0 and err == ""
+        assert json.loads(out)["throughput_bits"] == pytest.approx(bits, rel=1e-12)
+
     def test_high_snr_ip_beats_htt(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--scheme", "all", "--snr-db", "30",
                                "--grid-step", "0.1")

@@ -159,6 +159,12 @@ class TestExpScaledE1Float:
             with pytest.raises(ValueError, match=match):
                 exp_scaled_e1(x)
 
+    @pytest.mark.parametrize("bad,match", [(0.0, "x > 0"), (-math.inf, "x > 0"), (math.nan, "NaN")])
+    def test_array_path_rejects_any_bad_entry(self, bad, match):
+        # a 0-d array takes the float entry; a longer one checks every entry
+        with pytest.raises(ValueError, match=match):
+            exp_scaled_e1(np.array([1.0, bad]))
+
 
 class TestE1Asymptotic:
     def test_direct_substitution_at_one(self):
@@ -409,7 +415,7 @@ def _quad_vec_pin(scalar_f, array_f, a, b):
     from scipy.integrate import quad_vec  # the reference only: no command loads it
 
     value, err = quad_vec(scalar_f, a, b, epsabs=1e-12, epsrel=1e-12, limit=400)
-    got_value, got_err = numerics._quad_vec(array_f, a, b)
+    got_value, got_err = numerics._quad_vec_lockstep(lambda x, owner: array_f(x), [(a, b)])[0]
     assert repr(np.asarray(got_value).tolist()) == repr(np.asarray(value).tolist())
     assert repr(float(got_err)) == repr(float(err))
     return got_value, got_err
@@ -464,9 +470,11 @@ class TestIntegrateMatchesQuadVec:
         want = quad_vec(f, 0.0, 20.0, epsabs=1e-12, epsrel=1e-12, limit=400,
                         quadrature="gk21", norm="2")
         assert want[1] < numerics._INTEGRATE_GATE
-        assert repr(numerics._quad_vec(f, 0.0, 20.0)) == repr(want)
+        assert repr(numerics._quad_vec_lockstep(lambda x, owner: f(x), [(0.0, 20.0)])[0]) \
+            == repr(want)
         monkeypatch.setattr(numerics, "_QUAD_BATCH", 64)
-        assert repr(numerics._quad_vec(f, 0.0, 20.0)) != repr(want)
+        assert repr(numerics._quad_vec_lockstep(lambda x, owner: f(x), [(0.0, 20.0)])[0]) \
+            != repr(want)
 
     def test_entries_with_equal_error_and_ends_pop_together(self):
         # on the zero-width [1, 1] every half has the ends of its parent: the
@@ -602,12 +610,22 @@ class TestMaximizeScalar:
         # the upper end replaces the lower one only if strictly greater
         assert maximize_scalar(lambda x: 7.0, Interval(0.25, 3.0)) == (0.25, 7.0)
 
-    def test_respects_max_iter(self):
+    def test_a_flat_or_undefined_upper_end_still_brackets_the_peak(self):
+        # x e^-x is exactly 0 past x ~ 745, and the second f is -inf past 5
+        # (its upper slope is NaN): neither slope is positive at the upper end
+        for f, hi in ((lambda x: x * math.exp(-x), 1e300),
+                      (lambda x: -math.inf if x > 5.0 else -(x - 1.0) ** 2, 10.0)):
+            x, _ = maximize_scalar(f, Interval(0.0, hi))
+            assert abs(x - 1.0) < 1e-6
+
+    def test_stops_at_float_resolution(self):
         # abs_tol below the float resolution at 2 is never met, so the
-        # bisection stops at its iteration cap and warns
-        with pytest.warns(UserWarning, match="bisection"):
-            x, _ = maximize_scalar(lambda x: -(x - 2.0) ** 2, Interval(0.0, 10.0), 1e-300)
-        assert 0.0 <= x <= 10.0
+        # bisection stops where its midpoint rounds to an end: about 55
+        # halvings, two scores each, with no warning
+        calls = []
+        x, _ = maximize_scalar(lambda x: calls.append(x) or -(x - 2.0) ** 2,
+                               Interval(0.0, 10.0), 1e-300)
+        assert abs(x - 2.0) < 1e-6 and len(calls) < 2 * 64
 
     def test_rejects_a_non_positive_tolerance(self):
         for abs_tol in (0.0, math.nan):

@@ -207,7 +207,8 @@ class TestPrunedPipSearch:
         assert 0 < sum(refined) <= 0.015 * 500_500
 
     def test_bounds_at_most_thirty_percent_of_the_pairs(self, monkeypatch):
-        # the row bound drops whole rows before any of their pairs is bounded
+        # the block bound drops the runs of g_u in a row that cannot win
+        # before any of their pairs is bounded
         bounded = _record_sizes(monkeypatch, "band_throughput_bound")
         solve_pip(SystemParams.from_snr_db(10.0))
         assert 0 < sum(bounded) <= 0.30 * 500_500
@@ -260,7 +261,6 @@ class TestAxisSolves:
         # the 8,320 blocks of the 0.01 grid and the seed's 7,875 coarse pairs,
         # once for the 16 points
         built = _record_sizes(monkeypatch, "band_block_geometry")
-        monkeypatch.setattr(schemes, "band_throughput_block_bound", None)  # not called
         sweep(0.0, 30.0, 2.0, schemes_to_run=("pip",))
         assert built == [7_875, 8_320]
 
@@ -408,6 +408,21 @@ class TestWideSearches:
             assert solver(params, wide).throughput_bits == \
                 pytest.approx(solver(params, FAST).throughput_bits, abs=1e-9)
 
+    @pytest.mark.parametrize("solver", [solve_ip, solve_pi])
+    def test_every_legal_gain_cap_finds_the_optimum(self, solver):
+        # past g ~ 745 the IP throughput underflows to exactly 0 and the PI
+        # bands are not eligible (both scores -inf), so the upper end slope of
+        # a wide bracket is 0 or NaN; the bracket is still searched. From cap
+        # 1e5 up, IP answered 2.4e-6 bits at the floor g_u = 1e-6 before, and
+        # PI at cap 1e5 5.2e-215 bits at g_l = 500
+        for snr_db in (0.0, 10.0, 30.0):
+            params = SystemParams.from_snr_db(snr_db)
+            want = solver(params, SolveConfig(gain_cap=1e4))
+            for cap in (1e5, 3e5, 1e6, 1e9, 1e300):
+                got = solver(params, SolveConfig(gain_cap=cap))
+                assert got.policy.band == pytest.approx(want.policy.band, abs=1e-7)
+                assert got.throughput_bits == pytest.approx(want.throughput_bits, rel=1e-12)
+
     def test_overflow_fails_only_where_it_might_win(self):
         # at p_d = 1e308 every IP band past g_u ~ 0.8 overflows, and such a
         # band could carry more than the few eligible ones (so could the PIP
@@ -434,6 +449,20 @@ class TestWideSearches:
             assert math.isfinite(res.throughput_bits) and res.throughput_bits > 1008.0
         res = solve_pi(params, cfg)
         assert res.throughput_bits >= 995.932705105403 - 1e-9 and res.policy.g_l < 0.01
+
+    def test_ip_searches_the_eligible_thresholds_above_an_overflowing_floor(self):
+        # the IP bands [0, g_u) below g_u ~ 7.28 overflow here (too little
+        # transmit probability for the energy harvested above them); the
+        # part above is searched alone, and its best, at its edge, is still
+        # reached by the bound of the overflowing bands: the solve refuses
+        params = SystemParams(p_d=1.5806057385095376e302, gbar=637.7021164254427,
+                              sigma2=0.014894430778214274)
+        cap = 233.59526414915243
+        edge, top = optimize._eligible_part(lambda x: (0.0, x), 1e-6, cap, params)
+        assert 7.27 < edge < 7.28 and top == cap
+        assert not schemes.band_uplink(0.0, math.nextafter(edge, 0.0), params)[2]
+        with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
+            solve_ip(params, SolveConfig(gain_cap=cap))
 
 
 class TestHttSolver:

@@ -685,8 +685,9 @@ class TestThroughputBlockBound:
         lo = i + 1 + int(start * (xs.size - 2 - i))
         hi = lo + int(width * (xs.size - 1 - lo))
         pairs = schemes.band_throughput_bound(np.full(hi + 1 - lo, xs[i]), xs[lo:hi + 1], params)
-        bound = schemes.band_throughput_block_bound(xs[i], xs[lo], xs[hi], params)
-        assert type(bound) is float and bound >= 0.0
+        bound = schemes.band_block_bound(*schemes.band_block_geometry(xs[i], xs[lo], xs[hi]),
+                                         params)
+        assert bound.shape == () and bound >= 0.0
         assert not np.any(pairs > bound)
 
     def test_is_the_pair_bound_on_a_single_band(self):
@@ -696,14 +697,28 @@ class TestThroughputBlockBound:
         assert not schemes.band_uplink(0.0, 0.5, overflowing)[2]
         for params in (P10, overflowing):
             pair = schemes.band_throughput_bound(0.0, 0.5, params)
-            assert pair <= schemes.band_throughput_block_bound(0.0, 0.5, 0.5, params) \
-                <= pair * (1.0 + 1e-10)
+            assert pair <= schemes.band_block_bound(*schemes.band_block_geometry(0.0, 0.5, 0.5),
+                                                    params) <= pair * (1.0 + 1e-10)
+
+    def test_log_floor_holds_a_subnormal_pair_bound(self, monkeypatch):
+        # at p_d = 1.6334e-320 the pair bounds are subnormal, and the block's
+        # logarithm, taken below e^-700, would round under its own pair bound
+        # at g_lo (1.734e-321 against 1.744e-321): the floor keeps it above
+        params = SystemParams(p_d=1.6334e-320, gbar=0.048579910966136425,
+                              sigma2=0.04756593213725163)
+        g_l, g_lo, g_hi = 1.5099950816107066, 1.9887582600351668, 1.9903282733239605
+        pairs = schemes.band_throughput_bound(g_l, np.linspace(g_lo, g_hi, 9), params)
+        geometry = schemes.band_block_geometry(g_l, g_lo, g_hi)
+        assert pairs[0] > 0.0 and not np.any(pairs > schemes.band_block_bound(*geometry, params))
+        monkeypatch.setattr(schemes, "_LOG_FLOOR", 1e300)
+        assert schemes.band_block_bound(*geometry, params) < pairs[0]
 
     def test_harvested_mass_tightens_blocks_far_along_a_row(self):
         # on a block four units past a low g_l little gain mass is harvested
         # outside the bands; against the same form with H = 1
         g_l = np.array([0.0, 1.0])
-        bound = schemes.band_throughput_block_bound(g_l, g_l + 4.0, 10.0, P10)
+        bound = schemes.band_block_bound(*schemes.band_block_geometry(g_l, g_l + 4.0, 10.0),
+                                         P10)
         span = 10.0 - g_l
         prob = np.exp(-g_l) * -np.expm1(-span)
         mean = g_l + 1.0 - span * np.exp(-span) / -np.expm1(-span)
@@ -712,7 +727,8 @@ class TestThroughputBlockBound:
 
     def test_shape_and_underflow(self):
         g_l = np.array([0.0, 1.0, 9.0, 800.0])
-        bound = schemes.band_throughput_block_bound(g_l, g_l + 1.0, 1000.0, P10)
+        bound = schemes.band_block_bound(*schemes.band_block_geometry(g_l, g_l + 1.0, 1000.0),
+                                         P10)
         assert bound.shape == (4,) and np.all(np.diff(bound) < 0.0)
         assert bound[-1] == 0.0  # e^{-800} underflows: so does every band of the row
 

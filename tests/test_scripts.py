@@ -132,8 +132,9 @@ def test_ab_compare_alternates_two_checkouts_in_one_process(tmp_path):
 # the bit ledger (scripts/bit_ledger.py): sha256 of the reprs of solver
 # outputs, recorded before the per-axis PIP and HTT solves (the sweeps and
 # PIP entries) and before failures moved out of the lockstep layers (the
-# IP, PI, HTT and evaluate_policy entries); every bit of every threshold,
-# power and throughput in it must stay
+# IP, PI, HTT and evaluate_policy entries); the wide-cap IP and PI entries
+# were recorded once a flat or undefined upper slope no longer stopped their
+# search. Every bit of every threshold, power and throughput in it must stay
 BIT_LEDGER = """\
 axis-full cdcfd84e677913647fbbc94aaea290a35164282ede6f21866721f875fa31658a
 headline-gbar2 3c312f2dd1586e025b51ec17122f6d24a7875fbd96310477ca7d0ba01b7e2e67
@@ -154,6 +155,10 @@ htt-step0.005-cap1 d4af84bca3d9f2d8d19134c38878a21a67b06d0ed051caced6d7fec5934eb
 htt-step0.005-cap40 d4af84bca3d9f2d8d19134c38878a21a67b06d0ed051caced6d7fec5934ebc62
 htt-step0.05-cap1 d4af84bca3d9f2d8d19134c38878a21a67b06d0ed051caced6d7fec5934ebc62
 htt-step0.05-cap40 d4af84bca3d9f2d8d19134c38878a21a67b06d0ed051caced6d7fec5934ebc62
+ip-cap100000 e2b5b9e49674438c188131ca5014d0fad6c0a7997755ac4f0ff59d5b15b8f20f
+ip-cap1e+300 338dd5f1f318881e93171de149094fdc4822bc355c733f935fcd98780b824c97
+pi-cap100000 df51e21ce35a9639c61afa87de3bcd67bb009b8b07a83dd9155ddd685c9cd470
+pi-cap1e+300 851c685e21468eee5b8b65d8bfa7d789a5aba7f343e79bb144086837ad14bcca
 evaluate-htt f727676c83d7159f8283987bd11734f4249664e0e5b8fece9c61b34eedb54d54
 evaluate-ip 9e8b52b7e371abfb12b6891cfb39c52648226b373fe938d51d76e1ce36b9dec1
 evaluate-pi 8473cc93774098b782904654f10a431638700fccb1fb9c2a8fae8a559cabfe89
