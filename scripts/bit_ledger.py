@@ -14,6 +14,10 @@ Prints one ``<entry> <sha256>`` line per entry:
 - ``<tag>-cap<c>``: the same for IP and PI at the default grid step and the
   gain caps 1e5 and 1e300, past which their throughput underflows or their
   bands are not eligible;
+- ``ip-floor-overflow`` and ``pi-edge``: the SolveResult of IP and PI at a
+  p_d near 1e302 and 1e306, where the IP bands next to the floor and the PI
+  bands past g_l ~ 0.01 are not eligible, so the optimum lies next to
+  bands that are not eligible;
 - ``evaluate-<tag>``: ``schemes.evaluate_policy`` of the scheme's policy of
   fixed thresholds at -60, -10, 10, 30 and 90 dB.
 
@@ -51,6 +55,12 @@ def ledger() -> dict[str, str]:
         for cap in (1e5, 1e300):
             result = optimize._SOLVERS[tag](params, SolveConfig(gain_cap=cap))
             entries[f"{tag}-cap{cap:g}"] = (result,)
+    entries["ip-floor-overflow"] = (optimize.solve_ip(
+        SystemParams(p_d=7.11203322238475e+301, gbar=2.2222936297403004, sigma2=0.809876911077366),
+        SolveConfig(gain_cap=999.5380359634353)),)
+    entries["pi-edge"] = (optimize.solve_pi(
+        SystemParams(p_d=2.156272299568374e306, gbar=3.631698349604619, sigma2=14.421922606466026),
+        SolveConfig(gain_cap=772.7775264106529)),)
     for tag, policy in FIXED_POLICIES.items():
         entries[f"evaluate-{tag}"] = [evaluate_policy(policy, SystemParams.from_snr_db(db))
                                       for db in (-60.0, -10.0, 10.0, 30.0, 90.0)]

@@ -514,13 +514,16 @@ def maximize_scalar(f: Callable[[float], float], domain: Interval,
     Bisects on the sign of a central finite difference of f (step
     1e-7 * max(1, |x|)) until the bracket is narrower than ``abs_tol`` or
     its midpoint rounds to one of its ends (float resolution: about 1,100
-    halvings from a bracket 1e308 wide). The search runs where the slope is
-    positive at ``lo`` and not positive at ``hi``, which includes an f flat
-    there (a throughput that underflows to 0) or -inf on both sides of it
-    (bands that are not eligible: the difference is NaN). Else a unimodal f
-    peaks at an end and no search runs. Either way each end replaces the
-    best point so far only if strictly better, so ties keep the bisection
-    point, then ``lo``. Returns (argmax, f(argmax)).
+    halvings from a bracket 1e308 wide). The search runs where the slope at
+    one end points into the bracket and the slope at the other does not
+    point out of it: positive at ``lo`` and not positive at ``hi``, or
+    negative at ``hi`` and not negative at ``lo``. A slope that points
+    neither way is 0 where f is flat (a throughput that underflows to 0) or
+    NaN where f is -inf on both sides (bands that are not eligible), so a
+    peak is bracketed from either end. Else (NaN at both ends too) a
+    unimodal f peaks at an end and no search runs. Either way each end
+    replaces the best point so far only if strictly better, so ties keep
+    the bisection point, then ``lo``. Returns (argmax, f(argmax)).
     """
     if not abs_tol > 0.0:
         raise ValueError(f"abs_tol must be > 0, got {abs_tol}")
@@ -536,7 +539,7 @@ def maximize_scalar(f: Callable[[float], float], domain: Interval,
 
     d_lo = dsign(lo)
     d_hi = dsign(hi)
-    if d_lo > 0.0 and not d_hi > 0.0:
+    if (d_lo > 0.0 and not d_hi > 0.0) or (d_hi < 0.0 and not d_lo < 0.0):
         a, b = lo, hi
         while b - a > abs_tol and a < (m := 0.5 * (a + b)) < b:
             if dsign(m) > 0.0:

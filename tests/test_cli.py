@@ -221,7 +221,8 @@ class TestOptimize:
 
     def test_pi_searches_the_eligible_thresholds_below_the_first_scan_step(self, capsys):
         # every coarse-scan point but g_l = 0 overflows at this cap; the
-        # eligible thresholds, below g_l ~ 0.01, are searched alone, and
+        # bisection of the bracket from g_l = 0 finds the eligible
+        # thresholds below g_l ~ 0.01, and
         # --gain-cap 1.0 finds 995.932705105403 bits at g_l = 0.00291
         code, out, err = run_cli(capsys, "optimize", "--scheme", "pi",
                                  "--p-d", "2.156272299568374e306", "--gbar", "3.631698349604619",

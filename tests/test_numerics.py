@@ -610,12 +610,15 @@ class TestMaximizeScalar:
         # the upper end replaces the lower one only if strictly greater
         assert maximize_scalar(lambda x: 7.0, Interval(0.25, 3.0)) == (0.25, 7.0)
 
-    def test_a_flat_or_undefined_upper_end_still_brackets_the_peak(self):
+    def test_a_flat_or_undefined_end_still_brackets_the_peak(self):
         # x e^-x is exactly 0 past x ~ 745, and the second f is -inf past 5
-        # (its upper slope is NaN): neither slope is positive at the upper end
-        for f, hi in ((lambda x: x * math.exp(-x), 1e300),
-                      (lambda x: -math.inf if x > 5.0 else -(x - 1.0) ** 2, 10.0)):
-            x, _ = maximize_scalar(f, Interval(0.0, hi))
+        # (its upper slope is NaN): neither slope is positive at the upper
+        # end. The third f is -inf below 0.5, so its lower slope is NaN and
+        # the negative upper slope brackets the peak
+        for f, lo, hi in ((lambda x: x * math.exp(-x), 0.0, 1e300),
+                          (lambda x: -math.inf if x > 5.0 else -(x - 1.0) ** 2, 0.0, 10.0),
+                          (lambda x: -math.inf if x < 0.5 else -(x - 1.0) ** 2, 0.0, 10.0)):
+            x, _ = maximize_scalar(f, Interval(lo, hi))
             assert abs(x - 1.0) < 1e-6
 
     def test_stops_at_float_resolution(self):
@@ -703,6 +706,27 @@ class TestGridArgmax2D:
         (x, y), v = grid_argmax_2d(f, Interval(0.0, 5.0), 0.1, bound=bound)
         assert (x, y) == (pytest.approx(1.0, abs=1e-12), pytest.approx(2.0, abs=1e-12))
         assert v == pytest.approx(0.0, abs=1e-24)
+
+    def test_a_bound_below_f_within_the_slack_keeps_the_winner(self, monkeypatch):
+        # 301 axis points, so the seed's sub-grid takes every 3rd and its best
+        # pair (0, 3) sets the threshold at 1 - 1e-12; the winner (1, 2) has a
+        # bound 1e-11 below its f, which only the slack lets through
+        def values(x, y, at_winner):
+            i, j = np.rint(x / 0.01), np.rint(y / 0.01)
+            return np.where((i == 1) & (j == 2), at_winner,
+                            np.where((i == 0) & (j == 3), 1.0 - 1e-12, 0.0))
+
+        def f(x, y):
+            return values(x, y, 1.0)
+
+        def bound(x, y):
+            return values(x, y, 1.0 - 1e-11)
+
+        dom = Interval(0.0, 3.0)
+        assert grid_argmax_2d(f, dom, 0.01) == ((0.01, 0.02), 1.0)
+        assert grid_argmax_2d(f, dom, 0.01, bound=bound) == ((0.01, 0.02), 1.0)
+        monkeypatch.setattr(numerics, "_GRID_SLACK", 0.0)
+        assert grid_argmax_2d(f, dom, 0.01, bound=bound) == ((0.0, 0.03), 1.0 - 1e-12)
 
     def test_block_bound_drops_blocks_without_changing_the_answer(self):
         # 201 axis points, four chunks of rows; the block bound is the largest

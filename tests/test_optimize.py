@@ -439,8 +439,9 @@ class TestWideSearches:
         # the IP and PIP bands that overflow here are bounded below the best
         # eligible value (about 988 against 1008 bits) once their bound keeps
         # the gain mass harvested outside the band, so the solves answer; the
-        # coarse PI scan finds no eligible threshold but g_l = 0, so PI
-        # searches the eligible thresholds, below g_l ~ 0.01, alone and answers
+        # coarse PI scan finds no eligible threshold but g_l = 0, and the
+        # bisection of the bracket from the floor finds the eligible
+        # thresholds below g_l ~ 0.01 and answers
         params = SystemParams(p_d=2.156272299568374e306, gbar=3.631698349604619,
                               sigma2=14.421922606466026)
         cfg = SolveConfig(gain_cap=772.7775264106529, grid_step=6.613863075986156)
@@ -450,19 +451,55 @@ class TestWideSearches:
         res = solve_pi(params, cfg)
         assert res.throughput_bits >= 995.932705105403 - 1e-9 and res.policy.g_l < 0.01
 
-    def test_ip_searches_the_eligible_thresholds_above_an_overflowing_floor(self):
+    def test_ip_refuses_where_the_overflowing_floor_bands_might_win(self):
         # the IP bands [0, g_u) below g_u ~ 7.28 overflow here (too little
         # transmit probability for the energy harvested above them); the
-        # part above is searched alone, and its best, at its edge, is still
-        # reached by the bound of the overflowing bands: the solve refuses
+        # best eligible threshold is still reached by the bound of the
+        # overflowing bands: the solve refuses
         params = SystemParams(p_d=1.5806057385095376e302, gbar=637.7021164254427,
                               sigma2=0.014894430778214274)
-        cap = 233.59526414915243
-        edge, top = optimize._eligible_part(lambda x: (0.0, x), 1e-6, cap, params)
-        assert 7.27 < edge < 7.28 and top == cap
-        assert not schemes.band_uplink(0.0, math.nextafter(edge, 0.0), params)[2]
+        assert not schemes.band_uplink(0.0, 7.27, params)[2]
+        assert schemes.band_uplink(0.0, 7.28, params)[2]
         with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
-            solve_ip(params, SolveConfig(gain_cap=cap))
+            solve_ip(params, SolveConfig(gain_cap=233.59526414915243))
+
+    def test_ip_finds_the_optimum_above_an_overflowing_floor(self):
+        # every bracket from the floor starts among overflowing bands (lower
+        # slope NaN); the bisection brackets the peak from the upper end. The
+        # scan's third point alone gave 993.4992900512624 bits at g_u = 9.995,
+        # and a 200,001-point scan finds 996.55416 bits at g_u = 6.6819
+        params = SystemParams(p_d=7.11203322238475e+301, gbar=2.2222936297403004,
+                              sigma2=0.809876911077366)
+        res = solve_ip(params, SolveConfig(gain_cap=999.5380359634353))
+        assert res.throughput_bits >= 996.5541595342
+        assert 6.6 < res.policy.g_u < 6.8
+
+    def test_high_p_d_solves_answer_or_refuse_and_reach_a_fine_scan(self):
+        # where the uplink SNR overflows over part of the searched range, each
+        # IP and PI solve answers finite or refuses, and an answer reaches the
+        # best eligible threshold of a 2,001-point scan
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            p_d = 10.0 ** rng.uniform(295.0, 308.0)
+            gbar, sigma2 = 10.0 ** rng.uniform(-2.0, 3.0), 10.0 ** rng.uniform(-2.0, 3.0)
+            cap = 10.0 ** rng.uniform(-4.0, 3.0)
+            params = SystemParams(p_d=p_d, gbar=gbar, sigma2=sigma2)
+            cfg = SolveConfig(gain_cap=cap, grid_step=cap / 100.0)
+            for solver, band, lo in (
+                (solve_ip, lambda x: (np.zeros_like(x), x),
+                 min(optimize._THRESHOLD_FLOOR, 0.5 * cap)),
+                (solve_pi, lambda x: (x, np.full_like(x, math.inf)), 0.0),
+            ):
+                try:
+                    res = solver(params, cfg)
+                except schemes.UplinkOverflowError:
+                    continue
+                assert math.isfinite(res.throughput_bits) and math.isfinite(res.ul_power)
+                g_l, g_u = band(np.linspace(lo, cap, 2001))
+                ok = schemes.band_uplink(g_l, g_u, params)[2]
+                if ok.any():
+                    best = float(np.max(schemes.band_throughput(g_l[ok], g_u[ok], params)))
+                    assert res.throughput_bits >= best - 1e-12 * abs(best)
 
 
 class TestHttSolver:

@@ -159,6 +159,8 @@ ip-cap100000 e2b5b9e49674438c188131ca5014d0fad6c0a7997755ac4f0ff59d5b15b8f20f
 ip-cap1e+300 338dd5f1f318881e93171de149094fdc4822bc355c733f935fcd98780b824c97
 pi-cap100000 df51e21ce35a9639c61afa87de3bcd67bb009b8b07a83dd9155ddd685c9cd470
 pi-cap1e+300 851c685e21468eee5b8b65d8bfa7d789a5aba7f343e79bb144086837ad14bcca
+ip-floor-overflow 269cb7cc0d7df53bcda03f04ced6a74800cfdc751e2d4250d722c1f39fcaa899
+pi-edge c6975a76a9b289a6214a981902978c07e7abc64339e6d478e7a2da402bcddd07
 evaluate-htt f727676c83d7159f8283987bd11734f4249664e0e5b8fece9c61b34eedb54d54
 evaluate-ip 9e8b52b7e371abfb12b6891cfb39c52648226b373fe938d51d76e1ce36b9dec1
 evaluate-pi 8473cc93774098b782904654f10a431638700fccb1fb9c2a8fae8a559cabfe89
