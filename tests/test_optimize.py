@@ -451,17 +451,28 @@ class TestWideSearches:
         res = solve_pi(params, cfg)
         assert res.throughput_bits >= 995.932705105403 - 1e-9 and res.policy.g_l < 0.01
 
-    def test_ip_refuses_where_the_overflowing_floor_bands_might_win(self):
+    def test_ip_searches_the_eligible_thresholds_above_an_overflowing_floor(self, monkeypatch):
         # the IP bands [0, g_u) below g_u ~ 7.28 overflow here (too little
         # transmit probability for the energy harvested above them); the
-        # best eligible threshold is still reached by the bound of the
-        # overflowing bands: the solve refuses
+        # solve scores eligible thresholds above that edge, and their best is
+        # still reached by the bound of the overflowing bands: it refuses
         params = SystemParams(p_d=1.5806057385095376e302, gbar=637.7021164254427,
                               sigma2=0.014894430778214274)
         assert not schemes.band_uplink(0.0, 7.27, params)[2]
         assert schemes.band_uplink(0.0, 7.28, params)[2]
+        scored = []
+        real = schemes.ip_throughput
+
+        def recording(x, p):
+            if np.ndim(x) == 0:
+                scored.append(float(x))
+            return real(x, p)
+
+        monkeypatch.setattr(schemes, "ip_throughput", recording)
         with pytest.raises(schemes.UplinkOverflowError, match="p_d"):
             solve_ip(params, SolveConfig(gain_cap=233.59526414915243))
+        above = [x for x in scored if x > 7.28]
+        assert above and all(schemes.band_uplink(0.0, x, params)[2] for x in above)
 
     def test_ip_finds_the_optimum_above_an_overflowing_floor(self):
         # every bracket from the floor starts among overflowing bands (lower
